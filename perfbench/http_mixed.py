@@ -2,11 +2,13 @@
 
 The benchmark writes a seeded power-law graph to an edge-list file, starts
 ``python -m repro.service.http --edges FILE --port 0`` (every other flag at
-its default) and drives it open loop at a fixed offered rate over a few
-keep-alive connections from one process: 96% ``POST /query`` drawn
-Zipf(1.0) from a fixed set of distinct keys, 4% ``POST /mutate`` with
-4-edge deltas that alternately insert fresh edges and delete them again.
-Latency is timed from each request's scheduled send time.
+its default) and drives it over a few keep-alive connections from one
+process with one request mix: 96% ``POST /query`` drawn Zipf(1.0) from a
+fixed set of distinct keys, 4% ``POST /mutate`` with 4-edge deltas that
+alternately insert fresh edges and delete them again.  A closed-loop phase
+measures the server's capacity (``qps``); an open-loop phase at a fixed
+offered rate measures latency, timed from each request's scheduled send
+time.
 
 After the timed phase a seeded sample of keys, the Zipf head included, is
 queried again and every answer is compared with ``EVE.query`` run on the
@@ -25,8 +27,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import EVE, DiGraph, SPGEngine
 from repro.core.distances import backward_distance_map
@@ -56,10 +59,16 @@ N, OUT_EDGES = 100_000, 4
 DISTINCT_KEYS, KS = 4000, (3, 4, 5)
 WRITE_EVERY = 25  # one request in 25 is a mutation: 4%
 DELTA_EDGES = 4
-OFFERED_RPS = 45.0
+# The open-loop phase offers this share of the request rate the server
+# answered in the closed-loop phase of the same run.
+OFFERED_SHARE = 0.3
 CONNECTIONS = min(2, os.cpu_count() or 1)
 WARMUP_QUERIES = 2000
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+# Share of --seconds spent in the closed-loop capacity phase; the rest is
+# the open-loop phase.
+CAPACITY_SHARE = 0.5
+CAPACITY_MAX_RPS = 1000.0  # sizes the capacity phase's request list
 CHECK_HEAD, CHECK_RANDOM = 30, 30
 # A run whose generator sent requests this late (p99) is invalid: the
 # client, not the server, would be charged for the stall.
@@ -81,7 +90,8 @@ class InvalidRun(RuntimeError):
 class Server:
     """One ``python -m repro.service.http`` subprocess on an ephemeral port."""
 
-    def __init__(self, edge_file: Path) -> None:
+    def __init__(self, edge_file: Path, trace: bool = False) -> None:
+        self.edge_file = edge_file
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -89,7 +99,7 @@ class Server:
         started = time.perf_counter()
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.service.http",
-             "--edges", str(edge_file), "--port", "0"],
+             "--edges", str(edge_file), "--port", "0"] + (["--trace"] if trace else []),
             cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE, text=True,
         )
@@ -184,19 +194,24 @@ class Response:
         return self.payload.get("ok", True) is True
 
 
-def drive(port: int, requests: List[Request], connections: int) -> Tuple[List[Response], float]:
+def drive(
+    port: int, requests: List[Request], connections: int, stop_after: Optional[float] = None
+) -> Tuple[List[Response], float]:
     """Send ``requests`` on their schedule over ``connections`` keep-alive
     connections; returns the responses in schedule order and the start.
 
     Each connection thread takes the next unsent request, sleeps until it
     is due, sends it and waits for the answer, so no more than
     ``connections`` requests are outstanding.  A transport error is a
-    response with status 0; the connection is then reopened.
+    response with status 0; the connection is then reopened.  With
+    ``stop_after``, no request is sent later than that many seconds after
+    the start, and unsent requests have no response.
     """
     responses: List[Optional[Response]] = [None] * len(requests)
     cursor = iter(range(len(requests)))
     lock = threading.Lock()
     start = time.perf_counter() + 0.05
+    stop = None if stop_after is None else start + stop_after
 
     def connection_loop() -> None:
         connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
@@ -205,7 +220,7 @@ def drive(port: int, requests: List[Request], connections: int) -> Tuple[List[Re
             while True:
                 with lock:
                     index = next(cursor, None)
-                if index is None:
+                if index is None or (stop is not None and time.perf_counter() >= stop):
                     return
                 request = requests[index]
                 due = start + request.due
@@ -239,48 +254,59 @@ def drive(port: int, requests: List[Request], connections: int) -> Tuple[List[Re
         thread.start()
     for thread in threads:
         thread.join()
-    return responses, start
+    return [r for r in responses if r is not None], start
 
 
-def query_request(key: Key, due: float = 0.0) -> Request:
+def query_rate(responses: List[Response], start: float) -> float:
+    """Successful queries per second from ``start`` to the last answer."""
+    ok = sum(r.ok for r in responses if r.request.key is not None)
+    return ratio(ok, max(r.done for r in responses) - start)
+
+
+def query_request(key: Key) -> Request:
     body = json.dumps({"source": key[0], "target": key[1], "k": key[2]}).encode()
-    return Request(due, "/query", body, key=key)
+    return Request(0.0, "/query", body, key=key)
 
 
-def mutate_request(kind: str, edges: Tuple[Edge, ...], due: float) -> Request:
+def mutate_request(kind: str, edges: Tuple[Edge, ...]) -> Request:
     pairs = [[str(u), str(v)] for u, v in edges]  # the edge file's labels
     body = json.dumps({kind: pairs}).encode()
-    return Request(due, "/mutate", body, delta=(kind, edges))
+    return Request(0.0, "/mutate", body, delta=(kind, edges))
 
 
-def schedule(
-    seed: int, count: int, keys: List[Key], zipf: Zipf, edges: List[Edge]
-) -> List[Request]:
-    """The first ``count`` requests of the timed phase: a fixed-rate mix of
-    queries and alternating deltas.
-
-    Each request is due at its slot plus a seeded jitter of up to half a
-    slot.  Without it every query would sit at the same few offsets after a
-    mutation, and p95 jumped between those levels from run to run.
-    """
+def request_mix(seed: int, keys: List[Key], zipf: Zipf, edges: List[Edge]) -> Iterator[Request]:
+    """The endless request mix, due at once (closed loop) until ``pace``d:
+    one request in ``WRITE_EVERY`` is a delta, alternately inserting fresh
+    edges and deleting them again; the others are Zipf queries."""
     rng = stream(seed, "requests")
-    jitter = stream(seed, "jitter")
     present = set(edges)
     pairs = uniform_pairs(N, stream(seed, "deltas"))
     used: Set[Edge] = set()
     inserted: Tuple[Edge, ...] = ()
-    requests: List[Request] = []
-    for index in range(count):
-        due = max(0.0, index + jitter.uniform(-0.5, 0.5)) / OFFERED_RPS
+    index = 0
+    while True:
         if index % WRITE_EVERY == WRITE_EVERY // 2:
             if inserted:
-                requests.append(mutate_request("delete", inserted, due))
+                yield mutate_request("delete", inserted)
                 inserted = ()
             else:
                 inserted = tuple(fresh_edges(present, pairs, DELTA_EDGES, used))
-                requests.append(mutate_request("insert", inserted, due))
+                yield mutate_request("insert", inserted)
         else:
-            requests.append(query_request(keys[zipf.draw(rng)], due))
+            yield query_request(keys[zipf.draw(rng)])
+        index += 1
+
+
+def pace(requests: List[Request], rate: float, seed: int) -> List[Request]:
+    """Make ``requests`` due at ``rate`` per second, each at its slot plus
+    a seeded jitter of up to half a slot.
+
+    Without the jitter every query would sit at the same few offsets after
+    a mutation, and p95 jumped between those levels from run to run.
+    """
+    jitter = stream(seed, "jitter")
+    for index, request in enumerate(requests):
+        request.due = max(0.0, index + jitter.uniform(-0.5, 0.5)) / rate
     return requests
 
 
@@ -474,66 +500,90 @@ def http_mixed(seed: int, seconds: float, trace: bool) -> Outcome:
             pass
 
 
+def traced_capacity(edge_file: Path, warmup: List[Request], requests: List[Request],
+                    seconds: float) -> Tuple[List[Response], float]:
+    """The capacity phase again, on a fresh server started with ``--trace``."""
+    server = Server(edge_file, trace=True)
+    try:
+        drive(server.port, warmup, CONNECTIONS)
+        return drive(server.port, requests, CONNECTIONS, stop_after=seconds)
+    finally:
+        server.stop()
+
+
 def _measure(seed, seconds, trace, edges, server: Server, setups) -> Outcome:
     keys = distinct_keys(edges, stream(seed, "keys"), DISTINCT_KEYS, KS)
     zipf = Zipf(len(keys))
     warmup_rng = stream(seed, "warmup")
     warmup = [query_request(keys[zipf.draw(warmup_rng)]) for _ in range(WARMUP_QUERIES)]
-    drive(server.port, warmup, CONNECTIONS)
+    mix = request_mix(seed, keys, zipf, edges)
+    capacity_seconds = seconds * CAPACITY_SHARE
+    closed = list(islice(mix, int(capacity_seconds * CAPACITY_MAX_RPS)))
 
-    requests = schedule(seed, int(seconds * OFFERED_RPS), keys, zipf, edges)
+    drive(server.port, warmup, CONNECTIONS)
+    capacity, capacity_start = drive(server.port, closed, CONNECTIONS, stop_after=capacity_seconds)
+    qps = query_rate(capacity, capacity_start)
+    offered_rps = OFFERED_SHARE * len(capacity) / (max(r.done for r in capacity) - capacity_start)
+    count = int((seconds - capacity_seconds) * offered_rps)
+    paced = pace(list(islice(mix, count)), offered_rps, seed)
     before = scrape(server) if trace else None
-    responses, start = drive(server.port, requests, CONNECTIONS)
+    responses, _ = drive(server.port, paced, CONNECTIONS)
     after = scrape(server) if trace else None
-    finished = max(r.done for r in responses)
     lag_p99_ms = quantile([r.sent - r.ready for r in responses], 0.99) * 1000.0
     if lag_p99_ms > LAG_LIMIT_MS:
         raise InvalidRun(
             f"load generator fell behind its schedule: lag p99 {lag_p99_ms:.1f} ms"
         )
 
+    sent = capacity + responses
     queries = [r for r in responses if r.request.key is not None]
-    mutations = [r for r in responses if r.request.delta is not None]
     ok_queries = [r.done - r.due for r in queries if r.ok]
-    ok_mutations = [r.done - r.due for r in mutations if r.ok]
-    failed = len(responses) - len(ok_queries) - len(ok_mutations)
-    qps = len(ok_queries) / (finished - start)
+    ok_mutations = [r.done - r.due for r in responses if r.request.delta is not None and r.ok]
+    failed = sum(not r.ok for r in sent)
 
     mismatches: List[str] = []
-    present = replay_deltas(edges, responses, mismatches)
+    present = replay_deltas(edges, sent, mismatches)
     rss_mb = server.peak_rss_mb()
     rng = stream(seed, "check")
     sample = keys[:CHECK_HEAD] + rng.sample(keys[CHECK_HEAD:], CHECK_RANDOM)
     checked = check_answers(server, DiGraph(N, sorted(present)), sample, mismatches)
+    attempted = len(sent) + checked
 
     layers: Dict[str, float] = {
+        "loadgen.offered_rps": offered_rps,
         "loadgen.lag_p99_ms": lag_p99_ms,
-        "error_ratio": ratio(failed, len(responses)),
     }
     if trace:
+        server.stop()
+        traced, traced_start = traced_capacity(server.edge_file, warmup, closed, capacity_seconds)
+        attempted += len(traced)
+        failed += sum(not r.ok for r in traced)
+        traced_qps = query_rate(traced, traced_start)
         layers.update(http_layers(before, after, responses))
+        layers["mutate_p50_ms"] = (
+            median_of(ok_mutations) if ok_mutations else seconds
+        ) * 1000.0
         graph = DiGraph(N, edges)
         layers["graph.csr_build_s"] = timed(lambda: (graph.csr(), graph.csr_reverse()))[0]
-        replay = schedule(seed, REPLAY_REQUESTS, keys, zipf, edges)
+        replay = list(islice(request_mix(seed, keys, zipf, edges), REPLAY_REQUESTS))
         layers.update(in_process_replay(graph, replay))
-        offered_qps = len(queries) / (len(requests) / OFFERED_RPS)
         layers.update({
-            "trace.qps_untraced": offered_qps,
-            "trace.qps_traced": qps,
-            "trace.overhead_ratio": 1.0 - ratio(qps, offered_qps),
+            "trace.qps_untraced": qps,
+            "trace.qps_traced": traced_qps,
+            "trace.overhead_ratio": 1.0 - ratio(traced_qps, qps),
         })
+    layers["error_ratio"] = ratio(failed, attempted)
     penalty = [seconds] * (len(queries) - len(ok_queries))
     latency, tail = latency_summary(ok_queries + penalty)
     layers.update(tail)
     return Outcome(
-        attempted=len(responses) + checked,
+        attempted=attempted,
         failed=failed,
         end_to_end={
             "setup_s": median_of(setups),
             "qps": qps,
             **latency,
-            "mutate_p50_ms": median_of(ok_mutations) * 1000.0 if ok_mutations else seconds * 1000.0,
-            "success_ratio": ratio(len(ok_queries) + len(ok_mutations), len(responses)),
+            "success_ratio": ratio(attempted - failed, attempted),
             "rss_mb": rss_mb,
         },
         per_layer=layers,

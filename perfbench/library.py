@@ -3,11 +3,9 @@
 ``lib-sparse`` calls ``build_spg`` once per query, the README quickstart
 path.  ``batch-dense`` calls ``SPGEngine.run_batch`` on the default engine
 with fraud-screening shaped batches.  Both are closed loops with one
-caller.  Spread through the timed phase, outside the query time, each
-applies 4-edge deltas in insert/delete pairs through its write path
-(``repro.graph.delta.apply_delta`` and ``SPGEngine.apply_delta``
-respectively).  Afterwards a seeded sample of answers is checked against
-path enumeration.
+caller and only read: the write path is measured on ``http-mixed``.
+Afterwards a seeded sample of answers is checked against path
+enumeration.
 """
 
 from __future__ import annotations
@@ -21,19 +19,11 @@ from repro.core.distances import backward_distance_map
 from repro.core.eve import QueryScratch
 from repro.enumeration import PathEnum
 from repro.enumeration.spg_via_enumeration import EnumerationSPGBuilder
-from repro.graph.delta import GraphDelta, apply_delta
 from repro.service.engine import EngineConfig
 from repro.service.planner import plan_batch
 from repro.telemetry import Tracer
 
-from inputs import (
-    dense_batches,
-    erdos_renyi_edges,
-    fresh_edges,
-    lib_sparse_queries,
-    stream,
-    uniform_pairs,
-)
+from inputs import dense_batches, erdos_renyi_edges, lib_sparse_queries, stream
 from measure import (
     Outcome,
     PhaseTotals,
@@ -45,13 +35,8 @@ from measure import (
 )
 
 Query = Tuple[int, int, int]
-Edge = Tuple[int, int]
 
-SETUP_REPEATS = 5
-DELTA_EDGES = 4
-WRITE_EVERY = 25  # lib-sparse: one insert/delete pair per this many queries
-DENSE_WRITE_PAIRS = 4  # batch-dense: insert/delete pairs after each batch
-OVERLAY_PAIRS = 10  # batch-dense traced: overlay-only pairs for delta.overlay_ms
+SETUP_REPEATS = 9
 LIB_SPARSE_N, LIB_SPARSE_DEGREE = 20_000, 4
 BATCH_DENSE_N, BATCH_DENSE_DEGREE = 20_000, 8
 LIB_WARMUP_QUERIES = 20
@@ -92,24 +77,21 @@ def _closed_loop(
     seconds: float,
     min_count: int = 0,
     keep: Callable[[int], bool] = lambda index: False,
-    between: Optional[Callable[[], None]] = None,
 ) -> Tuple[List[float], int, float, List[Tuple[Query, object]]]:
-    """Call ``call`` on successive queries for ``seconds`` of query time.
+    """Call ``call`` on successive queries for ``seconds``.
 
-    Returns ``(latencies of successes, failures, query seconds, kept
+    Returns ``(latencies of successes, failures, elapsed seconds, kept
     results)``; ``keep(index)`` selects results retained for the answer
-    check.  ``between`` runs after every ``WRITE_EVERY`` queries; its time
-    is excluded from the query time.
+    check.
     """
     latencies: List[float] = []
     kept: List[Tuple[Query, object]] = []
     failed = 0
-    paused = 0.0
     started = time.perf_counter()
     index = 0
     while True:
         begun = time.perf_counter()
-        if begun - paused - started >= seconds and index >= min_count:
+        if begun - started >= seconds and index >= min_count:
             break
         query = next(queries)
         try:
@@ -121,9 +103,7 @@ def _closed_loop(
             if keep(index):
                 kept.append((query, result))
         index += 1
-        if between is not None and index % WRITE_EVERY == 0:
-            paused += timed(between)[0]
-    return latencies, failed, time.perf_counter() - started - paused, kept
+    return latencies, failed, time.perf_counter() - started, kept
 
 
 def _setup_graphs(n: int, edges, build_engine: bool):
@@ -150,68 +130,6 @@ def _setup_graphs(n: int, edges, build_engine: bool):
         setups.append(time.perf_counter() - started)
         csr_times.append(csr_done - csr_started)
     return graph, engine, setups, csr_times
-
-
-class DeltaSeries:
-    """Timed 4-edge deltas through one write path, in insert/delete pairs.
-
-    Each pair inserts fresh edges and deletes them again, so the served
-    graph returns to the seed graph's content.  The pairs are spread
-    through the timed phase, so the median write time samples the whole
-    run rather than one burst.  Right after the first insert, untimed,
-    ``probe(inserted)`` returns ``(query, answer edges)`` pairs that the
-    answer check compares with enumeration on the updated graph.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        n: int,
-        edges,
-        write: Callable[[GraphDelta], object],
-        probe: Callable[[Tuple[Edge, ...]], List[Tuple[Query, object]]],
-    ) -> None:
-        self._present = set(edges)
-        self._pairs = uniform_pairs(n, stream(seed, "deltas"))
-        self._used: set = set()
-        self._write = write
-        self._probe = probe
-        self.seconds: List[float] = []
-        self.results: List[object] = []
-        self.probed: Optional[Tuple[Tuple[Edge, ...], List[Tuple[Query, object]]]] = None
-
-    def pair(self) -> None:
-        inserted = tuple(fresh_edges(self._present, self._pairs, DELTA_EDGES, self._used))
-        for delta in (GraphDelta(inserts=inserted), GraphDelta(deletes=inserted)):
-            spent, result = timed(lambda: self._write(delta))
-            self.seconds.append(spent)
-            self.results.append(result)
-            if self.probed is None:
-                self.probed = (inserted, self._probe(inserted))
-
-    def median_ms(self) -> float:
-        return median_of(self.seconds) * 1000.0
-
-    def check(self, n: int, edges, where: str, mismatches: List[str]) -> None:
-        """Compare the probed answers with enumeration on a rebuilt graph."""
-        inserted, answers = self.probed
-        rebuilt = DiGraph(n, list(edges) + list(inserted))
-        for query, answer in answers:
-            _check(rebuilt, query, answer, where, mismatches)
-
-
-def _overlay_series(seed: int, n: int, edges, graph: DiGraph, probe_k: int) -> DeltaSeries:
-    """The library write path: each delta makes an overlay of the previous
-    version, starting from ``graph``; probes query the updated overlay."""
-    lineage = [graph]
-
-    def write(delta: GraphDelta) -> None:
-        lineage[0] = apply_delta(lineage[0], delta)
-
-    def probe(inserted):
-        return [((u, v, probe_k), build_spg(lineage[0], u, v, probe_k).edges) for u, v in inserted]
-
-    return DeltaSeries(seed, n, edges, write, probe)
 
 
 def _fold(tracer: Tracer, *totals: PhaseTotals) -> None:
@@ -248,23 +166,16 @@ def lib_sparse(seed: int, seconds: float, trace: bool) -> Outcome:
     for _ in range(LIB_WARMUP_QUERIES):
         build_spg(graph, *next(queries))
 
-    # Queries keep using the seed graph, which every completed insert/delete
-    # pair leaves the write lineage equal to.
-    writes = _overlay_series(seed, n, edges, graph, probe_k=4)
-
     def keep(index: int) -> bool:
         return index % LIB_SAMPLE_EVERY == 0 and index // LIB_SAMPLE_EVERY < LIB_SAMPLES
 
     run_seconds = seconds / 2 if trace else seconds
     latencies, failed, elapsed, kept = _closed_loop(
-        lambda q: build_spg(graph, *q), queries, run_seconds, keep=keep, between=writes.pair
+        lambda q: build_spg(graph, *q), queries, run_seconds, keep=keep
     )
     qps = len(latencies) / elapsed
     rss_mb = self_peak_rss_mb()
-    layers: Dict[str, float] = {
-        "graph.csr_build_s": median_of(csr_times),
-        "delta.overlay_ms": writes.median_ms(),
-    }
+    layers: Dict[str, float] = {"graph.csr_build_s": median_of(csr_times)}
     traced_ok = 0
     if trace:
         tracer = Tracer()
@@ -291,7 +202,6 @@ def lib_sparse(seed: int, seconds: float, trace: bool) -> Outcome:
     mismatches: List[str] = []
     for query, result in kept:
         _check(graph, query, result.edges, "lib-sparse", mismatches)
-    writes.check(n, edges, "lib-sparse delta", mismatches)
 
     ok = len(latencies) + traced_ok
     attempted = ok + failed
@@ -306,7 +216,6 @@ def lib_sparse(seed: int, seconds: float, trace: bool) -> Outcome:
             "setup_s": median_of(setups),
             "qps": qps,
             **latency,
-            "mutate_p50_ms": writes.median_ms(),
             "success_ratio": ratio(ok, attempted),
             "rss_mb": rss_mb,
         },
@@ -391,21 +300,12 @@ def _batch_dense_on(seed, seconds, trace, n, edges, graph, engine, setups, csr_t
     warmup = next(dense_batches(n, edges, stream(seed, "warmup"), {5: 2}, 2))
     engine.run_batch(warmup)
 
-    # The engine write path (epoch swap plus scoped invalidation of the
-    # populated cache), a few insert/delete pairs after every batch.
-    def probe(inserted):
-        queries = [(u, v, 5) for u, v in inserted]
-        return [(q, o.edges) for q, o in zip(queries, engine.run_batch(queries).outcomes)]
-
-    writes = DeltaSeries(seed, n, edges, engine.apply_delta, probe)
     rss_mb = 0.0
 
     def after_batch(done: int) -> None:
         nonlocal rss_mb
         if done == DENSE_RSS_BATCHES:
             rss_mb = self_peak_rss_mb()
-        for _ in range(DENSE_WRITE_PAIRS):
-            writes.pair()
 
     batches = dense_batches(n, edges, stream(seed, "batches"), DENSE_GROUPS_PER_K, DENSE_SOURCES)
     run_seconds = seconds / 2 if trace else seconds
@@ -427,11 +327,6 @@ def _batch_dense_on(seed, seconds, trace, n, edges, graph, engine, setups, csr_t
         queries += traced_queries
         ok += traced_ok
         hits = sum(report.cache_hits for report in traced_reports)
-        retained = sum(report.cache_retained for report in writes.results)
-        invalidated = sum(report.cache_invalidated for report in writes.results)
-        overlays = _overlay_series(seed, n, edges, graph, probe_k=5)
-        for _ in range(OVERLAY_PAIRS):
-            overlays.pair()
         layers.update({
             "engine.batch_wall_s": median_of(r.wall_seconds for r in traced_reports),
             "engine.query_busy_s": median_of(
@@ -441,10 +336,6 @@ def _batch_dense_on(seed, seconds, trace, n, edges, graph, engine, setups, csr_t
             "cache.hits": hits,
             "cache.hit_ratio": ratio(hits, traced_queries),
             "cache.entries": len(engine.cache),
-            "delta.overlay_ms": overlays.median_ms(),
-            "delta.apply_ms": writes.median_ms(),
-            "delta.cache_retained_ratio": ratio(retained, retained + invalidated),
-            "delta.compactions": sum(report.compacted for report in writes.results),
         })
         layers.update(_trace_overhead(qps, traced_ok / traced_elapsed))
         replay = next(dense_batches(
@@ -459,7 +350,6 @@ def _batch_dense_on(seed, seconds, trace, n, edges, graph, engine, setups, csr_t
             by_k[outcome.k] = by_k.get(outcome.k, 0) + 1
             _check(graph, (outcome.source, outcome.target, outcome.k),
                    outcome.edges, "batch-dense", mismatches)
-    writes.check(n, edges, "batch-dense delta", mismatches)
 
     failed = queries - ok
     latencies = [o.latency_seconds for r in reports for o in r.outcomes if o.ok]
@@ -474,7 +364,6 @@ def _batch_dense_on(seed, seconds, trace, n, edges, graph, engine, setups, csr_t
             "setup_s": median_of(setups),
             "qps": qps,
             **latency,
-            "mutate_p50_ms": writes.median_ms(),
             "success_ratio": ratio(ok, queries),
             "rss_mb": rss_mb,
         },

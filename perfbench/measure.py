@@ -153,8 +153,7 @@ def latency_summary(seconds: List[float]) -> Tuple[Dict[str, float], Dict[str, f
 
     The tail stays out of the end-to-end set: on ``http-mixed`` it is set
     by the queries that wait behind a ``/mutate``, so it tracks the write
-    stall (which ``mutate_p50_ms`` gates) and moved by more than any
-    allowed bound from run to run.
+    stall and moved by more than any allowed bound from run to run.
     """
     end_to_end = {"p50_ms": quantile(seconds, 0.50) * 1000.0}
     tail = {

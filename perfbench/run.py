@@ -24,61 +24,13 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
-WORKLOADS = ("lib-sparse", "batch-dense", "http-mixed")
 
-# name -> unit; the same lists as BENCHMARK.json.
-END_TO_END = {
-    "setup_s": "s",
-    "qps": "queries/s",
-    "p50_ms": "ms",
-    "mutate_p50_ms": "ms",
-    "success_ratio": "ratio",
-    "rss_mb": "MB",
-}
-PER_LAYER = {
-    "graph.csr_build_s": "s",
-    "distances.ms": "ms",
-    "distances.explored_vertices": "count",
-    "distances.empty_ratio": "ratio",
-    "essential.ms": "ms",
-    "essential.reached": "count",
-    "essential.entries": "count",
-    "labeling.ms": "ms",
-    "labeling.labeled_edges": "count",
-    "labeling.undetermined_edges": "count",
-    "labeling.tightness": "ratio",
-    "verification.ordering_ms": "ms",
-    "verification.ms": "ms",
-    "verification.expansions": "count",
-    "verification.edges_checked": "count",
-    "verification.confirm_ratio": "ratio",
-    "planner.ms": "ms",
-    "planner.groups": "count",
-    "planner.shared_groups": "count",
-    "planner.reused_backward_passes": "count",
-    "planner.backward_ms": "ms",
-    "engine.batch_wall_s": "s",
-    "engine.query_busy_s": "s",
-    "engine.scratch_allocations": "count",
-    "cache.hits": "count",
-    "cache.hit_ratio": "ratio",
-    "cache.entries": "count",
-    "http.overhead_p50_ms": "ms",
-    "http.queries_per_batch": "ratio",
-    "http.shed_ratio": "ratio",
-    "http.queue_depth_peak": "count",
-    "delta.overlay_ms": "ms",
-    "delta.apply_ms": "ms",
-    "delta.cache_retained_ratio": "ratio",
-    "delta.compactions": "count",
-    "loadgen.lag_p99_ms": "ms",
-    "latency.p95_ms": "ms",
-    "latency.p99_ms": "ms",
-    "error_ratio": "ratio",
-    "trace.qps_untraced": "queries/s",
-    "trace.qps_traced": "queries/s",
-    "trace.overhead_ratio": "ratio",
-}
+# Workload names and metric name -> unit, from the benchmark's definition.
+_DEFINITION = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(workload["name"] for workload in _DEFINITION["workloads"])
+END_TO_END = {metric["name"]: metric["unit"] for metric in _DEFINITION["end_to_end"]}
+PER_LAYER = {metric["name"]: metric["unit"] for metric in _DEFINITION["per_layer"]}
+
 # The deterministic counter block: count-type metrics that repeat exactly
 # for one seed (they are folded over fixed, seeded query prefixes).
 COUNTERS = (
