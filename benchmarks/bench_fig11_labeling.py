@@ -13,18 +13,22 @@ machinery.
 The workload follows the Figure 10(b) observation: pairs whose distance is
 small relative to ``k`` have the richest candidate spaces, which is where
 essential-vertex propagation and labelling dominate per-query latency —
-exactly the per-miss profile the serving engine sees.
+exactly the per-miss profile the serving engine sees.  The same workload
+also holds ``build_spg`` (no scratch passed) to the speed of a query on an
+explicitly reused scratch.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
 
 from repro.core import essential, essential_reference, labeling, labeling_reference
+from repro.core import eve as eve_module
 from repro.core.distances import compute_distance_index
-from repro.core.eve import QueryScratch
+from repro.core.eve import EVE, QueryScratch, ScratchPool, build_spg
 from repro.core.verification import verify_undetermined_edges
 from repro.graph.generators import erdos_renyi
 from repro.queries.workload import distance_stratified_queries
@@ -178,9 +182,9 @@ def test_fig11_labeling_serving_allocations(scale):
     """Zero per-query propagation allocation on the batch serving path.
 
     The engine-level twin of the kernel benchmark's claim: a single-worker
-    batch checks out exactly one scratch bundle, so the new
-    ``propagation_scratch_*`` counters show one allocation however many
-    cache misses the batch computes.
+    batch checks out exactly one scratch bundle (which carries the
+    propagation buffers), so the ``scratch_*`` counters show one allocation
+    however many cache misses the batch computes.
     """
     from repro.service import SPGEngine
 
@@ -191,8 +195,57 @@ def test_fig11_labeling_serving_allocations(scale):
         report = engine.run_batch(batch)
         assert report.num_ok == len(batch)
         stats = engine.stats_snapshot()
-    assert stats["propagation_scratch_allocations"] == 1
-    assert (
-        stats["propagation_scratch_allocations"] + stats["propagation_scratch_reuses"]
-        == stats["cache_misses"]
+    assert stats["scratch_allocations"] == 1
+    assert stats["scratch_allocations"] + stats["scratch_reuses"] == stats["cache_misses"]
+
+
+def test_fig11_build_spg_matches_pooled_path(scale, show_table, monkeypatch):
+    """``build_spg`` with no scratch runs as fast as an explicit reused one.
+
+    ``build_spg`` borrows from the core :data:`repro.core.eve.SCRATCH_POOL`,
+    so on a graph where a fresh O(n) scratch per call would dominate, the
+    README path must keep pace with ``EVE.query(scratch=QueryScratch())``.
+    Checks identical answers, exactly one pooled allocation (deterministic),
+    and a loose >= 0.8x throughput bar (wall time on shared runners is
+    noise; a per-call allocation measured about 30x slower).
+    """
+    pool = ScratchPool()
+    monkeypatch.setattr(eve_module, "SCRATCH_POOL", pool)
+    graph = erdos_renyi(20_000, 4.0, seed=scale.seed, name="build-spg-pool")
+    k = 6
+    graph.csr()
+    graph.csr_reverse()
+    queries = _close_pair_queries(graph, k, seed=scale.seed)
+    scratch = QueryScratch()
+    eve = EVE(graph)
+
+    def timed(answer):
+        started = time.perf_counter()
+        answers = [answer(s, t).edges for s, t in queries]
+        return time.perf_counter() - started, answers
+
+    # Alternate the two paths round by round so collector pauses and
+    # runner noise land on both; keep each side's best round.
+    gc.collect()
+    build_seconds = pooled_seconds = float("inf")
+    for _ in range(7):
+        spent, build_answers = timed(lambda s, t: build_spg(graph, s, t, k))
+        build_seconds = min(build_seconds, spent)
+        spent, pooled_answers = timed(lambda s, t: eve.query(s, t, k, scratch=scratch))
+        pooled_seconds = min(pooled_seconds, spent)
+    assert build_answers == pooled_answers
+    assert pool.allocations == 1
+    ratio = pooled_seconds / max(build_seconds, 1e-9)
+    show_table(
+        [
+            {"path": "EVE.query(scratch=QueryScratch())", "queries": len(queries),
+             "seconds": round(pooled_seconds, 4), "relative": 1.0},
+            {"path": "build_spg (core pool)", "queries": len(queries),
+             "seconds": round(build_seconds, 4), "relative": round(ratio, 2)},
+        ],
+        f"build_spg vs explicit scratch on {graph.name}, k = {k}",
+    )
+    assert ratio >= 0.8, (
+        f"build_spg should reach >= 0.8x the pooled path's throughput, got "
+        f"{ratio:.2f}x ({build_seconds:.4f}s vs {pooled_seconds:.4f}s)"
     )

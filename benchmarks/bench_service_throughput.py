@@ -156,18 +156,16 @@ def _assert_zero_per_query_allocation(engine: SPGEngine, max_workers: int) -> No
     stats = engine.stats_snapshot()
     assert stats["errors"] == 0
     computed = stats["cache_misses"]
-    for prefix in ("scratch", "propagation_scratch", "verification_scratch"):
-        allocations = stats[f"{prefix}_allocations"]
-        reuses = stats[f"{prefix}_reuses"]
-        assert allocations + reuses == computed, (
-            f"every computed query should borrow exactly one {prefix} bundle: "
-            f"{allocations} allocations + {reuses} reuses != {computed} misses"
-        )
-        assert allocations <= max_workers, (
-            f"{prefix} allocations must be bounded by the worker count "
-            f"({max_workers}), not by the query count: got {allocations}"
-        )
-        assert reuses == computed - allocations
+    allocations = stats["scratch_allocations"]
+    reuses = stats["scratch_reuses"]
+    assert allocations + reuses == computed, (
+        f"every computed query should borrow exactly one scratch bundle: "
+        f"{allocations} allocations + {reuses} reuses != {computed} misses"
+    )
+    assert allocations <= max_workers, (
+        f"scratch allocations must be bounded by the worker count "
+        f"({max_workers}), not by the query count: got {allocations}"
+    )
 
 
 def _parallel_workload(scale) -> Tuple[object, List[Tuple[int, int, int]]]:

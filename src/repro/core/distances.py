@@ -34,10 +34,10 @@ walks, and visited bookkeeping uses *epoch-stamped* flat buffers instead of
 per-query dicts: a vertex ``v`` is reached iff ``stamp[v] == epoch``, so
 resetting between queries is a single integer increment rather than an
 O(n) clear or a fresh allocation.  The buffers live in a
-:class:`DistanceScratch` that callers (notably the
-:class:`repro.service.SPGEngine` scratch pool) can reuse across queries for
-zero per-query allocation; when no scratch is passed, a private one is
-created per call.  Results are exposed through :class:`ArrayDistanceMap`, a
+:class:`DistanceScratch` that callers (every :meth:`repro.core.eve.EVE.query`,
+via a pooled :class:`repro.core.eve.QueryScratch`) reuse across queries for
+zero per-query allocation; a direct kernel call without a scratch creates a
+private one.  Results are exposed through :class:`ArrayDistanceMap`, a
 read-only ``Mapping`` view over the buffers, so the ``{vertex: distance}``
 contract of the previous dict implementation — retained verbatim in
 :mod:`repro.core.distances_reference` as the property-test oracle — is
@@ -182,7 +182,7 @@ class DistanceScratch:
     query at a time, but may be reused for any number of *successive*
     queries — even across graphs of different sizes (buffers grow on
     demand) — without allocating: that is the zero-allocation serving path
-    of :class:`repro.service.ScratchPool`.
+    of :class:`repro.core.eve.ScratchPool`.
     """
 
     __slots__ = ("forward", "backward")

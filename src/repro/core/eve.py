@@ -15,6 +15,11 @@ Usage::
     result = build_spg(graph, source=0, target=2, k=2)
     result.edges           # {(0, 1), (1, 2), (0, 2)}
 
+Every query runs on a :class:`QueryScratch` of flat buffers.  A caller that
+passes none borrows one from :data:`SCRATCH_POOL` for the duration of the
+query, so ``build_spg`` in a loop allocates no O(num_vertices) storage
+after its first call.
+
 The :class:`EVEConfig` switches correspond to the ablation of Figure 11:
 ``distance_strategy`` (single / bidirectional / adaptive search),
 ``forward_looking`` pruning, and the ``search_ordering`` strategy; turning
@@ -24,8 +29,10 @@ them all off yields the paper's "Naive EVE".
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional
+from threading import Lock
+from typing import Dict, Iterator, List, Optional
 
 from repro._types import Vertex
 from repro.core.distances import (
@@ -47,7 +54,14 @@ from repro.exceptions import QueryError
 from repro.graph.digraph import DiGraph
 from repro.telemetry import Tracer
 
-__all__ = ["EVEConfig", "EVE", "QueryScratch", "build_spg", "build_upper_bound"]
+__all__ = [
+    "EVEConfig",
+    "EVE",
+    "QueryScratch",
+    "ScratchPool",
+    "build_spg",
+    "build_upper_bound",
+]
 
 
 class QueryScratch(DistanceScratch):
@@ -57,9 +71,8 @@ class QueryScratch(DistanceScratch):
     accepted anywhere a distance scratch is) with the
     :class:`~repro.core.essential.EssentialScratch` of the propagation
     phase and the :class:`~repro.core.verification.VerificationScratch` of
-    the ordering + verification phases.  :class:`repro.service.ScratchPool`
-    pools these, which is what makes the distance, propagation *and*
-    verification phases allocation-free on the batch serving path;
+    the ordering + verification phases.  :class:`ScratchPool` pools these,
+    which is what makes every phase allocation-free;
     :meth:`EVE.query` picks the essential and verification sides up
     automatically when handed one.
     """
@@ -70,6 +83,105 @@ class QueryScratch(DistanceScratch):
         super().__init__()
         self.essential = EssentialScratch()
         self.verification = VerificationScratch()
+
+
+class ScratchPool:
+    """A thread-safe free list of :class:`QueryScratch` bundles.
+
+    A query borrows one bundle for its duration and returns it; the
+    epoch-stamped buffers then serve the next query without allocating.
+    The pool never holds more bundles than the peak number of concurrent
+    borrowers, so its memory is bounded by ``borrowers * O(num_vertices)``.
+
+    Parameters
+    ----------
+    stats:
+        Optional :class:`repro.service.stats.EngineStats`; every acquire is
+        then recorded there as a scratch allocation or reuse
+        (``record_scratch``) and the :attr:`allocations` / :attr:`reuses`
+        properties read it back, so an engine keeps one pair of counters.
+    """
+
+    def __init__(self, stats: Optional[object] = None) -> None:
+        self._lock = Lock()
+        self._free: List[QueryScratch] = []
+        self._stats = stats
+        # Only the source of truth for standalone pools.
+        self._local_allocations = 0
+        self._local_reuses = 0
+
+    @property
+    def allocations(self) -> int:
+        """Scratches created because the pool was empty at acquire time."""
+        if self._stats is not None:
+            return self._stats.scratch_allocations
+        return self._local_allocations
+
+    @property
+    def reuses(self) -> int:
+        """Acquires served from the free list without allocating."""
+        if self._stats is not None:
+            return self._stats.scratch_reuses
+        return self._local_reuses
+
+    def acquire(self) -> QueryScratch:
+        """Check out a scratch (reusing a pooled one when available)."""
+        record_locally = self._stats is None
+        with self._lock:
+            reused = bool(self._free)
+            scratch = self._free.pop() if reused else QueryScratch()
+            if record_locally:
+                if reused:
+                    self._local_reuses += 1
+                else:
+                    self._local_allocations += 1
+        if not record_locally:
+            self._stats.record_scratch(reused=reused)
+        return scratch
+
+    def release(self, scratch: QueryScratch) -> None:
+        """Return a scratch to the pool for the next query."""
+        with self._lock:
+            self._free.append(scratch)
+
+    @contextmanager
+    def borrow(self) -> Iterator[QueryScratch]:
+        """Context-managed acquire/release around one query execution."""
+        scratch = self.acquire()
+        try:
+            yield scratch
+        finally:
+            self.release(scratch)
+
+    def clear(self) -> None:
+        """Drop pooled buffers (e.g. after swapping to a much smaller graph)."""
+        with self._lock:
+            self._free.clear()
+
+    def snapshot(self) -> Dict[str, int]:
+        """Point-in-time counters (JSON friendly)."""
+        with self._lock:
+            return {
+                "allocations": self.allocations,
+                "reuses": self.reuses,
+                "idle": len(self._free),
+            }
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._free)
+
+    def __repr__(self) -> str:
+        return (
+            f"ScratchPool(idle={len(self)}, allocations={self.allocations}, "
+            f"reuses={self.reuses})"
+        )
+
+
+#: The pool :meth:`EVE.query` borrows from when the caller passes no
+#: scratch (``build_spg``, ``build_upper_bound``, the cycle and experiment
+#: harnesses).  Concurrent and nested queries each get their own bundle.
+SCRATCH_POOL = ScratchPool()
 
 
 @dataclass(frozen=True)
@@ -138,8 +250,6 @@ class EVE:
         *,
         shared_backward: Optional[BackwardDistanceMap] = None,
         scratch: Optional[DistanceScratch] = None,
-        essential_scratch: Optional[EssentialScratch] = None,
-        verification_scratch: Optional[VerificationScratch] = None,
         tracer: Optional[Tracer] = None,
     ) -> SimplePathGraphResult:
         """Return ``SPG_k(source, target)`` (exact unless ``verify=False``).
@@ -148,16 +258,13 @@ class EVE:
         distance pass for ``(target, k)`` (see
         :func:`repro.core.distances.backward_distance_map`), letting a batch
         of queries with a common target amortise that phase.  ``scratch``
-        optionally supplies reusable distance buffers (see
-        :class:`repro.core.distances.DistanceScratch`) and
-        ``essential_scratch`` reusable propagation buffers (see
-        :class:`repro.core.essential.EssentialScratch`) and
-        ``verification_scratch`` reusable verification buffers (see
-        :class:`repro.core.verification.VerificationScratch`) so repeated
-        queries skip per-query allocation; when ``scratch`` is a
-        :class:`QueryScratch` its essential and verification sides are used
-        automatically.  A scratch must not be shared by concurrent queries.
-        The answer is identical with or without any of them.
+        optionally supplies the query's reusable buffers, normally a
+        :class:`QueryScratch` (a plain distance scratch covers the distance
+        phase only); a scratch must not be shared by concurrent queries.
+        Without one the query borrows a bundle from :data:`SCRATCH_POOL`,
+        so no caller falls into per-query O(num_vertices) allocation.  The
+        result never references scratch storage, and the answer is
+        identical either way.
 
         ``tracer`` optionally records one ``phase.<name>`` span per executed
         phase plus one ``query`` summary span.  Phases are already timed for
@@ -165,12 +272,16 @@ class EVE:
         measured values — tracing adds no clock reads, and when ``tracer``
         is ``None`` every telemetry site is a single ``is not None`` check.
         """
+        if scratch is None:
+            with SCRATCH_POOL.borrow() as scratch:
+                return self.query(
+                    source, target, k,
+                    shared_backward=shared_backward, scratch=scratch, tracer=tracer,
+                )
         self._validate(source, target, k)
         config = self.config
-        if essential_scratch is None:
-            essential_scratch = getattr(scratch, "essential", None)
-        if verification_scratch is None:
-            verification_scratch = getattr(scratch, "verification", None)
+        essential_scratch = getattr(scratch, "essential", None)
+        verification_scratch = getattr(scratch, "verification", None)
         space = SpaceMeter()
         phases = PhaseStats()
 

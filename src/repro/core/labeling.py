@@ -185,7 +185,7 @@ def label_edge(
 # Fused CSR labelling kernel
 # ----------------------------------------------------------------------
 def _entry_masks(
-    sets: List[Tuple[Vertex, ...]], bit_of: Dict[Vertex, int]
+    sets: Tuple[Tuple[Vertex, ...], ...], bit_of: Dict[Vertex, int]
 ) -> List[int]:
     """Fold each stored EV tuple into its shared-universe bitset."""
     masks: List[int] = []
@@ -201,7 +201,7 @@ def _entry_masks(
 
 
 def _masks_at_levels(
-    entry_levels: List[int], masks: List[int], lo: int, hi: int
+    entry_levels: Tuple[int, ...], masks: List[int], lo: int, hi: int
 ) -> List[Optional[int]]:
     """Resolve ``get(vertex, L)`` to a mask for every level ``L`` in [lo, hi).
 
@@ -229,9 +229,7 @@ def _label_edges_flat(
     source, target, k = upper.source, upper.target, upper.k
     offsets, targets = graph.csr()
     flevels, fsets = forward._levels, forward._sets
-    fstamp, fepoch = forward._stamp, forward._epoch
     blevels, bsets = backward._levels, backward._sets
-    bstamp, bepoch = backward._stamp, backward._epoch
 
     from_source = distances.from_source
     if isinstance(from_source, ArrayDistanceMap):
@@ -307,7 +305,7 @@ def _label_edges_flat(
                 # Deferred per-source prelude: many candidate-ball vertices
                 # have no surviving out-edge at all.
                 u_ready = True
-                if fstamp[u] == fepoch and flevels[u]:
+                if flevels[u]:
                     u_levels = flevels[u]
                     u_first = u_levels[0]
                     u_sets = fsets[u]
@@ -329,7 +327,7 @@ def _label_edges_flat(
 
             cached = v_cache.get(v)
             if cached is None:
-                if bstamp[v] == bepoch and blevels[v]:
+                if blevels[v]:
                     v_levels = blevels[v]
                     v_first = v_levels[0]
                     v_sets = bsets[v]

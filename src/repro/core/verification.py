@@ -43,10 +43,10 @@ dict adjacency and Python recursion:
   in-neighbours — then sorts each slice by those keys, instead of two
   dict lookups per comparison.
 * **Reusable scratch.**  All buffers live in a :class:`VerificationScratch`
-  that callers (notably the :class:`repro.service.SPGEngine` scratch pool,
-  via :class:`repro.core.eve.QueryScratch`) reuse across queries for zero
-  per-query verification allocation; when no scratch is passed, a private
-  one is created per call.
+  that callers (every :meth:`repro.core.eve.EVE.query`, via a pooled
+  :class:`repro.core.eve.QueryScratch`) reuse across queries for zero
+  per-query verification allocation; a direct kernel call without a
+  scratch creates a private one.
 
 The previous dict/recursive implementation is retained in
 :mod:`repro.core.verification_reference` as the property-test oracle and

@@ -18,11 +18,13 @@ serving layer exploits.  This subsystem layers four things on top of
   queries truly in parallel) and ``async`` (awaitable fan-out for event-loop
   callers), all with deterministic result ordering and per-query error
   isolation, all producing identical batch reports;
-* a **scratch pool** (:class:`ScratchPool`) — reusable
-  :class:`~repro.core.eve.QueryScratch` bundles (flat distance/mark buffers
-  for the CSR distance kernel plus the essential-propagation entry buffers),
-  so cache misses allocate no per-query distance *or* propagation storage
-  at all (process workers keep one bundle each).
+* a **scratch pool** (:class:`ScratchPool`, re-exported from
+  :mod:`repro.core.eve`) — reusable :class:`~repro.core.eve.QueryScratch`
+  bundles (the distance, propagation and verification buffers of one
+  query), so cache misses allocate no per-query storage for any phase.
+  Each engine keeps its own pool, recorded in one counter pair
+  (``scratch_allocations`` / ``scratch_reuses``); each process worker
+  keeps a pool of its own and ships its counter deltas home.
 
 :class:`SPGEngine` ties them together and keeps :class:`EngineStats`
 (hit rate, latency quantiles and histograms — overall and per EVE phase —
@@ -45,6 +47,7 @@ executor backend and ``--shards`` partition-parallel serving for the whole
 served workload.
 """
 
+from repro.core.eve import ScratchPool
 from repro.service.cache import CacheKey, ResultCache, make_cache_key
 from repro.service.engine import (
     BatchReport,
@@ -71,7 +74,6 @@ from repro.service.executor import (
     run_tasks_async,
 )
 from repro.service.planner import BatchPlan, PlannedQuery, QueryGroup, plan_batch
-from repro.service.scratch import ScratchPool
 from repro.service.shard import SHARD_ENV_VAR, ShardedSPGEngine, resolve_shard_count
 from repro.service.stats import EngineStats, LatencyWindow
 

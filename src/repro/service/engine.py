@@ -22,9 +22,8 @@ cache state, planning, backend or parallelism:
 
 Process-backend mechanics: the engine builds its pool with an initializer
 that installs the (pickled or fork-shared) graph, the config, and one
-worker-local :class:`~repro.service.scratch.ScratchPool` of
-:class:`~repro.core.eve.QueryScratch` bundles (distance + essential
-propagation flat buffers) per worker; each
+worker-local :class:`~repro.core.eve.ScratchPool` of
+:class:`~repro.core.eve.QueryScratch` bundles per worker; each
 planned group then crosses the boundary as a small picklable payload, and
 every payload carries the parent graph's fingerprint so a desynchronised
 worker fails loudly instead of answering against a stale graph.  Worker
@@ -41,7 +40,6 @@ import asyncio
 import atexit
 import time
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from threading import Lock
 from typing import (
@@ -57,7 +55,7 @@ from typing import (
 
 from repro._types import Edge, Vertex
 from repro.core.distances import backward_distance_map, bounded_multi_source_distances
-from repro.core.eve import EVE, EVEConfig
+from repro.core.eve import EVE, EVEConfig, ScratchPool
 from repro.core.result import SimplePathGraphResult
 from repro.exceptions import QueryError
 from repro.graph.delta import GraphDelta
@@ -80,7 +78,6 @@ from repro.service.executor import (
     resolve_backend_name,
 )
 from repro.service.planner import BatchPlan, QueryGroup, plan_batch
-from repro.service.scratch import ScratchPool
 from repro.service.stats import EngineStats
 from repro.telemetry import TraceEvent, Tracer
 
@@ -373,7 +370,7 @@ def _init_process_worker(graph: DiGraph, config: EVEConfig) -> None:
     ``fork`` copy-on-write share) of the graph that replaces any per-task
     graph shipping.  The CSR views and fingerprint are warmed eagerly so the
     first served group does not pay the O(m) rebuild.  The scratch lives in
-    a worker-local *standalone* :class:`~repro.service.scratch.ScratchPool`
+    a worker-local *standalone* :class:`~repro.core.eve.ScratchPool`
     (it records its own counters), so each task can report the pool-counter
     delta it caused back to the parent.
     """
@@ -458,33 +455,17 @@ def _worker_graph_probe() -> Dict[str, object]:
     }
 
 
-@contextmanager
-def _worker_borrow():
-    """Borrow from this worker's scratch pool (kept for the shard layer)."""
-    with _worker_scratch.borrow() as scratch:
-        yield scratch
-
-
 def _scratch_counter_delta(
     pool: ScratchPool, allocations_before: int, reuses_before: int
 ) -> Dict[str, int]:
-    """The :meth:`EngineStats.merge_counters` delta one task caused.
-
-    A :class:`~repro.core.eve.QueryScratch` bundle carries the distance,
-    propagation and verification buffers, so one checkout counts once under
-    each counter pair — mirroring what an engine-attached pool records.
-    """
+    """The :meth:`EngineStats.merge_counters` delta one task caused."""
     allocations = pool.allocations - allocations_before
     reuses = pool.reuses - reuses_before
     counters: Dict[str, int] = {}
     if allocations:
         counters["scratch_allocations"] = allocations
-        counters["propagation_scratch_allocations"] = allocations
-        counters["verification_scratch_allocations"] = allocations
     if reuses:
         counters["scratch_reuses"] = reuses
-        counters["propagation_scratch_reuses"] = reuses
-        counters["verification_scratch_reuses"] = reuses
     return counters
 
 

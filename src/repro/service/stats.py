@@ -185,10 +185,6 @@ _MERGEABLE_COUNTERS = frozenset(
     {
         "scratch_allocations",
         "scratch_reuses",
-        "propagation_scratch_allocations",
-        "propagation_scratch_reuses",
-        "verification_scratch_allocations",
-        "verification_scratch_reuses",
         "sharded_backward_passes",
     }
 )
@@ -220,10 +216,6 @@ class EngineStats:
         self.sharded_backward_passes = 0
         self.scratch_allocations = 0
         self.scratch_reuses = 0
-        self.propagation_scratch_allocations = 0
-        self.propagation_scratch_reuses = 0
-        self.verification_scratch_allocations = 0
-        self.verification_scratch_reuses = 0
         # HTTP front-end admission accounting (repro.service.http): one
         # decision per request, plus the bounded-queue depth gauge.
         self.http_requests_admitted = 0
@@ -294,67 +286,27 @@ class EngineStats:
             self.sharded_backward_passes += 1
 
     def record_scratch(self, *, reused: bool) -> None:
-        """Record one scratch-buffer checkout (allocation vs pool reuse).
+        """Record one scratch-bundle checkout (allocation vs pool reuse).
 
-        Every executed query checks out exactly one scratch, so on a
-        workload where every query actually runs (no malformed batch
-        entries, no duplicates of a failed primary — those are recorded as
-        cache misses without executing), ``scratch_allocations +
-        scratch_reuses == cache_misses``, and ``scratch_allocations`` stays
-        bounded by the peak number of concurrent workers — the "zero
-        per-query allocation" property the throughput benchmark asserts.
-        In-process backends (``serial``/``thread``/``async``) count here
-        directly; the ``process`` backend counts in each worker's local
-        pool and folds the deltas in via :meth:`merge_counters`, so both
-        invariants hold across all backends.
+        Every executed query checks out exactly one
+        :class:`repro.core.eve.QueryScratch`, which carries the distance,
+        propagation and verification buffers, so this one pair covers every
+        phase.  On a workload where every query actually runs (no malformed
+        batch entries, no duplicates of a failed primary — those are
+        recorded as cache misses without executing), ``scratch_allocations
+        + scratch_reuses == cache_misses``, and ``scratch_allocations``
+        stays bounded by the peak number of concurrent workers — the "zero
+        per-query allocation" property the benchmarks assert.  In-process
+        backends (``serial``/``thread``/``async``) count here directly; the
+        ``process`` backend counts in each worker's local pool and folds
+        the deltas in via :meth:`merge_counters`, so both invariants hold
+        across all backends.
         """
         with self._lock:
             if reused:
                 self.scratch_reuses += 1
             else:
                 self.scratch_allocations += 1
-
-    def record_propagation_scratch(self, *, reused: bool) -> None:
-        """Record one essential-propagation scratch checkout.
-
-        The propagation twin of :meth:`record_scratch`: since the pools
-        hand out :class:`repro.core.eve.QueryScratch` bundles, every
-        executed query checks out exactly one set of propagation buffers
-        alongside its distance buffers, and ``propagation_scratch_allocations``
-        stays bounded by the peak number of concurrent workers — the "zero
-        per-query propagation allocation" property the labelling kernel
-        benchmark asserts.  Counted separately so the distance and
-        propagation claims remain individually assertable (and would
-        diverge if the pooling of the two ever split).  Worker-side
-        checkouts arrive via :meth:`merge_counters` like the distance ones.
-        """
-        with self._lock:
-            if reused:
-                self.propagation_scratch_reuses += 1
-            else:
-                self.propagation_scratch_allocations += 1
-
-    def record_verification_scratch(self, *, reused: bool) -> None:
-        """Record one verification scratch checkout.
-
-        The verification twin of :meth:`record_scratch` and
-        :meth:`record_propagation_scratch`: the pooled
-        :class:`repro.core.eve.QueryScratch` bundles carry the
-        :class:`~repro.core.verification.VerificationScratch` too, so every
-        executed query checks out exactly one set of verification buffers
-        (with ``verify=True`` the verification phase runs for every
-        computed query — small ``k`` early-exits inside the kernel), and
-        ``verification_scratch_allocations + verification_scratch_reuses ==
-        cache_misses`` with allocations bounded by the peak number of
-        concurrent workers — the "zero per-query verification allocation"
-        property the verification kernel benchmark asserts.  Worker-side
-        checkouts arrive via :meth:`merge_counters` like the other pairs.
-        """
-        with self._lock:
-            if reused:
-                self.verification_scratch_reuses += 1
-            else:
-                self.verification_scratch_allocations += 1
 
     def record_admission(self, decision: str) -> None:
         """Record one HTTP front-end admission decision.
@@ -479,10 +431,6 @@ class EngineStats:
                 "sharded_backward_passes": self.sharded_backward_passes,
                 "scratch_allocations": self.scratch_allocations,
                 "scratch_reuses": self.scratch_reuses,
-                "propagation_scratch_allocations": self.propagation_scratch_allocations,
-                "propagation_scratch_reuses": self.propagation_scratch_reuses,
-                "verification_scratch_allocations": self.verification_scratch_allocations,
-                "verification_scratch_reuses": self.verification_scratch_reuses,
                 "http_requests_admitted": self.http_requests_admitted,
                 "http_requests_shed": self.http_requests_shed,
                 "http_quota_rejections": self.http_quota_rejections,
@@ -543,33 +491,13 @@ class EngineStats:
                 ),
                 (
                     "repro_scratch_allocations_total",
-                    "Distance scratch buffers allocated.",
+                    "Query scratch bundles allocated.",
                     self.scratch_allocations,
                 ),
                 (
                     "repro_scratch_reuses_total",
-                    "Distance scratch buffers reused from the pool.",
+                    "Query scratch bundles reused from the pool.",
                     self.scratch_reuses,
-                ),
-                (
-                    "repro_propagation_scratch_allocations_total",
-                    "Propagation scratch buffers allocated.",
-                    self.propagation_scratch_allocations,
-                ),
-                (
-                    "repro_propagation_scratch_reuses_total",
-                    "Propagation scratch buffers reused from the pool.",
-                    self.propagation_scratch_reuses,
-                ),
-                (
-                    "repro_verification_scratch_allocations_total",
-                    "Verification scratch buffers allocated.",
-                    self.verification_scratch_allocations,
-                ),
-                (
-                    "repro_verification_scratch_reuses_total",
-                    "Verification scratch buffers reused from the pool.",
-                    self.verification_scratch_reuses,
                 ),
                 (
                     "repro_http_requests_admitted_total",
@@ -691,10 +619,6 @@ class EngineStats:
             self.sharded_backward_passes = 0
             self.scratch_allocations = 0
             self.scratch_reuses = 0
-            self.propagation_scratch_allocations = 0
-            self.propagation_scratch_reuses = 0
-            self.verification_scratch_allocations = 0
-            self.verification_scratch_reuses = 0
             self.http_requests_admitted = 0
             self.http_requests_shed = 0
             self.http_quota_rejections = 0

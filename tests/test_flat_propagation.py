@@ -22,14 +22,16 @@ the refactor:
   orderings and across whole-graph vs sharded engines;
 * the ``ResultCache`` counter reads that ignored the lock are hammered
   from threads;
-* scratch reuse: epoch invalidation across successive queries, buffer
-  growth across graphs, and the pooled-bundle counters in
-  :class:`~repro.service.stats.EngineStats`.
+* scratch reuse: invalidation across successive queries, buffer growth
+  across graphs, a long-lived scratch holding one query's entries, the
+  core pool behind ``build_spg`` (reuse, threads, nesting), and the
+  pooled-bundle counters in :class:`~repro.service.stats.EngineStats`.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -39,12 +41,13 @@ from repro.core import (
     distances_reference,
     essential,
     essential_reference,
+    eve,
     labeling,
     labeling_reference,
 )
 from repro.core.distances import DISTANCE_STRATEGIES
 from repro.core.essential import EssentialScratch
-from repro.core.eve import EVE, EVEConfig, QueryScratch, build_spg
+from repro.core.eve import EVE, EVEConfig, QueryScratch, ScratchPool, build_spg
 from repro.core.result import EdgeLabel
 from repro.core.verification import verify_undetermined_edges
 from repro.enumeration import EnumerationSPGBuilder, PathEnum
@@ -53,6 +56,7 @@ from repro.graph.generators import erdos_renyi
 from repro.service import SPGEngine
 from repro.service.cache import ResultCache, make_cache_key
 from repro.service.shard import ShardedSPGEngine
+from repro.telemetry import Tracer
 
 
 def random_graph(seed: int, num_vertices: int = 14, degree: float = 2.2) -> DiGraph:
@@ -135,7 +139,11 @@ class TestFlatMatchesReference:
         assert_indexes_match(graph, fwd, fwd_ref, k, context)
         assert_indexes_match(graph, bwd, bwd_ref, k, context)
         assert_uppers_match(upper, upper_ref, context)
-        assert verify_undetermined_edges(upper) == verify_undetermined_edges(upper_ref)
+        expected = verify_undetermined_edges(upper_ref)
+        assert verify_undetermined_edges(upper) == expected
+        # build_spg runs the same pipeline on a pooled scratch.
+        config = EVEConfig(forward_looking=prune)
+        assert build_spg(graph, s, t, k, config).edges == expected, context
 
     @pytest.mark.parametrize("strategy", DISTANCE_STRATEGIES)
     @pytest.mark.parametrize("seed", range(4))
@@ -409,6 +417,106 @@ class TestEssentialScratch:
             assert with_scratch.edges == cold.edges
         assert scratch.essential.capacity == graph.num_vertices
 
+    def test_scratch_keeps_only_the_latest_query(self):
+        """A wide query's entries are freed when a narrow one follows, so a
+        long-lived scratch holds one query's entries, not every query's."""
+        graph = random_graph(3, num_vertices=60, degree=3.0)
+        scratch = QueryScratch()
+        _, wide, _, _ = flat_pipeline(graph, 0, 59, 8, prune=False, scratch=scratch)
+        wide_reached = len(wide.reached_vertices())
+        _, fwd, bwd, _ = flat_pipeline(graph, 1, 2, 3, scratch=scratch)
+        assert len(fwd.reached_vertices()) < wide_reached
+        for side, index in (
+            (scratch.essential.forward, fwd),
+            (scratch.essential.backward, bwd),
+        ):
+            reached = set(index.reached_vertices())
+            assert {v for v, sets in enumerate(side.sets) if sets} == reached
+            assert {v for v, levels in enumerate(side.levels) if levels} == reached
+            # Merge sets live only while their level is in flight; consumed
+            # ones wait, emptied, in the spare list.
+            assert all(work is None for work in side.work)
+            assert not any(side.spare)
+
+    def test_build_spg_reuses_one_pooled_scratch(self, monkeypatch):
+        pool = ScratchPool()
+        monkeypatch.setattr(eve, "SCRATCH_POOL", pool)
+        graph = random_graph(9, num_vertices=40, degree=2.5)
+        rng = random.Random(9)
+        for _ in range(50):
+            s, t = rng.sample(range(graph.num_vertices), 2)
+            build_spg(graph, s, t, rng.randint(3, 7))
+        assert pool.allocations == 1
+        assert pool.reuses == 49
+
+    def test_build_spg_from_concurrent_threads(self, monkeypatch):
+        """Concurrent callers borrow distinct bundles; answers stay exact."""
+        pool = ScratchPool()
+        monkeypatch.setattr(eve, "SCRATCH_POOL", pool)
+        graph = random_graph(12, num_vertices=24, degree=2.6)
+        rng = random.Random(12)
+        queries = [
+            (*rng.sample(range(graph.num_vertices), 2), rng.randint(3, 7))
+            for _ in range(24)
+        ]
+        oracle = EnumerationSPGBuilder(graph, PathEnum)
+        expected = {query: oracle.query(*query).edges for query in queries}
+        barrier = threading.Barrier(4)
+        failures = []
+
+        def worker(offset):
+            barrier.wait(timeout=30)
+            try:
+                for _ in range(3):
+                    for query in queries[offset::4]:
+                        if build_spg(graph, *query).edges != expected[query]:
+                            failures.append(query)
+            except Exception as exc:  # pragma: no cover - the assertion
+                failures.append(exc)
+
+        # Switch threads often so queries interleave mid-phase.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert 1 <= pool.allocations <= 4
+        assert pool.allocations + pool.reuses == 3 * len(queries)
+
+    def test_nested_build_spg_gets_its_own_scratch(self, monkeypatch):
+        """A query issued from inside a running query's tracer borrows a
+        second bundle instead of clobbering the outer query's buffers."""
+        pool = ScratchPool()
+        monkeypatch.setattr(eve, "SCRATCH_POOL", pool)
+        graph = random_graph(13, num_vertices=30, degree=2.8)
+        oracle = EnumerationSPGBuilder(graph, PathEnum)
+        rng = random.Random(13)
+        answered = []
+        while len(answered) < 2:
+            query = (*rng.sample(range(graph.num_vertices), 2), 6)
+            if oracle.query(*query).edges and query not in answered:
+                answered.append(query)
+        outer_query, inner_query = answered
+        inner_edges = []
+
+        class NestingTracer(Tracer):
+            def record(self, name, started, duration, **attributes):
+                if name == "phase.propagation" and not inner_edges:
+                    inner_edges.append(build_spg(graph, *inner_query).edges)
+                return super().record(name, started, duration, **attributes)
+
+        outer = EVE(graph).query(*outer_query, tracer=NestingTracer())
+        assert outer.edges == oracle.query(*outer_query).edges
+        assert inner_edges == [oracle.query(*inner_query).edges]
+        assert pool.allocations == 2
+
 
 # ----------------------------------------------------------------------
 # Serving-layer integration: pooled bundles + new counters
@@ -421,26 +529,22 @@ class TestPooledPropagationScratch:
         report = engine.run_batch(queries)
         assert report.num_ok == len(queries)
         stats = engine.stats_snapshot()
-        # One bundle checkout per computed query covers both phases ...
-        assert (
-            stats["propagation_scratch_allocations"]
-            + stats["propagation_scratch_reuses"]
-            == stats["cache_misses"]
-        )
+        # One bundle checkout per computed query covers every phase ...
+        assert stats["scratch_allocations"] + stats["scratch_reuses"] == stats["cache_misses"]
         # ... and with one worker a single allocation serves the whole batch:
         # zero per-query propagation allocation.
-        assert stats["propagation_scratch_allocations"] == 1
-        assert stats["propagation_scratch_reuses"] == len(queries) - 1
-        assert stats["scratch_allocations"] == stats["propagation_scratch_allocations"]
+        assert stats["scratch_allocations"] == 1
+        assert stats["scratch_reuses"] == len(queries) - 1
+        assert "propagation_scratch_allocations" not in stats
 
     def test_stats_reset_clears_propagation_counters(self):
         graph = random_graph(5, num_vertices=20, degree=2.0)
         engine = SPGEngine(graph, cache_size=0, max_workers=1)
         engine.run_batch([(0, 19, 4), (1, 19, 4)])
-        assert engine.stats.propagation_scratch_allocations == 1
+        assert engine.stats.scratch_allocations == 1
         engine.stats.reset()
-        assert engine.stats.propagation_scratch_allocations == 0
-        assert engine.stats.propagation_scratch_reuses == 0
+        assert engine.stats.scratch_allocations == 0
+        assert engine.stats.scratch_reuses == 0
 
     def test_sharded_engine_pools_bundles_too(self):
         graph = erdos_renyi(50, 2.5, seed=3, name="sharded-scratch")
@@ -451,8 +555,8 @@ class TestPooledPropagationScratch:
             report = engine.run_batch([(s, 49, 4) for s in range(6)])
             assert report.num_ok == 6
             stats = engine.stats_snapshot()
-            assert stats["propagation_scratch_allocations"] == 1
-            assert stats["propagation_scratch_reuses"] == 5
+            assert stats["scratch_allocations"] == 1
+            assert stats["scratch_reuses"] == 5
 
     def test_pool_hands_out_query_scratch(self):
         from repro.service import ScratchPool

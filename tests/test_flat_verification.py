@@ -19,8 +19,8 @@ It also pins the behaviours the rewrite changed on purpose:
   spans on every engine;
 * the ``k < 5`` early-exit still records a (zero-work) verification span;
 * scratch reuse: epoch invalidation across successive queries, buffer
-  growth across graphs, and the pooled ``verification_scratch_*`` counters
-  on every backend.
+  growth across graphs, and the pooled ``scratch_*`` counters on every
+  backend.
 """
 
 from __future__ import annotations
@@ -306,11 +306,10 @@ class TestBackendIndependence:
             # Pooled-scratch invariant, per backend: one bundle checkout per
             # computed query, split between allocations and reuses.
             assert (
-                stats["verification_scratch_allocations"]
-                + stats["verification_scratch_reuses"]
+                stats["scratch_allocations"] + stats["scratch_reuses"]
                 == stats["cache_misses"]
             ), backend
-            assert stats["verification_scratch_allocations"] >= 1, backend
+            assert stats["scratch_allocations"] >= 1, backend
         serial = profiles["serial"]
         assert any(checked > 0 for checked, _, _ in serial)
         for backend in self.BACKENDS[1:]:
@@ -340,5 +339,5 @@ class TestBackendIndependence:
             report = engine.run_batch(queries)
             assert report.num_ok == len(queries)
             stats = engine.stats_snapshot()
-        assert stats["verification_scratch_allocations"] == 1
-        assert stats["verification_scratch_reuses"] == len(queries) - 1
+        assert stats["scratch_allocations"] == 1
+        assert stats["scratch_reuses"] == len(queries) - 1

@@ -354,7 +354,6 @@ class TestEngineStats:
         stats.record_batch()
         stats.record_scratch(reused=False)
         stats.record_scratch(reused=True)
-        stats.record_propagation_scratch(reused=False)
         return stats
 
     def test_phase_windows_recorded_only_for_computed_queries(self):
@@ -616,11 +615,6 @@ class TestBackendTelemetryConsistency:
             snap = data["snapshot"]
             assert (
                 snap["scratch_allocations"] + snap["scratch_reuses"]
-                == snap["cache_misses"]
-            ), backend
-            assert (
-                snap["propagation_scratch_allocations"]
-                + snap["propagation_scratch_reuses"]
                 == snap["cache_misses"]
             ), backend
             assert 1 <= snap["scratch_allocations"] <= 2, backend
