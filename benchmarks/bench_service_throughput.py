@@ -20,12 +20,10 @@ thread backend (answers identical); on a single available core the
 assertion is skipped — there is nothing to parallelise — but the
 identical-answers check still runs.
 
-Two sharded-serving measurements close the loop on the partition-parallel
-PR: per-worker peak RSS for spawn-family pools must *drop* when workers
-attach to the shared-memory CSR segment instead of unpickling the graph
-(the zero-copy claim, asserted via worker probes), and the sharded engine
-must serve a CPU-bound workload without regressing against the plain
-process backend (identical answers, bounded slowdown).
+A shared-memory measurement checks the process pool's zero-copy claim:
+per-worker peak RSS for spawn-family pools must *drop* when workers attach
+to the shared-memory CSR segment instead of unpickling the graph (asserted
+via worker probes).
 
 A telemetry measurement guards the observability PR's overhead claim:
 with tracing *disabled* (no tracer, or a disabled tracer the engine
@@ -45,7 +43,7 @@ from repro.exceptions import QueryError
 from repro.graph.generators import erdos_renyi
 from repro.queries.workload import random_reachable_queries
 from repro.queries.workload import target_grouped_queries
-from repro.service import Call, ShardedSPGEngine, SPGEngine, default_worker_count
+from repro.service import Call, SPGEngine, default_worker_count
 from repro.service.engine import _worker_graph_probe
 from repro.telemetry import NOOP_TRACER, Tracer
 
@@ -68,10 +66,6 @@ TRACING_ENABLED_SLACK = 0.15
 #: must deliver over pickled-graph workers on the RSS benchmark graph (the
 #: measured saving is ~26 MB; 8 MB leaves slack for allocator noise).
 SHARED_MEMORY_RSS_SAVING_KB = 8 * 1024
-
-#: The sharded engine must not be more than this factor slower than the
-#: plain process engine on a CPU-bound workload (identical answers).
-SHARDED_REGRESSION_SLACK = 1.5
 
 
 def _grouped_workload(scale) -> Tuple[object, List[Tuple[int, int, int]]]:
@@ -306,62 +300,13 @@ def test_service_shared_memory_worker_rss(benchmark, show_table):
             }
             for shared, (peak, _) in sorted(peaks.items(), reverse=True)
         ],
-        "Sharded serving: per-worker peak RSS, shared segment vs pickled graph",
+        "Shared-memory workers: per-worker peak RSS, shared segment vs pickled graph",
     )
     saving = pickled_peak - shared_peak
     assert saving >= SHARED_MEMORY_RSS_SAVING_KB, (
         f"expected shared-memory workers to save >= "
         f"{SHARED_MEMORY_RSS_SAVING_KB} KB of peak RSS over pickled-graph "
         f"workers, got {saving} KB ({shared_peak} vs {pickled_peak})"
-    )
-
-
-def test_service_sharded_no_throughput_regression(benchmark, scale, show_table):
-    """Sharded serving stays within slack of the plain process engine."""
-    graph, queries = _parallel_workload(scale)
-    workers = default_worker_count()
-    expected = [build_spg(graph, s, t, k).edges for s, t, k in queries]
-
-    timings = {}
-    for label, factory in (
-        ("process", lambda: SPGEngine(
-            graph, cache_size=0, max_workers=workers, executor_backend="process"
-        )),
-        ("sharded-4", lambda: ShardedSPGEngine(
-            graph, cache_size=0, max_workers=workers, executor_backend="process",
-            num_shards=4,
-        )),
-    ):
-        with factory() as engine:
-            engine.run_batch(queries)  # warm pool + segment attach
-            if label == "sharded-4":
-                report = benchmark.pedantic(
-                    lambda: engine.run_batch(queries), rounds=1, iterations=1
-                )
-            else:
-                report = engine.run_batch(queries)
-            best = report.wall_seconds
-            for _ in range(2):
-                best = min(best, engine.run_batch(queries).wall_seconds)
-            timings[label] = best
-            assert [outcome.edges for outcome in report] == expected, label
-    show_table(
-        [
-            {
-                "graph": graph.name,
-                "queries": len(queries),
-                "workers": workers,
-                "engine": label,
-                "seconds": round(seconds, 4),
-            }
-            for label, seconds in timings.items()
-        ],
-        "Sharded serving: throughput vs the plain process engine",
-    )
-    assert timings["sharded-4"] <= timings["process"] * SHARDED_REGRESSION_SLACK, (
-        f"sharded serving regressed: {timings['sharded-4']:.4f}s vs "
-        f"{timings['process']:.4f}s plain "
-        f"(allowed slack {SHARDED_REGRESSION_SLACK}x)"
     )
 
 

@@ -61,8 +61,6 @@ __all__ = [
     "DistanceScratch",
     "compute_distance_index",
     "backward_distance_map",
-    "sharded_backward_distance_map",
-    "csr_slice_expand",
     "bounded_bfs",
     "bounded_multi_source_distances",
     "DISTANCE_STRATEGIES",
@@ -659,83 +657,6 @@ def backward_distance_map(graph: DiGraph, target: Vertex, k: int) -> BackwardDis
         target=target,
         k=k,
         distances=bounded_bfs(graph, target, k, reverse=True),
-    )
-
-
-# ----------------------------------------------------------------------
-# Partition-parallel kernels (CSR shard slices + frontier handoff)
-# ----------------------------------------------------------------------
-def csr_slice_expand(
-    offsets,
-    targets,
-    lo: int,
-    frontier,
-    depth: int,
-    dist: List[int],
-    stamp: List[int],
-    epoch: int,
-    out: List[Vertex],
-) -> None:
-    """Expand one shard's share of a BFS frontier by one hop.
-
-    ``(offsets, targets)`` is a *rebased* CSR slice covering the vertex
-    range starting at ``lo``: the neighbours of a frontier vertex ``v`` are
-    ``targets[offsets[v - lo]:offsets[v - lo + 1]]``, with *global* vertex
-    ids in ``targets``.  Every frontier vertex must be owned by the slice;
-    discovered vertices may be owned by any shard — appending them to
-    ``out`` is this shard's half of the halo handoff (the next level routes
-    them to their owners).  Bookkeeping is the same epoch-stamped flat
-    buffer scheme as :func:`_csr_bfs`, so the distances produced by a
-    level-synchronous multi-shard drive are exactly those of a whole-graph
-    BFS.
-    """
-    for vertex in frontier:
-        local = vertex - lo
-        for neighbor in targets[offsets[local]:offsets[local + 1]]:
-            if stamp[neighbor] != epoch:
-                stamp[neighbor] = epoch
-                dist[neighbor] = depth
-                out.append(neighbor)
-
-
-def sharded_backward_distance_map(shard_set, target: Vertex, k: int) -> BackwardDistanceMap:
-    """Backward pass computed partition-parallel over CSR shard slices.
-
-    ``shard_set`` is a :class:`repro.graph.partition.ShardSet` (duck-typed:
-    anything with ``num_vertices``, ``check_vertex`` and ``route``).  The
-    reverse BFS from ``target`` runs level-synchronously: each level's
-    frontier is split by owning shard (``route`` — the halo frontier
-    exchange), every shard expands its bucket on its *local* reverse slice,
-    and the merged discoveries form the next frontier.  Per-level shard
-    order is fixed (ascending shard id), so the pass is deterministic; the
-    resulting distances are identical to
-    :func:`backward_distance_map` on the whole graph, because level-BFS
-    distances do not depend on within-level expansion order.  The returned
-    map owns its buffers (never built on pooled scratch) and is safe to
-    retain across a batch group, like its whole-graph twin.
-    """
-    shard_set.check_vertex(target)
-    if k < 1:
-        raise QueryError(f"hop constraint k must be >= 1, got {k}")
-    num_vertices = shard_set.num_vertices
-    dist = [0] * num_vertices
-    stamp = [0] * num_vertices
-    epoch = 1
-    stamp[target] = epoch
-    touched = [target]
-    frontier: List[Vertex] = [target]
-    depth = 0
-    while frontier and depth < k:
-        depth += 1
-        next_frontier: List[Vertex] = []
-        for shard, bucket in shard_set.route(frontier):
-            shard.expand_backward(bucket, depth, dist, stamp, epoch, next_frontier)
-        touched.extend(next_frontier)
-        frontier = next_frontier
-    return BackwardDistanceMap(
-        target=target,
-        k=k,
-        distances=ArrayDistanceMap(dist, stamp, epoch, touched),
     )
 
 

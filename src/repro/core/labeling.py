@@ -474,8 +474,8 @@ def collect_boundaries(upper: UpperBoundGraph, space: SpaceMeter | None = None) 
     function of the upper-bound edge set, not of adjacency iteration order.
     (Historically the cap kept whichever neighbours set/dict iteration
     yielded first, which made departures/arrivals — and therefore canonical
-    reports — differ between dict-, CSR- and shard-order builds of the same
-    upper bound.)
+    reports — differ between dict- and CSR-order builds of the same upper
+    bound.)
     """
     source, target, k = upper.source, upper.target, upper.k
     limit = max(1, k - 2)

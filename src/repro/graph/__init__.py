@@ -6,24 +6,15 @@ provide construction from raw edge lists (:mod:`repro.graph.builder`),
 edge-list I/O (:mod:`repro.graph.io`), synthetic generators
 (:mod:`repro.graph.generators`), structural statistics
 (:mod:`repro.graph.properties`), edge-induced subgraphs
-(:mod:`repro.graph.subgraph`), vertex-range CSR partitioning
-(:mod:`repro.graph.partition`), shared-memory CSR segments with
-zero-copy graph views (:mod:`repro.graph.shm`) and batched edge
-mutations applied as CSR overlays (:mod:`repro.graph.delta`).
+(:mod:`repro.graph.subgraph`), shared-memory CSR segments with
+zero-copy graph views for process-pool workers (:mod:`repro.graph.shm`)
+and batched edge mutations applied as CSR overlays
+(:mod:`repro.graph.delta`).
 """
 
 from repro.graph.builder import GraphBuilder, build_graph
 from repro.graph.delta import DeltaOverlayView, GraphDelta, apply_delta
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import (
-    GraphShard,
-    ShardSet,
-    owner_of,
-    partition_graph,
-    partition_ranges,
-    shard_fingerprint,
-    shard_set_fingerprint,
-)
 from repro.graph.shm import (
     AttachedGraphSegment,
     CSRGraphView,
@@ -43,13 +34,6 @@ __all__ = [
     "build_graph",
     "edge_induced_subgraph",
     "vertex_induced_subgraph",
-    "GraphShard",
-    "ShardSet",
-    "partition_graph",
-    "partition_ranges",
-    "owner_of",
-    "shard_fingerprint",
-    "shard_set_fingerprint",
     "SharedGraphSegment",
     "SharedGraphDescriptor",
     "AttachedGraphSegment",

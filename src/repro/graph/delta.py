@@ -1,8 +1,8 @@
 """Batched edge mutations applied to immutable graphs as CSR overlays.
 
 Everything in this library treats :class:`~repro.graph.digraph.DiGraph`
-as immutable: caches, scratch pools, shard sets and warm worker pools all
-key on the whole-graph fingerprint.  That is the right contract for query
+as immutable: caches, scratch pools and warm worker pools all key on the
+whole-graph fingerprint.  That is the right contract for query
 evaluation, but the motivating fraud-screening scenario interleaves
 hop-constrained path queries with *streams of new transactions* — and
 rebuilding an entire graph (re-validating every edge, re-sorting the

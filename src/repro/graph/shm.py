@@ -215,8 +215,8 @@ class AttachedGraphSegment:
         try:
             self._shm.close()
         except BufferError:
-            # A caller still holds views into the block (e.g. a shard set
-            # outliving its attachment).  Disarm the handle instead of
+            # A caller still holds views into the block (e.g. the attached
+            # graph or its CSR buffers outliving the attachment).  Disarm the handle instead of
             # letting SharedMemory.__del__ retry and warn at GC time: the
             # mmap object stays alive exactly as long as the exported views
             # do, and its pages are reclaimed with them (or at exit).
@@ -269,7 +269,7 @@ class CSRGraphView(DiGraph):
     adjacency through :meth:`out_neighbors` / :meth:`in_neighbors` /
     :meth:`csr` / :meth:`csr_reverse`, all of which this class serves from
     the buffers — a view answers every query identically to the graph it
-    mirrors (differential-tested in ``tests/test_sharding.py``).
+    mirrors (differential-tested in ``tests/test_shared_memory.py``).
 
     Set-like operations (``edge_set``, equality, hashing) still work but
     materialise edges on the fly; they are O(m) conveniences for tests and

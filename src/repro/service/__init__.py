@@ -13,11 +13,12 @@ serving layer exploits.  This subsystem layers four things on top of
   ``(t, k)`` so the backward distance pass is computed once per group and
   reused via the hooks in :mod:`repro.core.distances`;
 * **pluggable executor backends** (:mod:`repro.service.executor`) —
-  ``serial``, ``thread``, ``process`` (a warm
+  ``serial``, ``thread`` and ``process`` (a warm
   :class:`~concurrent.futures.ProcessPoolExecutor` that runs CPU-bound EVE
-  queries truly in parallel) and ``async`` (awaitable fan-out for event-loop
-  callers), all with deterministic result ordering and per-query error
-  isolation, all producing identical batch reports;
+  queries truly in parallel, its workers attached zero-copy to a
+  shared-memory CSR segment when the platform supports it), all with
+  deterministic result ordering and per-query error isolation, all
+  producing identical batch reports and all awaitable from an event loop;
 * a **scratch pool** (:class:`ScratchPool`, re-exported from
   :mod:`repro.core.eve`) — reusable :class:`~repro.core.eve.QueryScratch`
   bundles (the distance, propagation and verification buffers of one
@@ -34,17 +35,11 @@ exposition via :meth:`EngineStats.to_prometheus` (the CLI's
 :class:`repro.telemetry.Tracer` (``--trace-out``); batches run
 synchronously (:meth:`SPGEngine.run_batch` / :meth:`SPGEngine.run_stream`)
 or from an event loop (:meth:`SPGEngine.run_batch_async` /
-:meth:`SPGEngine.astream`).  :class:`ShardedSPGEngine`
-(:mod:`repro.service.shard`) serves the same contract through a
-vertex-range CSR partition: planner groups are routed to the shard owning
-their target, shared backward passes run with halo frontier exchange
-across shard slices, and process workers attach to a shared-memory CSR
-segment zero-copy.  The subsystem also ships a command line
+:meth:`SPGEngine.astream`).  The subsystem also ships a command line
 (``python -m repro.service``) that loads a dataset, reads JSON-lines
 queries from a file or stdin, and emits JSON results; ``--strategy``
-selects the Figure-11 distance-search ablation path, ``--backend`` the
-executor backend and ``--shards`` partition-parallel serving for the whole
-served workload.
+selects the Figure-11 distance-search ablation path and ``--backend`` the
+executor backend for the whole served workload.
 """
 
 from repro.core.eve import ScratchPool
@@ -60,7 +55,6 @@ from repro.service.engine import (
 from repro.service.executor import (
     BACKEND_ENV_VAR,
     EXECUTOR_BACKENDS,
-    AsyncBackend,
     Call,
     ExecutorBackend,
     ProcessBackend,
@@ -74,14 +68,10 @@ from repro.service.executor import (
     run_tasks_async,
 )
 from repro.service.planner import BatchPlan, PlannedQuery, QueryGroup, plan_batch
-from repro.service.shard import SHARD_ENV_VAR, ShardedSPGEngine, resolve_shard_count
 from repro.service.stats import EngineStats, LatencyWindow
 
 __all__ = [
     "SPGEngine",
-    "ShardedSPGEngine",
-    "SHARD_ENV_VAR",
-    "resolve_shard_count",
     "EngineConfig",
     "ScratchPool",
     "QueryOutcome",
@@ -106,7 +96,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "AsyncBackend",
     "create_backend",
     "resolve_backend_name",
     "EngineStats",

@@ -83,17 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "serve through a ShardedSPGEngine over N vertex-range CSR shards "
-            "(default: $REPRO_SHARD_COUNT or unsharded; 0 forces unsharded). "
-            "Answers are identical to unsharded serving"
-        ),
-    )
-    parser.add_argument(
         "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"
     )
     parser.add_argument(
@@ -205,7 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_workers=args.workers,
             min_group_size=args.min_group_size,
             executor_backend=args.backend,
-            num_shards=args.shards,
         )
         engine = SPGEngine.from_config(graph, config)
     except (ReproError, ValueError) as exc:

@@ -6,7 +6,7 @@
 :meth:`SPGEngine.run_batch_async`) and streamed workloads
 (:meth:`SPGEngine.run_stream` / :meth:`SPGEngine.astream`).  Batches execute
 on a pluggable :class:`~repro.service.executor.ExecutorBackend` (``serial``,
-``thread``, ``process`` or ``async``); four guarantees hold regardless of
+``thread`` or ``process``); four guarantees hold regardless of
 cache state, planning, backend or parallelism:
 
 * **identical answers** — every result equals what a cold per-query
@@ -115,14 +115,11 @@ class EngineConfig:
     plus the :meth:`eve_config` slice of this config — the serving-layer
     knobs (cache, planner, pool sizing) live exclusively in the parent.
 
-    ``num_shards`` selects partition-parallel serving: ``None`` defers to
-    the ``REPRO_SHARD_COUNT`` environment variable (unset/0 = unsharded);
-    any positive count makes :meth:`SPGEngine.from_config` build a
-    :class:`repro.service.shard.ShardedSPGEngine`.  ``shared_memory``
-    controls whether process-pool workers receive the graph through a
-    :class:`repro.graph.shm.SharedGraphSegment` (``None`` = automatic:
-    enabled whenever the platform supports it, with a silent fallback to
-    the pickled-graph path; ``True`` = required; ``False`` = never).
+    ``shared_memory`` controls whether process-pool workers receive the
+    graph through a :class:`repro.graph.shm.SharedGraphSegment` (``None`` =
+    automatic: enabled whenever the platform supports it, with a silent
+    fallback to the pickled-graph path; ``True`` = required; ``False`` =
+    never).
     """
 
     strategy: str = "adaptive"
@@ -134,7 +131,6 @@ class EngineConfig:
     min_group_size: int = 2
     latency_window: int = 4096
     executor_backend: Optional[str] = None
-    num_shards: Optional[int] = None
     shared_memory: Optional[bool] = None
     compact_threshold: int = 4096
 
@@ -150,8 +146,8 @@ class EngineConfig:
     def engine_kwargs(self) -> Dict[str, object]:
         """The serving-layer keyword arguments of this config.
 
-        Everything :class:`SPGEngine` (and its sharded subclass) accepts
-        beyond the graph, the EVE config and the shard count.
+        Everything :class:`SPGEngine` accepts beyond the graph and the EVE
+        config.
         """
         return {
             "cache_size": self.cache_size,
@@ -261,8 +257,8 @@ class GroupExecution:
     """Picklable result of one worker-side task group: entries + telemetry.
 
     ``entries`` is the usual :data:`GroupResult`; ``counters`` is the stats
-    delta the worker measured while running the group (scratch checkouts,
-    sharded backward passes — the keys
+    delta the worker measured while running the group (its scratch
+    checkouts — the keys
     :meth:`repro.service.stats.EngineStats.merge_counters` accepts), and
     ``events`` carries the worker tracer's drained spans when the parent
     requested tracing.  Results already ship their
@@ -297,7 +293,6 @@ def _execute_group(
     config: EVEConfig,
     group: QueryGroup,
     borrow_scratch,
-    shared_backward_for=None,
     tracer: Optional[Tracer] = None,
 ) -> GroupResult:
     """Run one planned group sequentially, isolating per-query errors.
@@ -308,23 +303,17 @@ def _execute_group(
     :meth:`EVE.query` consumes for both its distance and its propagation
     buffers.  Returns
     ``(plan position, result, exception, latency, reused)`` tuples.  The
-    shared backward pass is computed once for groups the planner marked
-    ``shared`` — by ``shared_backward_for(target, k)`` when a provider is
-    given (the sharded engine's halo-exchange pass), otherwise by the
-    whole-graph :func:`repro.core.distances.backward_distance_map`; both
-    produce identical distances.  When that precomputation itself fails
-    (e.g. the common target is not a vertex), each query falls through to
-    the cold path and reports the error individually.  ``tracer``
-    optionally records the per-phase spans of every executed query (see
-    :meth:`repro.core.eve.EVE.query`).
+    shared backward pass (:func:`repro.core.distances.backward_distance_map`)
+    is computed once for groups the planner marked ``shared``.  When that
+    precomputation itself fails (e.g. the common target is not a vertex),
+    each query falls through to the cold path and reports the error
+    individually.  ``tracer`` optionally records the per-phase spans of
+    every executed query (see :meth:`repro.core.eve.EVE.query`).
     """
     shared = None
     if group.shared:
         try:
-            if shared_backward_for is not None:
-                shared = shared_backward_for(group.target, group.k)
-            else:
-                shared = backward_distance_map(graph, group.target, group.k)
+            shared = backward_distance_map(graph, group.target, group.k)
         except Exception:
             shared = None
     engine = EVE(graph, config)
@@ -395,23 +384,19 @@ def _release_worker_state() -> None:
     _worker_graph = None
     _worker_config = None
     _worker_scratch = None
-    try:
-        # The sharded worker's shard set slices the same block.
-        from repro.service import shard as _shard_module
-
-        _shard_module._worker_shard_set = None
-    except Exception:  # pragma: no cover - shard layer absent mid-teardown
-        pass
     attached = _worker_attached
     _worker_attached = None
     if attached is not None:
         attached.close()
 
 
-def _attach_worker_graph(descriptor: SharedGraphDescriptor) -> DiGraph:
-    """Attach this worker to a shared graph segment (zero-copy, untracked).
+def _init_shared_process_worker(
+    descriptor: SharedGraphDescriptor, config: EVEConfig
+) -> None:
+    """Pool initializer for shared-memory workers: attach instead of unpickle.
 
-    The returned :class:`~repro.graph.shm.CSRGraphView` serves adjacency
+    The worker attaches to the shared graph segment zero-copy and untracked:
+    the installed :class:`~repro.graph.shm.CSRGraphView` serves adjacency
     straight from the shared block — no per-worker unpickling or adjacency
     rebuild.  The attachment is kept in module state and released at worker
     exit; the *creator* (the parent engine) owns the block's unlink.
@@ -425,20 +410,13 @@ def _attach_worker_graph(descriptor: SharedGraphDescriptor) -> DiGraph:
     if not _worker_cleanup_registered:
         atexit.register(_release_worker_state)
         _worker_cleanup_registered = True
-    return attached.graph
-
-
-def _init_shared_process_worker(
-    descriptor: SharedGraphDescriptor, config: EVEConfig
-) -> None:
-    """Pool initializer for shared-memory workers: attach instead of unpickle."""
-    _init_process_worker(_attach_worker_graph(descriptor), config)
+    _init_process_worker(attached.graph, config)
 
 
 def _worker_graph_probe() -> Dict[str, object]:
     """Diagnostic task payload: how this worker holds its graph.
 
-    Used by the sharding tests and the RSS benchmark leg to assert that
+    Used by the shared-memory tests and the RSS benchmark leg to assert that
     shared-memory workers serve a zero-copy view (``shared=True``) instead
     of an unpickled graph, and to read the worker's peak RSS.
     """
@@ -453,20 +431,6 @@ def _worker_graph_probe() -> Dict[str, object]:
         "fingerprint": None if graph is None else graph.fingerprint(),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
-
-
-def _scratch_counter_delta(
-    pool: ScratchPool, allocations_before: int, reuses_before: int
-) -> Dict[str, int]:
-    """The :meth:`EngineStats.merge_counters` delta one task caused."""
-    allocations = pool.allocations - allocations_before
-    reuses = pool.reuses - reuses_before
-    counters: Dict[str, int] = {}
-    if allocations:
-        counters["scratch_allocations"] = allocations
-    if reuses:
-        counters["scratch_reuses"] = reuses
-    return counters
 
 
 def _process_run_group(
@@ -494,9 +458,17 @@ def _process_run_group(
     entries = _execute_group(
         _worker_graph, _worker_config, group, pool.borrow, tracer=tracer
     )
+    # The EngineStats.merge_counters delta this task caused.
+    counters: Dict[str, int] = {}
+    allocations = pool.allocations - allocations_before
+    reuses = pool.reuses - reuses_before
+    if allocations:
+        counters["scratch_allocations"] = allocations
+    if reuses:
+        counters["scratch_reuses"] = reuses
     return GroupExecution(
         entries=entries,
-        counters=_scratch_counter_delta(pool, allocations_before, reuses_before),
+        counters=counters,
         events=tracer.drain() if tracer is not None else [],
     )
 
@@ -576,7 +548,7 @@ class _TransientStreamBackend:
         if backend is None:
             backend = engine._build_backend(self._max_workers, graph)
             self._backend = backend
-            self._fingerprint = engine._batch_fingerprint(graph)
+            self._fingerprint = graph.fingerprint()
         return backend
 
     def get_warm(self) -> ExecutorBackend:
@@ -718,26 +690,8 @@ class SPGEngine:
 
     @classmethod
     def from_config(cls, graph: DiGraph, config: Optional[EngineConfig] = None) -> "SPGEngine":
-        """Build an engine from one declarative :class:`EngineConfig`.
-
-        When the resolved shard count (``config.num_shards``, falling back
-        to ``$REPRO_SHARD_COUNT``) is positive, the returned engine is a
-        :class:`repro.service.shard.ShardedSPGEngine` — same graph, same
-        answers, partition-parallel backward passes.
-        """
+        """Build an engine from one declarative :class:`EngineConfig`."""
         config = config or EngineConfig()
-        # Local import: repro.service.shard builds on this module.
-        from repro.service.shard import ShardedSPGEngine, resolve_shard_count
-
-        num_shards = resolve_shard_count(config.num_shards)
-        if num_shards:
-            engine_cls = cls if issubclass(cls, ShardedSPGEngine) else ShardedSPGEngine
-            return engine_cls(
-                graph,
-                config.eve_config(),
-                num_shards=num_shards,
-                **config.engine_kwargs(),
-            )
         return cls(graph, config.eve_config(), **config.engine_kwargs())
 
     # ------------------------------------------------------------------
@@ -792,25 +746,6 @@ class SPGEngine:
     # ------------------------------------------------------------------
     # Backend lifecycle
     # ------------------------------------------------------------------
-    def _batch_fingerprint(self, graph: DiGraph) -> str:
-        """The serving-identity fingerprint batches and caches key on.
-
-        For the plain engine this is the graph fingerprint; the sharded
-        subclass derives a partition fingerprint from it, so cache entries
-        and process-pool staleness checks distinguish shard layouts.
-        """
-        return graph.fingerprint()
-
-    def _worker_init(self, graph: DiGraph) -> Tuple[object, Tuple[object, ...]]:
-        """``(initializer, initargs)`` for pickled-graph process workers."""
-        return _init_process_worker, (graph, self._config)
-
-    def _shared_worker_init(
-        self, descriptor: SharedGraphDescriptor
-    ) -> Tuple[object, Tuple[object, ...]]:
-        """``(initializer, initargs)`` for shared-memory process workers."""
-        return _init_shared_process_worker, (descriptor, self._config)
-
     def _create_segment(self, graph: DiGraph) -> Optional[SharedGraphSegment]:
         """Build the shared CSR segment for ``graph``, honouring the knob.
 
@@ -845,15 +780,19 @@ class SPGEngine:
         graph = self._graph if graph is None else graph
         if self._shared_memory:
             segment = SharedGraphSegment(graph)  # required: failures propagate
-            initializer, initargs = self._shared_worker_init(segment.descriptor)
             backend = create_backend(
-                "process", max_workers, initializer=initializer, initargs=initargs
+                "process",
+                max_workers,
+                initializer=_init_shared_process_worker,
+                initargs=(segment.descriptor, self._config),
             )
             _bind_segment_to_backend(backend, segment)
             return backend
-        initializer, initargs = self._worker_init(graph)
         return create_backend(
-            "process", max_workers, initializer=initializer, initargs=initargs
+            "process",
+            max_workers,
+            initializer=_init_process_worker,
+            initargs=(graph, self._config),
         )
 
     def _build_persistent_backend(
@@ -870,9 +809,11 @@ class SPGEngine:
         if self._backend_name == "process":
             segment = self._create_segment(graph)
             if segment is not None:
-                initializer, initargs = self._shared_worker_init(segment.descriptor)
                 backend = create_backend(
-                    "process", max_workers, initializer=initializer, initargs=initargs
+                    "process",
+                    max_workers,
+                    initializer=_init_shared_process_worker,
+                    initargs=(segment.descriptor, self._config),
                 )
                 self._segment = segment
                 return backend
@@ -893,7 +834,7 @@ class SPGEngine:
         """
         return self._backend_name == "process" and (
             getattr(backend, "broken", False)
-            or recorded_fingerprint != self._batch_fingerprint(graph)
+            or recorded_fingerprint != graph.fingerprint()
         )
 
     def _is_default_width(self, max_workers: int) -> bool:
@@ -911,7 +852,7 @@ class SPGEngine:
         A process backend is pinned to the graph its workers were
         initialised with: swapping to a graph with a different fingerprint
         (or a broken pool after a worker death) closes the old pool and
-        lazily builds a fresh one.  Thread/serial/async backends share the
+        lazily builds a fresh one.  Thread and serial backends share the
         parent's memory and survive swaps untouched.  The graph is read
         exactly once so a swap racing this method cannot record a
         fingerprint for a pool initialised against a different graph; a
@@ -930,7 +871,7 @@ class SPGEngine:
             if backend is None:
                 backend = self._build_persistent_backend(self._max_workers, graph)
                 self._backend = backend
-                self._backend_fingerprint = self._batch_fingerprint(graph)
+                self._backend_fingerprint = graph.fingerprint()
                 # Engines dropped without close() must not leak warm pools
                 # (process workers would outlive the engine until exit) or
                 # shared-memory blocks (which would outlive the *machine
@@ -1100,7 +1041,7 @@ class SPGEngine:
 
             compacted = view.overlay_size >= self._compact_threshold
             new_graph: DiGraph = view.compact() if compacted else view
-            old_fingerprint = self._batch_fingerprint(old_graph)
+            old_fingerprint = old_graph.fingerprint()
 
             # Scoped invalidation runs its union-graph BFS *before* the
             # swap: the predicate is a pure function over the precomputed
@@ -1114,7 +1055,7 @@ class SPGEngine:
                 )
 
             self.set_graph(new_graph)
-            new_fingerprint = self._batch_fingerprint(new_graph)
+            new_fingerprint = new_graph.fingerprint()
             self._graph_epoch += 1
             epoch = self._graph_epoch
 
@@ -1224,7 +1165,7 @@ class SPGEngine:
         key = None
         if use_cache and self._cache is not None:
             key = make_cache_key(
-                source, target, k, self._config, self._batch_fingerprint(graph)
+                source, target, k, self._config, graph.fingerprint()
             )
             hit = self._cache.get(key)
             if hit is not None:
@@ -1441,7 +1382,7 @@ class SPGEngine:
         """Normalise, consult the cache, dedupe and plan one batch."""
         raw_queries = list(queries)
         graph = self._graph
-        fingerprint = self._batch_fingerprint(graph)
+        fingerprint = graph.fingerprint()
 
         normalized: List[Optional[Tuple[Vertex, Vertex, int]]] = []
         outcomes: List[Optional[QueryOutcome]] = [None] * len(raw_queries)

@@ -10,7 +10,7 @@ interchangeable (and differential-testable, see
 * **error isolation** — a task that raises is captured as a
   :class:`TaskError` entry instead of poisoning the whole batch.
 
-Four backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
+Three backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
 
 ``serial``
     Everything runs inline on the calling thread.  Zero overhead, the
@@ -29,10 +29,10 @@ Four backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
     ``forkserver`` start method (chosen because forking from a
     multi-threaded parent risks deadlock), a copy-on-write share under an
     explicit ``fork`` override.
-``async``
-    An :mod:`asyncio`-friendly backend: :meth:`ExecutorBackend.run_async`
-    offloads tasks to an internal thread pool and awaits them, keeping the
-    event loop responsive while batches execute.
+
+Every backend is also awaitable: :meth:`ExecutorBackend.run_async`
+offloads tasks to a pool and awaits them, keeping the event loop
+responsive while batches execute.
 
 :func:`run_tasks` keeps the original thread-pool convenience API (and is
 now a thin wrapper over a transient backend); :func:`run_tasks_async` is
@@ -57,7 +57,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "AsyncBackend",
     "create_backend",
     "resolve_backend_name",
     "default_worker_count",
@@ -66,7 +65,7 @@ __all__ = [
 ]
 
 #: Recognised backend names, in "least to most machinery" order.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "async")
+EXECUTOR_BACKENDS = ("serial", "thread", "process")
 
 #: Environment variable consulted by :func:`resolve_backend_name` when no
 #: backend is named (engine construction, ``EngineConfig``, the CLI); lets
@@ -183,15 +182,6 @@ def _submit_ordered(
     return entries
 
 
-def _run_on_pool(pool: ThreadPoolExecutor, tasks: Sequence[Task]) -> List[Any]:
-    """Submit every task to ``pool`` and collect results in task order."""
-    # _invoke never raises, so result() only propagates pool-level failures.
-    return [
-        entry if isinstance(entry, TaskError) else entry.result()
-        for entry in _submit_ordered(pool, _invoke, tasks)
-    ]
-
-
 async def _gather_ordered(futures: Sequence[Any], on_exception=None) -> List[Any]:
     """Await wrapped futures interleaved with :class:`TaskError` placeholders.
 
@@ -300,7 +290,11 @@ class ThreadBackend(ExecutorBackend):
     def run(self, tasks: Sequence[Task]) -> List[Any]:
         if self._workers <= 1 or len(tasks) <= 1:
             return [_invoke(task) for task in tasks]
-        return _run_on_pool(self._ensure_pool(), tasks)
+        # _invoke never raises, so result() only propagates pool-level failures.
+        return [
+            entry if isinstance(entry, TaskError) else entry.result()
+            for entry in _submit_ordered(self._ensure_pool(), _invoke, tasks)
+        ]
 
     async def run_async(self, tasks: Sequence[Task]) -> List[Any]:
         if not tasks:
@@ -388,7 +382,7 @@ class ProcessBackend(ExecutorBackend):
 
                 method = self._start_method
                 if method is None:
-                    # fork from a multi-threaded parent (thread/async pools,
+                    # fork from a multi-threaded parent (thread pools,
                     # asyncio's default executor, overlapping batches) can
                     # deadlock the child on an inherited lock.  forkserver
                     # forks workers from a clean single-threaded server and
@@ -489,28 +483,6 @@ class ProcessBackend(ExecutorBackend):
         )
 
 
-class AsyncBackend(ThreadBackend):
-    """An asyncio-first backend: tasks run on an internal thread pool.
-
-    Pool lifecycle and :meth:`run_async` are inherited from
-    :class:`ThreadBackend`; only the synchronous :meth:`run` differs — it
-    dispatches straight to the thread pool (never inline), so plain code
-    paths such as ``SPGEngine.run_batch`` stay usable whether or not an
-    event loop is running on the calling thread.
-    """
-
-    name = "async"
-
-    def run(self, tasks: Sequence[Task]) -> List[Any]:
-        # Synchronous callers go straight to the thread pool: identical
-        # ordered results without spinning up an event loop per batch, and
-        # safe whether or not a loop is already running on this thread
-        # (blocking the running loop on itself would deadlock).
-        if not tasks:
-            return []
-        return _run_on_pool(self._ensure_pool(), tasks)
-
-
 def create_backend(
     name: Optional[str] = None,
     max_workers: Optional[int] = None,
@@ -531,14 +503,12 @@ def create_backend(
         return SerialBackend()
     if resolved == "thread":
         return ThreadBackend(max_workers)
-    if resolved == "process":
-        return ProcessBackend(
-            max_workers,
-            initializer=initializer,
-            initargs=initargs,
-            start_method=start_method,
-        )
-    return AsyncBackend(max_workers)
+    return ProcessBackend(
+        max_workers,
+        initializer=initializer,
+        initargs=initargs,
+        start_method=start_method,
+    )
 
 
 def run_tasks(

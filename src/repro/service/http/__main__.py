@@ -88,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor backend (default: $REPRO_EXECUTOR_BACKEND or 'thread')",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve through a ShardedSPGEngine over N shards (0 forces unsharded)",
-    )
-    parser.add_argument(
         "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"
     )
     parser.add_argument(
@@ -215,7 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_workers=args.workers,
             min_group_size=args.min_group_size,
             executor_backend=args.backend,
-            num_shards=args.shards,
             compact_threshold=args.compact_threshold,
         )
         engine = SPGEngine.from_config(graph, engine_config)

@@ -178,16 +178,10 @@ class LatencyWindow:
 
 
 #: Counter attributes a worker-side delta may add to (see
-#: :meth:`EngineStats.merge_counters`): the scratch-pool and sharded
-#: backward-pass counters, which are the only stats recorded *inside*
-#: process-pool workers rather than from results in the parent.
-_MERGEABLE_COUNTERS = frozenset(
-    {
-        "scratch_allocations",
-        "scratch_reuses",
-        "sharded_backward_passes",
-    }
-)
+#: :meth:`EngineStats.merge_counters`): the scratch-pool counters, which
+#: are the only stats recorded *inside* process-pool workers rather than
+#: from results in the parent.
+_MERGEABLE_COUNTERS = frozenset({"scratch_allocations", "scratch_reuses"})
 
 
 class EngineStats:
@@ -213,7 +207,6 @@ class EngineStats:
         self.cache_misses = 0
         self.errors = 0
         self.shared_backward_reuses = 0
-        self.sharded_backward_passes = 0
         self.scratch_allocations = 0
         self.scratch_reuses = 0
         # HTTP front-end admission accounting (repro.service.http): one
@@ -272,18 +265,6 @@ class EngineStats:
         """Record one served batch."""
         with self._lock:
             self.batches_served += 1
-
-    def record_sharded_backward(self) -> None:
-        """Record one backward pass computed partition-parallel.
-
-        Counted by :class:`repro.service.shard.ShardedSPGEngine` whenever a
-        shared ``(t, k)`` pass runs through the halo-exchange kernel
-        in-process; passes computed inside process-pool workers arrive via
-        :meth:`merge_counters` from the per-task deltas instead, so the
-        counter covers every backend.
-        """
-        with self._lock:
-            self.sharded_backward_passes += 1
 
     def record_scratch(self, *, reused: bool) -> None:
         """Record one scratch-bundle checkout (allocation vs pool reuse).
@@ -375,9 +356,9 @@ class EngineStats:
     def merge_counters(self, counters: Mapping[str, int]) -> None:
         """Fold a worker-side counter delta into these stats.
 
-        ``counters`` maps attribute names (a subset of the scratch and
-        sharded-backward counters) to non-negative increments — the deltas
-        a process-pool worker measured while executing one task group.
+        ``counters`` maps attribute names (a subset of the scratch counters)
+        to non-negative increments — the deltas a process-pool worker
+        measured while executing one task group.
         Unknown keys raise: a typo silently dropping a counter would
         re-create exactly the blind spot this path exists to close.
         """
@@ -428,7 +409,6 @@ class EngineStats:
                 "hit_rate": self.cache_hits / total if total else 0.0,
                 "errors": self.errors,
                 "shared_backward_reuses": self.shared_backward_reuses,
-                "sharded_backward_passes": self.sharded_backward_passes,
                 "scratch_allocations": self.scratch_allocations,
                 "scratch_reuses": self.scratch_reuses,
                 "http_requests_admitted": self.http_requests_admitted,
@@ -483,11 +463,6 @@ class EngineStats:
                     "repro_shared_backward_reuses_total",
                     "Queries that reused a shared (t, k) backward pass.",
                     self.shared_backward_reuses,
-                ),
-                (
-                    "repro_sharded_backward_passes_total",
-                    "Backward passes computed partition-parallel.",
-                    self.sharded_backward_passes,
                 ),
                 (
                     "repro_scratch_allocations_total",
@@ -616,7 +591,6 @@ class EngineStats:
             self.cache_misses = 0
             self.errors = 0
             self.shared_backward_reuses = 0
-            self.sharded_backward_passes = 0
             self.scratch_allocations = 0
             self.scratch_reuses = 0
             self.http_requests_admitted = 0

@@ -36,7 +36,7 @@ from repro.graph import DeltaOverlayView, DiGraph, GraphDelta, apply_delta
 from repro.graph.delta import _splice_csr
 from repro.graph.digraph import _build_csr
 from repro.graph.generators import erdos_renyi, power_law_cluster
-from repro.service import ResultCache, SPGEngine, ShardedSPGEngine, make_cache_key
+from repro.service import ResultCache, SPGEngine, make_cache_key
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +454,7 @@ def run_schedule(engine_factory, graph, seed, steps=4, query_count=16):
                 assert_same_outcomes(second, oracle_report)
 
             if engine.cache is not None:
-                fingerprint = engine._batch_fingerprint(engine.graph)
+                fingerprint = engine.graph.fingerprint()
                 config = engine.config
                 for key, cached in engine.cache.items():
                     if key[4] != fingerprint:
@@ -489,16 +489,6 @@ class TestDifferentialHarness:
             lambda g: SPGEngine(g, executor_backend=backend, max_workers=2),
             build(),
             seed=hash((backend, topology)) % (2**31),
-        )
-
-    @pytest.mark.parametrize("num_shards", [2, 3])
-    def test_sharded_engine_matches_rebuild(self, num_shards):
-        run_schedule(
-            lambda g: ShardedSPGEngine(
-                g, num_shards=num_shards, executor_backend="serial"
-            ),
-            erdos_renyi(48, 2.5, seed=23),
-            seed=num_shards,
         )
 
     def test_process_backend_pool_refreshes_across_epochs(self):

@@ -1,10 +1,10 @@
 """Cross-backend differential and stress harness for the executor layer.
 
-Every executor backend (``serial`` / ``thread`` / ``process`` / ``async``)
-must be *answer-identical*: the same workload through the same engine
+Every executor backend (``serial`` / ``thread`` / ``process``) must be
+*answer-identical*: the same workload through the same engine
 configuration yields the same :class:`~repro.service.BatchReport`, outcome
 by outcome, error by error, whatever the scheduling.  The ``backend``
-fixture parametrises the whole harness over all four backends so any new
+fixture parametrises the whole harness over all three backends so any new
 backend is automatically held to the same contract; the differential tests
 then compare each backend's canonicalised report against the serial
 reference.
@@ -45,6 +45,8 @@ from repro.service import (
     run_tasks,
     run_tasks_async,
 )
+from repro.service.engine import _process_run_group
+from repro.service.planner import plan_batch
 
 pytestmark = pytest.mark.filterwarnings(
     # Python 3.12+ warns about fork()-based pools in multi-threaded parents;
@@ -205,10 +207,11 @@ class TestExecutorContract:
             assert isinstance(results[1], TaskError)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            run_tasks([Call(_square, (1,))], backend="gpu")
-        with pytest.raises(ValueError, match="serial"):
-            resolve_backend_name("gpu")
+        for name in ("gpu", "async"):
+            with pytest.raises(ValueError, match="unknown executor backend"):
+                run_tasks([Call(_square, (1,))], backend=name)
+            with pytest.raises(ValueError, match="serial"):
+                resolve_backend_name(name)
 
     def test_env_var_selects_default_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
@@ -347,6 +350,22 @@ class TestBackendLifecycle:
             report = engine.run_batch(queries)
             assert engine._backend is warm
             assert report.cache_hits == len(queries)
+
+    def test_worker_rejects_mismatched_fingerprint(self):
+        # The worker-side guard is what stops a process worker from
+        # answering on a graph the parent has swapped away from.
+        graph = erdos_renyi(20, 2.0, seed=32)
+        queries = random_reachable_queries(graph, 3, 4, seed=32).as_batch()
+        with make_engine(graph, "process") as engine:
+            engine.run_batch(queries)  # warm the pool
+            group = plan_batch(queries).groups[0]
+            [entry] = engine._ensure_backend().run(
+                [Call(_process_run_group, ("not-the-fingerprint", group, False))]
+            )
+        assert isinstance(entry, TaskError)
+        assert isinstance(entry.error, RuntimeError)
+        assert "not-the-fingerprint" in str(entry.error)
+        assert graph.fingerprint() in str(entry.error)
 
     def test_broken_process_pool_is_rebuilt(self):
         graph = erdos_renyi(20, 2.0, seed=13)
@@ -518,7 +537,7 @@ class TestConcurrencyStress:
                 yield query
 
         async def consume():
-            with make_engine(graph, "async") as engine:
+            with make_engine(graph, "thread") as engine:
                 return [outcome async for outcome in engine.astream(feed(), batch_size=4)]
 
         outcomes = asyncio.run(consume())

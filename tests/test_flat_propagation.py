@@ -19,7 +19,7 @@ the refactor:
 * the nondeterministic ``collect_boundaries`` truncation (the ``k - 2``
   cap used to keep whichever neighbours iteration order yielded first) is
   pinned to the sorted-order semantics under adversarial adjacency
-  orderings and across whole-graph vs sharded engines;
+  orderings;
 * the ``ResultCache`` counter reads that ignored the lock are hammered
   from threads;
 * scratch reuse: invalidation across successive queries, buffer growth
@@ -55,7 +55,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.service import SPGEngine
 from repro.service.cache import ResultCache, make_cache_key
-from repro.service.shard import ShardedSPGEngine
 from repro.telemetry import Tracer
 
 
@@ -285,7 +284,7 @@ class TestDeterministicBoundaries:
 
     def test_truncation_is_iteration_order_independent(self):
         """The retained neighbours are the smallest ids, whatever order the
-        adjacency lists were built in (dict-, CSR- or shard-order)."""
+        adjacency lists were built in (dict- or CSR-order)."""
         results = []
         for seed in range(6):
             order = [1, 2, 3, 4, 5]
@@ -321,31 +320,6 @@ class TestDeterministicBoundaries:
         labeling.collect_boundaries(shuffled)
         assert shuffled.departures == upper.departures
         assert shuffled.arrivals == upper.arrivals
-
-    def test_whole_vs_sharded_reports_identical(self):
-        """Regression for the nondeterministic truncation: a sharded engine
-        (CSR/shard iteration orders) must match the whole-graph engine
-        report-for-report, including on k where truncation bites."""
-        graph = erdos_renyi(60, 3.0, seed=9, name="boundary-shards")
-        rng = random.Random(9)
-        queries = [
-            (*rng.sample(range(graph.num_vertices), 2), k)
-            for k in (3, 4, 5, 6, 7)
-            for _ in range(4)
-        ]
-        with SPGEngine(graph, executor_backend="serial") as whole, ShardedSPGEngine(
-            graph, num_shards=3, executor_backend="serial"
-        ) as sharded:
-            whole_report = whole.run_batch(queries)
-            sharded_report = sharded.run_batch(queries)
-        for a, b in zip(whole_report.outcomes, sharded_report.outcomes):
-            assert (a.source, a.target, a.k, a.error is None) == (
-                b.source,
-                b.target,
-                b.k,
-                b.error is None,
-            )
-            assert a.edges == b.edges
 
 
 # ----------------------------------------------------------------------
@@ -545,18 +519,6 @@ class TestPooledPropagationScratch:
         engine.stats.reset()
         assert engine.stats.scratch_allocations == 0
         assert engine.stats.scratch_reuses == 0
-
-    def test_sharded_engine_pools_bundles_too(self):
-        graph = erdos_renyi(50, 2.5, seed=3, name="sharded-scratch")
-        with ShardedSPGEngine(
-            graph, num_shards=2, cache_size=0, max_workers=1,
-            executor_backend="serial",
-        ) as engine:
-            report = engine.run_batch([(s, 49, 4) for s in range(6)])
-            assert report.num_ok == 6
-            stats = engine.stats_snapshot()
-            assert stats["scratch_allocations"] == 1
-            assert stats["scratch_reuses"] == 5
 
     def test_pool_hands_out_query_scratch(self):
         from repro.service import ScratchPool

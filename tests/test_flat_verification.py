@@ -6,7 +6,7 @@ answer-identical to the retained dict/recursive oracle
 are held to their ``*_reference`` twins: confirmed-edge-set identity on
 randomized graphs across ``k in {5..9}``, every distance strategy, with
 and without the Section 5.3 ordering, and through every executor backend
-(serial / thread / process / sharded) of the serving engines.
+(serial / thread / process) of the serving engine.
 
 It also pins the behaviours the rewrite changed on purpose:
 
@@ -44,7 +44,6 @@ from repro.core.verification import (
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.service import SPGEngine
-from repro.service.shard import ShardedSPGEngine
 from repro.telemetry import Tracer
 
 
@@ -271,25 +270,17 @@ def _verification_span_profile(graph, batch, make_engine):
 
 
 class TestBackendIndependence:
-    BACKENDS = ["serial", "thread", "process", "sharded"]
+    BACKENDS = ["serial", "thread", "process"]
 
     @staticmethod
     def _engine_factory(backend):
-        if backend == "sharded":
-            return lambda graph: ShardedSPGEngine(
-                graph,
-                num_shards=3,
-                cache_size=0,
-                max_workers=2,
-                executor_backend="serial",
-            )
         return lambda graph: SPGEngine(
             graph, cache_size=0, max_workers=2, executor_backend=backend
         )
 
     def test_stats_identical_on_every_backend(self):
         """The same batch records identical verification span counters on
-        serial, thread, process and sharded engines."""
+        serial, thread and process engines."""
         graph = erdos_renyi(80, 3.0, seed=41, name="backend-verify")
         rng = random.Random(41)
         batch = [

@@ -5,9 +5,9 @@ merging), the Prometheus text-format renderers and the strict exposition
 parser, the :class:`LatencyWindow` histogram/quantile mechanics,
 :class:`EngineStats` exposition and worker-counter merging (including a
 concurrent scrape-while-recording hammer), the EVE query spans, the
-cross-backend telemetry consistency contract (every executor backend and
-the sharded engine report identical phase counters, and phase spans cover
->= 90% of recorded miss latency), and the BENCH_<pr>.json trajectory
+cross-backend telemetry consistency contract (every executor backend
+reports identical phase counters, and phase spans cover >= 85% of
+recorded miss latency), and the BENCH_<pr>.json trajectory
 schema plus its CLI entry points.
 """
 
@@ -36,7 +36,7 @@ from repro.bench.trajectory import (
 from repro.core.eve import EVE
 from repro.core.result import PHASE_NAMES
 from repro.graph.generators import erdos_renyi
-from repro.service import EngineStats, LatencyWindow, ShardedSPGEngine, SPGEngine
+from repro.service import EngineStats, LatencyWindow, SPGEngine
 from repro.service.executor import EXECUTOR_BACKENDS
 from repro.service.stats import DEFAULT_LATENCY_BUCKETS
 from repro.telemetry import (
@@ -375,17 +375,15 @@ class TestEngineStats:
     def test_merge_counters_folds_worker_deltas(self):
         stats = EngineStats()
         stats.record_scratch(reused=False)
-        stats.merge_counters(
-            {"scratch_allocations": 2, "scratch_reuses": 5, "sharded_backward_passes": 1}
-        )
+        stats.merge_counters({"scratch_allocations": 2, "scratch_reuses": 5})
         assert stats.scratch_allocations == 3
         assert stats.scratch_reuses == 5
-        assert stats.sharded_backward_passes == 1
 
     def test_merge_counters_rejects_unknown_and_negative(self):
         stats = EngineStats()
-        with pytest.raises(ValueError, match="unknown counter"):
-            stats.merge_counters({"cache_hits": 1})
+        for name in ("cache_hits", "sharded_backward_passes"):
+            with pytest.raises(ValueError, match="unknown counter"):
+                stats.merge_counters({name: 1})
         with pytest.raises(ValueError, match=">= 0"):
             stats.merge_counters({"scratch_reuses": -1})
         # A rejected mapping must not partially apply.
@@ -682,56 +680,6 @@ class TestEngineTracerAttachment:
             assert engine.tracer is live
             engine.tracer = NoopTracer()
             assert engine.tracer is None
-
-
-class TestShardedTelemetry:
-    def test_sharded_process_engine_reports_full_telemetry(self, telemetry_graph):
-        # Repeat targets so the planner forms shared (t, k) groups and the
-        # sharded backward kernel runs inside pool workers.  k is kept high
-        # so per-query forward work dwarfs fixed per-query overhead even
-        # when the backward pass is shared (the coverage bar below).
-        base = _workload(telemetry_graph, 12, seed=23, ks=(7, 8))
-        queries = []
-        for source, target, k in base:
-            queries.append((source, target, k))
-            queries.append(((source + 1) % telemetry_graph.num_vertices, target, k))
-        queries = [q for q in queries if q[0] != q[1]]
-
-        engine = ShardedSPGEngine(
-            telemetry_graph,
-            num_shards=3,
-            executor_backend="process",
-            cache_size=0,
-            max_workers=2,
-        )
-        engine.tracer = Tracer()
-        with engine:
-            report = engine.run_batch(queries)
-        snap = engine.stats.snapshot()
-        events = engine.tracer.events()
-
-        # Worker-side sharded backward passes reached the parent counter.
-        assert snap["sharded_backward_passes"] > 0
-        misses = snap["cache_misses"]
-        assert snap["scratch_allocations"] + snap["scratch_reuses"] == misses
-        for phase in PHASE_NAMES:
-            assert snap["phases"][phase]["samples"] == misses
-        names = Counter(event.name for event in events)
-        assert names["query"] == misses
-        phase_seconds = sum(
-            event.duration for event in events if event.name.startswith("phase.")
-        )
-        latency_sum = sum(
-            outcome.latency_seconds for outcome in report.outcomes if not outcome.cached
-        )
-        assert phase_seconds / latency_sum >= 0.90
-
-        # And the answers match unsharded serial serving.
-        with SPGEngine(telemetry_graph, executor_backend="serial", cache_size=0) as ref:
-            reference = ref.run_batch(queries)
-        assert [
-            sorted(outcome.edges or []) for outcome in report.outcomes
-        ] == [sorted(outcome.edges or []) for outcome in reference.outcomes]
 
 
 # ======================================================================
