@@ -249,7 +249,7 @@ def test_service_thread_vs_process_backend(benchmark, scale, show_table):
 
 def _max_worker_peak_rss_kb(engine: SPGEngine, workers: int) -> Tuple[int, bool]:
     """``(max peak RSS over workers, every worker shared)`` via pool probes."""
-    probes = engine._ensure_backend().run([Call(_worker_graph_probe)] * workers)
+    probes = engine._ensure_backend(engine.graph).run([Call(_worker_graph_probe)] * workers)
     return (
         max(probe["peak_rss_kb"] for probe in probes),
         all(probe["shared"] for probe in probes),

@@ -84,11 +84,11 @@ def main() -> None:
         for cutoff in sweep_times
     ]
 
-    # The demo queries are ~0.1 ms each, so a thread pool's startup cost
+    # The demo queries are ~0.1 ms each, so a thread pool's hand-offs
     # would drown the numbers; run the executor inline.  Large workloads
     # (see benchmarks/bench_service_throughput.py) leave this at the
     # default.
-    engine = SPGEngine(window_graph, cache_size=4096, max_workers=1)
+    engine = SPGEngine(window_graph, cache_size=4096, executor_backend="serial")
     sequential_seconds = 0.0
     batch_seconds = 0.0
     report = None

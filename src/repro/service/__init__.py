@@ -17,8 +17,8 @@ serving layer exploits.  This subsystem layers four things on top of
   :class:`~concurrent.futures.ProcessPoolExecutor` that runs CPU-bound EVE
   queries truly in parallel, its workers attached zero-copy to a
   shared-memory CSR segment when the platform supports it), all with
-  deterministic result ordering and per-query error isolation, all
-  producing identical batch reports and all awaitable from an event loop;
+  deterministic result ordering and per-query error isolation, and all
+  producing identical batch reports;
 * a **scratch pool** (:class:`ScratchPool`, re-exported from
   :mod:`repro.core.eve`) — reusable :class:`~repro.core.eve.QueryScratch`
   bundles (the distance, propagation and verification buffers of one
@@ -35,7 +35,8 @@ exposition via :meth:`EngineStats.to_prometheus` (the CLI's
 :class:`repro.telemetry.Tracer` (``--trace-out``); batches run
 synchronously (:meth:`SPGEngine.run_batch` / :meth:`SPGEngine.run_stream`)
 or from an event loop (:meth:`SPGEngine.run_batch_async` /
-:meth:`SPGEngine.astream`).  The subsystem also ships a command line
+:meth:`SPGEngine.astream`, which run the same batch path on a helper
+thread).  The subsystem also ships a command line
 (``python -m repro.service``) that loads a dataset, reads JSON-lines
 queries from a file or stdin, and emits JSON results; ``--strategy``
 selects the Figure-11 distance-search ablation path and ``--backend`` the
@@ -64,8 +65,6 @@ from repro.service.executor import (
     create_backend,
     default_worker_count,
     resolve_backend_name,
-    run_tasks,
-    run_tasks_async,
 )
 from repro.service.planner import BatchPlan, PlannedQuery, QueryGroup, plan_batch
 from repro.service.stats import EngineStats, LatencyWindow
@@ -85,8 +84,6 @@ __all__ = [
     "QueryGroup",
     "PlannedQuery",
     "plan_batch",
-    "run_tasks",
-    "run_tasks_async",
     "TaskError",
     "Call",
     "default_worker_count",

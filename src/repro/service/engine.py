@@ -74,7 +74,6 @@ from repro.service.executor import (
     ExecutorBackend,
     TaskError,
     create_backend,
-    default_worker_count,
     resolve_backend_name,
 )
 from repro.service.planner import BatchPlan, QueryGroup, plan_batch
@@ -115,11 +114,11 @@ class EngineConfig:
     plus the :meth:`eve_config` slice of this config — the serving-layer
     knobs (cache, planner, pool sizing) live exclusively in the parent.
 
-    ``shared_memory`` controls whether process-pool workers receive the
-    graph through a :class:`repro.graph.shm.SharedGraphSegment` (``None`` =
-    automatic: enabled whenever the platform supports it, with a silent
-    fallback to the pickled-graph path; ``True`` = required; ``False`` =
-    never).
+    ``shared_memory`` controls whether the workers of the engine's one
+    process pool receive the graph through a
+    :class:`repro.graph.shm.SharedGraphSegment` (``None`` = automatic:
+    enabled whenever the platform supports it, with a silent fallback to
+    the pickled-graph path; ``True`` = required; ``False`` = never).
     """
 
     strategy: str = "adaptive"
@@ -473,26 +472,6 @@ def _process_run_group(
     )
 
 
-def _bind_segment_to_backend(
-    backend: ExecutorBackend, segment: SharedGraphSegment
-) -> None:
-    """Tie a segment's unlink to ``backend.close()`` (transient pools).
-
-    Transient backends are closed by their checkout site's ``finally`` (or
-    the stream holder), which knows nothing about shared memory; wrapping
-    ``close`` keeps that contract.  Pool teardown runs first — workers
-    hold attachments — then the segment unlinks (at most once; its own GC
-    finalizer covers a backend that is dropped without ``close()``).
-    """
-    original_close = backend.close
-
-    def close_with_segment() -> None:
-        original_close()
-        segment.close()
-
-    backend.close = close_with_segment
-
-
 def _release_backend(
     backend: ExecutorBackend, segment: Optional[SharedGraphSegment]
 ) -> None:
@@ -505,66 +484,6 @@ def _release_backend(
     backend.close()
     if segment is not None:
         segment.close()
-
-
-def _warm_backend(backend: ExecutorBackend) -> ExecutorBackend:
-    """Eagerly spawn a backend's workers when it supports warming.
-
-    The async entry points call this from a helper thread so a cold process
-    pool's worker start-up (forkserver round trip + per-worker graph
-    pickling) never stalls the event loop; warmed pools return immediately.
-    """
-    warm = getattr(backend, "warm", None)
-    if warm is not None:
-        warm()
-    return backend
-
-
-class _TransientStreamBackend:
-    """Holder for a stream's width-override backend, revalidated per chunk.
-
-    Mirrors ``SPGEngine._ensure_backend`` for the transient case: a process
-    backend whose pool broke, or whose workers were initialised against a
-    graph the engine has since swapped away from, is closed and rebuilt so
-    the remainder of the stream keeps answering instead of erroring on the
-    worker-side fingerprint check.
-    """
-
-    def __init__(self, engine: "SPGEngine", max_workers: int) -> None:
-        self._engine = engine
-        self._max_workers = max_workers
-        self._backend: Optional[ExecutorBackend] = None
-        self._fingerprint: Optional[str] = None
-
-    def get(self) -> ExecutorBackend:
-        engine = self._engine
-        graph = engine._graph
-        backend = self._backend
-        if backend is not None and engine._backend_is_stale(
-            backend, self._fingerprint, graph
-        ):
-            backend.close()
-            backend = None
-        if backend is None:
-            backend = engine._build_backend(self._max_workers, graph)
-            self._backend = backend
-            self._fingerprint = graph.fingerprint()
-        return backend
-
-    def get_warm(self) -> ExecutorBackend:
-        """:meth:`get` plus an eager worker spawn (see :func:`_warm_backend`)."""
-        return _warm_backend(self.get())
-
-    def close(self) -> None:
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
-
-    async def aclose(self) -> None:
-        backend = self._backend
-        self._backend = None
-        if backend is not None:
-            await backend.aclose()
 
 
 @dataclass
@@ -593,7 +512,8 @@ class SPGEngine:
     cache_size:
         Maximum LRU entries; ``0`` disables the result cache entirely.
     max_workers:
-        Default pool size for batches (``None`` = available CPUs, capped).
+        Pool size of the engine's backend, which every batch uses
+        (``None`` = available CPUs, capped).
     min_group_size:
         Smallest ``(target, k)`` group that precomputes a shared backward
         pass (must be >= 2).
@@ -603,17 +523,18 @@ class SPGEngine:
         ``process`` backend is the one that actually runs CPU-bound EVE
         queries on multiple cores (threads are GIL-bound); it pays a
         one-time pool spin-up + graph share per served graph, so it wins on
-        multi-query CPU-bound batches and loses on tiny ones.  Pools are
-        built lazily, kept warm across batches, and released by
-        :meth:`close` (the engine is also a context manager).
+        multi-query CPU-bound batches and loses on tiny ones.  The engine
+        owns exactly one backend: built lazily, kept warm across batches
+        and streams, rebuilt only when a process pool goes stale, and
+        released by :meth:`close` (the engine is also a context manager).
     shared_memory:
         How process workers receive the served graph.  ``None`` (default)
-        = automatic: the persistent pool's workers attach to a
+        = automatic: the pool's workers attach to a
         :class:`repro.graph.shm.SharedGraphSegment` zero-copy when the
         platform supports it, with a silent fallback to the pickled-graph
-        initializer.  ``True`` requires the segment (construction of the
-        pool raises when shared memory is unavailable); ``False`` always
-        pickles.  Irrelevant for in-process backends.
+        initializer.  ``True`` requires the segment (the batch that builds
+        the pool raises when shared memory is unavailable); ``False``
+        always pickles.  Irrelevant for in-process backends.
     compact_threshold:
         Net overlay size (insert + delete edges relative to the last
         compacted base) at which :meth:`apply_delta` folds the
@@ -762,114 +683,55 @@ class SPGEngine:
                 raise
             return None
 
-    def _build_backend(
-        self, max_workers: Optional[int], graph: Optional[DiGraph] = None
-    ) -> ExecutorBackend:
-        """Build one *transient* backend (per-batch/stream width overrides).
+    def _build_persistent_backend(self, graph: DiGraph) -> ExecutorBackend:
+        """Build the engine's one backend, which every batch and stream uses.
 
-        Transient pools have no engine-tracked lifecycle slot for a
-        shared-memory block, so under the automatic setting they use the
-        pickled-graph initializer and only :meth:`_build_persistent_backend`
-        attaches workers to a tracked segment.  An explicit
-        ``shared_memory=True`` is a contract, though — workers must never
-        hold a pickled graph copy — so that case builds a segment here too
-        and ties its unlink to the backend's own ``close()``.
+        In-process backends share the parent's memory.  A process pool
+        either attaches its workers zero-copy to a shared segment, tracked
+        in ``self._segment`` and closed on staleness rebuilds,
+        :meth:`close` and the GC finalizer, or, when
+        :meth:`_create_segment` returns ``None``, installs a pickled copy
+        of the graph in each worker.
         """
         if self._backend_name != "process":
-            return create_backend(self._backend_name, max_workers)
-        graph = self._graph if graph is None else graph
-        if self._shared_memory:
-            segment = SharedGraphSegment(graph)  # required: failures propagate
-            backend = create_backend(
+            return create_backend(self._backend_name, self._max_workers)
+        segment = self._create_segment(graph)
+        if segment is None:
+            return create_backend(
                 "process",
-                max_workers,
-                initializer=_init_shared_process_worker,
-                initargs=(segment.descriptor, self._config),
+                self._max_workers,
+                initializer=_init_process_worker,
+                initargs=(graph, self._config),
             )
-            _bind_segment_to_backend(backend, segment)
-            return backend
+        self._segment = segment
         return create_backend(
             "process",
-            max_workers,
-            initializer=_init_process_worker,
-            initargs=(graph, self._config),
+            self._max_workers,
+            initializer=_init_shared_process_worker,
+            initargs=(segment.descriptor, self._config),
         )
 
-    def _build_persistent_backend(
-        self, max_workers: Optional[int], graph: DiGraph
-    ) -> ExecutorBackend:
-        """Build the engine-owned backend, with shared-memory workers.
-
-        When the segment can be created (see :meth:`_create_segment`), the
-        pool initializer attaches each worker to it zero-copy and the
-        segment is tracked in ``self._segment`` — closed on staleness
-        rebuilds, :meth:`close` and the GC finalizer.  Otherwise this
-        degrades to the transient (pickled-graph) builder.
-        """
-        if self._backend_name == "process":
-            segment = self._create_segment(graph)
-            if segment is not None:
-                backend = create_backend(
-                    "process",
-                    max_workers,
-                    initializer=_init_shared_process_worker,
-                    initargs=(segment.descriptor, self._config),
-                )
-                self._segment = segment
-                return backend
-        return self._build_backend(max_workers, graph)
-
-    def _backend_is_stale(
-        self,
-        backend: ExecutorBackend,
-        recorded_fingerprint: Optional[str],
-        graph: DiGraph,
-    ) -> bool:
-        """Whether ``backend`` can no longer serve ``graph`` and must rebuild.
-
-        Only the process backend can go stale: its workers are pinned to
-        the graph they were initialised with (compared by fingerprint) and
-        its pool can break on a worker death.  In-process backends share
-        the parent's memory and never need rebuilding.
-        """
-        return self._backend_name == "process" and (
-            getattr(backend, "broken", False)
-            or recorded_fingerprint != graph.fingerprint()
-        )
-
-    def _is_default_width(self, max_workers: int) -> bool:
-        """Whether an explicit width equals the engine's resolved default."""
-        configured = (
-            self._max_workers
-            if self._max_workers is not None
-            else default_worker_count()
-        )
-        return max_workers == configured
-
-    def _ensure_backend(self) -> ExecutorBackend:
-        """Return the persistent backend, (re)building it when necessary.
+    def _ensure_backend(self, graph: DiGraph) -> ExecutorBackend:
+        """Return the backend that serves ``graph``, (re)building it if needed.
 
         A process backend is pinned to the graph its workers were
-        initialised with: swapping to a graph with a different fingerprint
-        (or a broken pool after a worker death) closes the old pool and
-        lazily builds a fresh one.  Thread and serial backends share the
-        parent's memory and survive swaps untouched.  The graph is read
-        exactly once so a swap racing this method cannot record a
-        fingerprint for a pool initialised against a different graph; a
-        batch prepared against the other graph then fails loudly on the
-        worker-side fingerprint check and the *next* batch rebuilds.
+        initialised with: a ``graph`` with a different fingerprint (or a
+        broken pool after a worker death) closes the old pool and builds a
+        fresh one.  Thread and serial backends share the parent's memory
+        and survive swaps untouched.
         """
         with self._backend_lock:
-            graph = self._graph
             backend = self._backend
-            if backend is not None and self._backend_is_stale(
-                backend, self._backend_fingerprint, graph
+            if (
+                backend is not None
+                and self._backend_name == "process"
+                and (backend.broken or self._backend_fingerprint != graph.fingerprint())
             ):
                 backend.close()
                 backend = None
                 self._close_segment()
             if backend is None:
-                backend = self._build_persistent_backend(self._max_workers, graph)
+                backend = self._build_persistent_backend(graph)
                 self._backend = backend
                 self._backend_fingerprint = graph.fingerprint()
                 # Engines dropped without close() must not leak warm pools
@@ -891,34 +753,6 @@ class SPGEngine:
         self._segment = None
         if segment is not None:
             segment.close()
-
-    def _checkout_backend(
-        self, max_workers: Optional[int]
-    ) -> Tuple[ExecutorBackend, bool]:
-        """Return ``(backend, transient)`` for one batch execution.
-
-        ``max_workers=None`` — or any width equal to the engine's resolved
-        default — reuses the warm persistent backend; a genuinely different
-        width gets a one-shot backend that the caller must close after the
-        batch.  With the process backend that one-shot pays pool spin-up
-        plus a graph re-ship per call, so steady-state callers should size
-        the engine once instead of overriding per batch.
-        """
-        if max_workers is None or self._is_default_width(max_workers):
-            return self._ensure_backend(), False
-        return self._build_backend(max_workers), True
-
-    def _checkout_backend_warm(
-        self, max_workers: Optional[int]
-    ) -> Tuple[ExecutorBackend, bool]:
-        """:meth:`_checkout_backend` plus an eager worker spawn.
-
-        Used by the async entry points (from a helper thread): warming a
-        cold process pool here means the event loop never blocks on worker
-        start-up inside the first ``submit``.
-        """
-        backend, transient = self._checkout_backend(max_workers)
-        return _warm_backend(backend), transient
 
     def close(self) -> None:
         """Shut down the executor backend (idempotent; pools are released).
@@ -1195,11 +1029,7 @@ class SPGEngine:
     # Batches
     # ------------------------------------------------------------------
     def run_batch(
-        self,
-        queries: Iterable[QueryLike],
-        *,
-        max_workers: Optional[int] = None,
-        use_cache: bool = True,
+        self, queries: Iterable[QueryLike], *, use_cache: bool = True
     ) -> BatchReport:
         """Answer a batch of queries with caching and shared-work planning.
 
@@ -1208,88 +1038,67 @@ class SPGEngine:
         ``source`` / ``target`` / ``k`` keys.  Outcomes come back in input
         order; per-query failures — including malformed entries that cannot
         be normalised — are isolated into errored outcomes.  Execution runs
-        on the engine's configured backend; the report is identical for
-        every backend.
+        on the engine's backend; the report is identical for every backend.
+
+        This is the one batch path: :meth:`run_batch_async`,
+        :meth:`run_stream` and :meth:`astream` all call it.  The served
+        graph is read once, so the whole batch answers on one epoch even
+        when a swap lands while ``queries`` is being consumed.
         """
-        backend, transient = self._checkout_backend(max_workers)
-        try:
-            return self._run_batch_on(backend, queries, use_cache)
-        finally:
-            if transient:
-                backend.close()
+        graph = self._graph
+        backend = self._ensure_backend(graph)
+        started = time.perf_counter()
+        prepared = self._prepare_batch(graph, queries, use_cache)
+        group_results = backend.run(self._group_tasks(prepared, backend))
+        return self._finalize_batch(prepared, group_results, started)
 
     async def run_batch_async(
-        self,
-        queries: Iterable[QueryLike],
-        *,
-        max_workers: Optional[int] = None,
-        use_cache: bool = True,
+        self, queries: Iterable[QueryLike], *, use_cache: bool = True
     ) -> BatchReport:
         """Awaitable :meth:`run_batch` with an identical report.
 
-        Group execution is offloaded to the engine's backend pool and
-        awaited, so the event loop stays responsive while EVE runs; with the
-        ``process`` backend the batch is simultaneously async *and* truly
-        parallel across cores.  Overlapping calls on one engine are safe —
-        cache, stats and scratch pool are thread-safe — and each batch still
-        returns outcomes in its own input order.
+        The whole batch — cache lookups, planning, backend dispatch (and a
+        cold process pool's start-up), finalization — runs on a helper
+        thread, so the event loop stays responsive.  On the ``thread`` and
+        ``process`` backends EVE work itself stays on the backend's
+        workers, so ``max_workers`` bounds it however many calls overlap.
+        Overlapping calls on one engine are safe — cache, stats and scratch
+        pool are thread-safe — and each batch still returns outcomes in its
+        own input order.
         """
-        loop = asyncio.get_running_loop()
-        # Checking out may close, rebuild and warm a stale process pool
-        # (blocking teardown, worker spawn, graph re-ship); keep all of it
-        # off the event loop thread.
-        backend, transient = await loop.run_in_executor(
-            None, self._checkout_backend_warm, max_workers
-        )
-        try:
-            return await self._run_batch_async_on(backend, queries, use_cache)
-        finally:
-            if transient:
-                await backend.aclose()
+        return await asyncio.to_thread(self.run_batch, queries, use_cache=use_cache)
 
     def run_stream(
         self,
         queries: Iterable[QueryLike],
         *,
         batch_size: int = 64,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> Iterator[QueryOutcome]:
         """Serve an unbounded query stream in bounded-memory chunks.
 
         Outcomes are yielded in input order; each chunk of ``batch_size``
-        queries goes through the full batch pipeline (cache, planner,
-        executor), so a stream with repeated or target-grouped queries gets
-        the same wins as an explicit batch.
+        queries goes through :meth:`run_batch` (cache, planner, executor),
+        so a stream with repeated or target-grouped queries gets the same
+        wins as an explicit batch, and a graph swap mid-stream takes effect
+        from the next chunk.
         """
         if batch_size < 1:
             raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        stream_backend = self._checkout_stream_backend(max_workers)
-
-        def flush(chunk: List[QueryLike]) -> BatchReport:
-            if stream_backend is not None:
-                return self._run_batch_on(stream_backend.get(), chunk, use_cache)
-            return self.run_batch(chunk, max_workers=max_workers, use_cache=use_cache)
-
-        try:
-            chunk: List[QueryLike] = []
-            for query in queries:
-                chunk.append(query)
-                if len(chunk) >= batch_size:
-                    yield from flush(chunk)
-                    chunk = []
-            if chunk:
-                yield from flush(chunk)
-        finally:
-            if stream_backend is not None:
-                stream_backend.close()
+        chunk: List[QueryLike] = []
+        for query in queries:
+            chunk.append(query)
+            if len(chunk) >= batch_size:
+                yield from self.run_batch(chunk, use_cache=use_cache)
+                chunk = []
+        if chunk:
+            yield from self.run_batch(chunk, use_cache=use_cache)
 
     async def astream(
         self,
         queries,
         *,
         batch_size: int = 64,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> AsyncIterator[QueryOutcome]:
         """Async :meth:`run_stream`: accepts sync *or* async query iterables.
@@ -1300,20 +1109,6 @@ class SPGEngine:
         """
         if batch_size < 1:
             raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        stream_backend = self._checkout_stream_backend(max_workers)
-
-        async def flush(chunk: List[QueryLike]) -> BatchReport:
-            if stream_backend is not None:
-                # get_warm() may close, rebuild and warm a stale pool; runs
-                # on a helper thread so none of that blocks the event loop.
-                backend = await asyncio.get_running_loop().run_in_executor(
-                    None, stream_backend.get_warm
-                )
-                return await self._run_batch_async_on(backend, chunk, use_cache)
-            return await self.run_batch_async(
-                chunk, max_workers=max_workers, use_cache=use_cache
-            )
-
         if not hasattr(queries, "__aiter__"):
             sync_queries = queries
 
@@ -1323,65 +1118,25 @@ class SPGEngine:
 
             queries = aiter_sync()
 
-        try:
-            chunk: List[QueryLike] = []
-            async for query in queries:
-                chunk.append(query)
-                if len(chunk) >= batch_size:
-                    for outcome in await flush(chunk):
-                        yield outcome
-                    chunk = []
-            if chunk:
-                for outcome in await flush(chunk):
+        chunk: List[QueryLike] = []
+        async for query in queries:
+            chunk.append(query)
+            if len(chunk) >= batch_size:
+                for outcome in await self.run_batch_async(chunk, use_cache=use_cache):
                     yield outcome
-        finally:
-            if stream_backend is not None:
-                await stream_backend.aclose()
+                chunk = []
+        if chunk:
+            for outcome in await self.run_batch_async(chunk, use_cache=use_cache):
+                yield outcome
 
     # ------------------------------------------------------------------
-    # Batch internals (shared by the sync and async paths)
+    # Batch internals
     # ------------------------------------------------------------------
-    def _run_batch_on(
-        self, backend: ExecutorBackend, queries: Iterable[QueryLike], use_cache: bool
-    ) -> BatchReport:
-        """Run one batch on an already-checked-out backend."""
-        started = time.perf_counter()
-        prepared = self._prepare_batch(queries, use_cache)
-        group_results = backend.run(self._group_tasks(prepared, backend))
-        return self._finalize_batch(prepared, group_results, started)
-
-    async def _run_batch_async_on(
-        self, backend: ExecutorBackend, queries: Iterable[QueryLike], use_cache: bool
-    ) -> BatchReport:
-        """Awaitable :meth:`_run_batch_on`."""
-        started = time.perf_counter()
-        prepared = self._prepare_batch(queries, use_cache)
-        group_results = await backend.run_async(self._group_tasks(prepared, backend))
-        return self._finalize_batch(prepared, group_results, started)
-
-    def _checkout_stream_backend(
-        self, max_workers: Optional[int]
-    ) -> Optional[_TransientStreamBackend]:
-        """One transient backend holder for a whole stream, or ``None``.
-
-        Streams delegate each chunk to the batch path.  With the persistent
-        backend that is the right thing chunk by chunk (the per-chunk
-        ensure re-adapts to graph swaps mid-stream), but a width override
-        that maps to a *transient* backend must not rebuild a pool — for
-        the process backend: respawn workers and re-ship the graph — per
-        chunk; it is checked out once here, revalidated per chunk (graph
-        swap / broken pool) by the holder, and closed when the stream ends.
-        """
-        if max_workers is None or self._is_default_width(max_workers):
-            return None
-        return _TransientStreamBackend(self, max_workers)
-
     def _prepare_batch(
-        self, queries: Iterable[QueryLike], use_cache: bool
+        self, graph: DiGraph, queries: Iterable[QueryLike], use_cache: bool
     ) -> _PreparedBatch:
-        """Normalise, consult the cache, dedupe and plan one batch."""
+        """Normalise, consult the cache, dedupe and plan one batch on ``graph``."""
         raw_queries = list(queries)
-        graph = self._graph
         fingerprint = graph.fingerprint()
 
         normalized: List[Optional[Tuple[Vertex, Vertex, int]]] = []

@@ -30,18 +30,12 @@ Three backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
     multi-threaded parent risks deadlock), a copy-on-write share under an
     explicit ``fork`` override.
 
-Every backend is also awaitable: :meth:`ExecutorBackend.run_async`
-offloads tasks to a pool and awaits them, keeping the event loop
-responsive while batches execute.
-
-:func:`run_tasks` keeps the original thread-pool convenience API (and is
-now a thin wrapper over a transient backend); :func:`run_tasks_async` is
-its awaitable twin.
+Backends are synchronous; an event loop awaits a whole batch on a helper
+thread instead (see :meth:`repro.service.engine.SPGEngine.run_batch_async`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -60,8 +54,6 @@ __all__ = [
     "create_backend",
     "resolve_backend_name",
     "default_worker_count",
-    "run_tasks",
-    "run_tasks_async",
 ]
 
 #: Recognised backend names, in "least to most machinery" order.
@@ -70,9 +62,6 @@ EXECUTOR_BACKENDS = ("serial", "thread", "process")
 #: Environment variable consulted by :func:`resolve_backend_name` when no
 #: backend is named (engine construction, ``EngineConfig``, the CLI); lets
 #: CI exercise the whole service test suite on e.g. the process backend.
-#: The bare :func:`run_tasks`/:func:`run_tasks_async` helpers deliberately
-#: ignore it: their legacy callers pass closures, which would break under
-#: an environment-forced process backend.
 BACKEND_ENV_VAR = "REPRO_EXECUTOR_BACKEND"
 
 
@@ -156,7 +145,6 @@ def _submit_ordered(
     pool,
     fn: Callable[[Task], Any],
     tasks: Sequence[Task],
-    wrap: Optional[Callable[[Any], Any]] = None,
     on_failure: Optional[Callable[[BaseException], None]] = None,
 ) -> List[Any]:
     """Submit every task, degrading submit-time failures per task.
@@ -165,59 +153,28 @@ def _submit_ordered(
     its :class:`BrokenExecutor` subclass — a dead worker) becomes a
     pre-resolved :class:`TaskError` placeholder in the returned list, so
     batches keep their ordering and isolation guarantees instead of
-    escaping with an exception.  ``wrap`` optionally transforms each live
-    future (e.g. :func:`asyncio.wrap_future`); ``on_failure`` observes the
-    raw submit exception (e.g. to mark a process pool broken).
+    escaping with an exception.  ``on_failure`` observes the raw submit
+    exception (e.g. to mark a process pool broken).
     """
     entries: List[Any] = []
     for task in tasks:
         try:
-            future = pool.submit(fn, task)
+            entries.append(pool.submit(fn, task))
         except RuntimeError as exc:
             if on_failure is not None:
                 on_failure(exc)
             entries.append(TaskError(exc))
-        else:
-            entries.append(wrap(future) if wrap is not None else future)
     return entries
-
-
-async def _gather_ordered(futures: Sequence[Any], on_exception=None) -> List[Any]:
-    """Await wrapped futures interleaved with :class:`TaskError` placeholders.
-
-    ``futures`` holds :func:`asyncio.wrap_future` awaitables and/or
-    pre-resolved :class:`TaskError` entries (submit-time failures); results
-    come back in the same order.  A future that fails at the pool level
-    becomes a :class:`TaskError` too — ``on_exception`` (if given) sees the
-    raw exception first, e.g. to mark a process pool broken.  Awaiting each
-    future with try/except (rather than ``gather(return_exceptions=True)``)
-    keeps a task that *returns* an exception instance distinguishable from
-    a pool-level failure, matching the sync paths exactly; collection order
-    does not serialise execution — the pool already runs everything
-    concurrently.
-    """
-    results: List[Any] = []
-    for entry in futures:
-        if isinstance(entry, TaskError):
-            results.append(entry)
-            continue
-        try:
-            results.append(await entry)
-        except Exception as exc:  # noqa: BLE001 - pool-level failure
-            if on_exception is not None:
-                on_exception(exc)
-            results.append(TaskError(exc))
-    return results
 
 
 class ExecutorBackend:
     """Common interface of every execution backend.
 
-    Subclasses implement :meth:`run` (and may override :meth:`run_async`);
-    both return one entry per task, in task order, with per-task exceptions
-    captured as :class:`TaskError`.  Backends that own pools keep them warm
-    across calls; :meth:`close` releases them (idempotent, also invoked by
-    the context-manager protocol).
+    Subclasses implement :meth:`run`, which returns one entry per task, in
+    task order, with per-task exceptions captured as :class:`TaskError`.
+    Backends that own pools keep them warm across calls; :meth:`close`
+    releases them (idempotent, also invoked by the context-manager
+    protocol).
     """
 
     name: str = "base"
@@ -227,20 +184,8 @@ class ExecutorBackend:
     def run(self, tasks: Sequence[Task]) -> List[Any]:
         raise NotImplementedError
 
-    async def run_async(self, tasks: Sequence[Task]) -> List[Any]:
-        """Awaitable :meth:`run`; offloads to a thread so the loop stays free."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.run, list(tasks))
-
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
-
-    async def aclose(self) -> None:
-        """Awaitable :meth:`close`: the (possibly blocking) pool shutdown is
-        offloaded to a thread so an event loop tearing down a transient
-        backend stays responsive."""
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.close)
 
     def __enter__(self) -> "ExecutorBackend":
         return self
@@ -264,8 +209,15 @@ class SerialBackend(ExecutorBackend):
 class ThreadBackend(ExecutorBackend):
     """A persistent thread pool (today's default backend).
 
-    With ``max_workers <= 1`` (or a single task) everything runs inline on
-    the calling thread — same semantics, no pool overhead.
+    Every task goes to the pool, even a single task or at
+    ``max_workers=1``.  Running small batches inline would save a hand-off,
+    but then the number of callers, not the pool width, would bound how
+    many queries run at once.  Under
+    :meth:`~repro.service.engine.SPGEngine.run_batch_async` the callers are
+    the event loop's default-executor threads (``min(32, CPUs + 4)``), and
+    each running query holds a pooled :class:`~repro.core.eve.QueryScratch`
+    (about 20 MB at n=100k): with the inline shortcut, the HTTP server's
+    resident memory rose by about 15% on a 2-CPU machine.
     """
 
     name = "thread"
@@ -288,22 +240,11 @@ class ThreadBackend(ExecutorBackend):
             return self._pool
 
     def run(self, tasks: Sequence[Task]) -> List[Any]:
-        if self._workers <= 1 or len(tasks) <= 1:
-            return [_invoke(task) for task in tasks]
         # _invoke never raises, so result() only propagates pool-level failures.
         return [
             entry if isinstance(entry, TaskError) else entry.result()
             for entry in _submit_ordered(self._ensure_pool(), _invoke, tasks)
         ]
-
-    async def run_async(self, tasks: Sequence[Task]) -> List[Any]:
-        if not tasks:
-            return []
-        return await _gather_ordered(
-            _submit_ordered(
-                self._ensure_pool(), _invoke, tasks, wrap=asyncio.wrap_future
-            )
-        )
 
     def close(self) -> None:
         with self._pool_guard:
@@ -316,10 +257,6 @@ class ThreadBackend(ExecutorBackend):
             f"{type(self).__name__}(max_workers={self._workers}, "
             f"warm={self._pool is not None})"
         )
-
-
-def _noop() -> None:
-    return None
 
 
 class ProcessBackend(ExecutorBackend):
@@ -364,7 +301,6 @@ class ProcessBackend(ExecutorBackend):
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_guard = threading.Lock()
         self._broken = False
-        self._warmed = False
 
     @property
     def max_workers(self) -> int:
@@ -402,31 +338,7 @@ class ProcessBackend(ExecutorBackend):
                     initargs=self._initargs,
                 )
                 self._broken = False
-                self._warmed = False
             return self._pool
-
-    def warm(self) -> None:
-        """Spawn the worker pool now instead of at the first real submit.
-
-        Worker start-up (forkserver round trip plus per-worker initargs
-        pickling — the graph) otherwise happens inside ``submit`` on the
-        caller's thread; the engine's async paths call this from a helper
-        thread so a cold pool never stalls the event loop.  O(1) once warm;
-        best effort — a failing pool surfaces on the real batch, with the
-        usual degradation.
-        """
-        try:
-            pool = self._ensure_pool()
-            if self._warmed:
-                return
-            futures = [
-                pool.submit(_invoke, Call(_noop)) for _ in range(self._workers)
-            ]
-            for future in futures:
-                future.result()
-            self._warmed = True
-        except Exception:  # noqa: BLE001 - diagnosis belongs to the real batch
-            pass
 
     def _mark_broken(self, exc: BaseException) -> None:
         # Any submit-time failure means the pool can no longer be trusted;
@@ -453,22 +365,6 @@ class ProcessBackend(ExecutorBackend):
             entry if isinstance(entry, TaskError) else self._collect(entry)
             for entry in entries
         ]
-
-    def _note_failure(self, exc: BaseException) -> None:
-        if isinstance(exc, BrokenExecutor):
-            self._broken = True
-
-    async def run_async(self, tasks: Sequence[Task]) -> List[Any]:
-        if not tasks:
-            return []
-        futures = _submit_ordered(
-            self._ensure_pool(),
-            _invoke,
-            tasks,
-            wrap=asyncio.wrap_future,
-            on_failure=self._mark_broken,
-        )
-        return await _gather_ordered(futures, self._note_failure)
 
     def close(self) -> None:
         with self._pool_guard:
@@ -509,51 +405,3 @@ def create_backend(
         initargs=initargs,
         start_method=start_method,
     )
-
-
-def run_tasks(
-    tasks: Sequence[Task],
-    max_workers: Optional[int] = None,
-    backend: Union[None, str, ExecutorBackend] = None,
-) -> List[Any]:
-    """Run ``tasks`` and return one entry per task, in task order.
-
-    Each entry is the task's return value, or a :class:`TaskError` wrapping
-    the exception it raised.  ``backend`` may be a backend *name* (a
-    transient backend is created and closed around the call) or an existing
-    :class:`ExecutorBackend` (reused, left open — it runs at its *own*
-    width, so ``max_workers`` is ignored).  The default is the
-    original thread-pool behaviour: ``max_workers=None`` uses
-    :func:`default_worker_count` and the pool never exceeds the task count.
-    Unlike the engine-level resolution, ``backend=None`` here means
-    ``"thread"`` unconditionally — :data:`BACKEND_ENV_VAR` is *not*
-    consulted, so closure-based callers keep working whatever the
-    environment forces on the serving layer.
-    """
-    if isinstance(backend, ExecutorBackend):
-        return backend.run(tasks)
-    name = "thread" if backend is None else resolve_backend_name(backend)
-    workers = default_worker_count() if max_workers is None else max_workers
-    with create_backend(name, min(workers, max(1, len(tasks)))) as transient:
-        return transient.run(tasks)
-
-
-async def run_tasks_async(
-    tasks: Sequence[Task],
-    max_workers: Optional[int] = None,
-    backend: Union[None, str, ExecutorBackend] = None,
-) -> List[Any]:
-    """Awaitable :func:`run_tasks`: same ordering and isolation guarantees.
-
-    Tasks are offloaded to the chosen backend's pool and awaited, so a
-    running event loop stays responsive while the batch executes.
-    """
-    if isinstance(backend, ExecutorBackend):
-        return await backend.run_async(list(tasks))
-    name = "thread" if backend is None else resolve_backend_name(backend)
-    workers = default_worker_count() if max_workers is None else max_workers
-    transient = create_backend(name, min(workers, max(1, len(tasks))))
-    try:
-        return await transient.run_async(list(tasks))
-    finally:
-        await transient.aclose()

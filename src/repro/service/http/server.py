@@ -39,6 +39,7 @@ import asyncio
 import io
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -237,6 +238,13 @@ class HTTPFrontend:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
+        # Mutations get one thread of their own; they serialize on the
+        # engine's delta lock anyway.  Each graph generation is allocated
+        # in the malloc arena of the thread that builds it, and on the
+        # event loop's default executor (which every batch also runs on)
+        # mutations would spread over up to min(32, CPUs + 4) threads,
+        # each arena keeping old generations resident.
+        self._mutator = ThreadPoolExecutor(1, thread_name_prefix="repro-mutate")
 
     # ------------------------------------------------------------------
     @property
@@ -293,6 +301,7 @@ class HTTPFrontend:
         self._admission.begin_drain()
         drained = await self._admission.wait_drained(timeout)
         await self._coalescer.aclose()
+        self._mutator.shutdown(wait=False)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -573,7 +582,7 @@ class HTTPFrontend:
             loop = asyncio.get_running_loop()
             try:
                 report = await loop.run_in_executor(
-                    None, self._engine.apply_delta, delta
+                    self._mutator, self._engine.apply_delta, delta
                 )
             except EdgeError as exc:
                 raise HTTPError(400, str(exc)) from exc

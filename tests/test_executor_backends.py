@@ -9,11 +9,12 @@ backend is automatically held to the same contract; the differential tests
 then compare each backend's canonicalised report against the serial
 reference.
 
-Also covered here, per the executor-parallelism PR: concurrency stress
-(thread hammering, overlapping async batches, the scratch-pool no-sharing
-guard), pickling round trips for everything that crosses the process
-boundary (``DiGraph`` with its CSR views, configs, outcomes), and the
-affinity-aware ``default_worker_count``.
+Also covered here: concurrency stress (thread hammering, overlapping async
+batches, the in-flight bound the pool width sets, event-loop
+responsiveness, the scratch-pool no-sharing guard), pickling round trips
+for everything that crosses the process boundary (``DiGraph`` with its
+CSR views, configs, outcomes), and the affinity-aware
+``default_worker_count``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import time
 import pytest
 
 from repro import DiGraph, EVEConfig, SPGEngine, build_spg
+from repro.core.eve import EVE
 from repro.core.result import SimplePathGraphResult
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.queries.workload import random_reachable_queries
@@ -42,8 +44,6 @@ from repro.service import (
     create_backend,
     default_worker_count,
     resolve_backend_name,
-    run_tasks,
-    run_tasks_async,
 )
 from repro.service.engine import _process_run_group
 from repro.service.planner import plan_batch
@@ -146,8 +146,20 @@ def make_engine(graph, backend_name: str, **kwargs) -> SPGEngine:
     return SPGEngine(graph, executor_backend=backend_name, **kwargs)
 
 
+@pytest.fixture
+def slow_eve_queries(monkeypatch):
+    """Make every ``EVE.query`` sleep 20 ms so concurrent calls overlap."""
+    original = EVE.query
+
+    def slow_query(self, *args, **kwargs):
+        time.sleep(0.02)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EVE, "query", slow_query)
+
+
 # ----------------------------------------------------------------------
-# Executor-level contract (run_tasks / run_tasks_async across backends)
+# Executor-level contract (ExecutorBackend.run across backends)
 # ----------------------------------------------------------------------
 class TestExecutorContract:
     TASKS = (
@@ -167,36 +179,29 @@ class TestExecutorContract:
                 assert got == want
 
     def test_results_identical_across_backends(self, backend):
-        self._check(run_tasks(self.TASKS, max_workers=3, backend=backend))
-
-    def test_async_results_identical_across_backends(self, backend):
-        results = asyncio.run(
-            run_tasks_async(self.TASKS, max_workers=3, backend=backend)
-        )
-        self._check(results)
+        with create_backend(backend, 3) as instance:
+            self._check(instance.run(self.TASKS))
 
     def test_backend_instance_is_reused_not_closed(self, backend):
         with create_backend(backend, 2) as instance:
-            first = run_tasks(self.TASKS, backend=instance)
-            second = run_tasks(self.TASKS, backend=instance)
+            first = instance.run(self.TASKS)
+            second = instance.run(self.TASKS)
             self._check(first)
             self._check(second)
 
     def test_empty_task_list(self, backend):
-        assert run_tasks([], backend=backend) == []
+        with create_backend(backend, 2) as instance:
+            assert instance.run([]) == []
 
     def test_returned_exception_is_a_result_not_a_task_error(self, backend):
         # A task *returning* an exception instance is a legitimate result;
-        # only raising must produce TaskError — on the sync and async paths
-        # alike.
+        # only raising must produce TaskError.
         tasks = [Call(_return_exception), Call(_boom, ("raised",))]
-        for results in (
-            run_tasks(tasks, max_workers=2, backend=backend),
-            asyncio.run(run_tasks_async(tasks, max_workers=2, backend=backend)),
-        ):
-            assert isinstance(results[0], ValueError)
-            assert str(results[0]) == "returned, not raised"
-            assert isinstance(results[1], TaskError)
+        with create_backend(backend, 2) as instance:
+            results = instance.run(tasks)
+        assert isinstance(results[0], ValueError)
+        assert str(results[0]) == "returned, not raised"
+        assert isinstance(results[1], TaskError)
 
     def test_process_backend_isolates_unpicklable_tasks(self):
         # Closures cannot cross the process boundary; they must degrade to
@@ -209,7 +214,7 @@ class TestExecutorContract:
     def test_unknown_backend_rejected(self):
         for name in ("gpu", "async"):
             with pytest.raises(ValueError, match="unknown executor backend"):
-                run_tasks([Call(_square, (1,))], backend=name)
+                create_backend(name)
             with pytest.raises(ValueError, match="serial"):
                 resolve_backend_name(name)
 
@@ -359,7 +364,7 @@ class TestBackendLifecycle:
         with make_engine(graph, "process") as engine:
             engine.run_batch(queries)  # warm the pool
             group = plan_batch(queries).groups[0]
-            [entry] = engine._ensure_backend().run(
+            [entry] = engine._ensure_backend(graph).run(
                 [Call(_process_run_group, ("not-the-fingerprint", group, False))]
             )
         assert isinstance(entry, TaskError)
@@ -376,31 +381,11 @@ class TestBackendLifecycle:
             engine.clear_cache()
             assert canonical_report(engine.run_batch(queries)) == first
 
-    def test_stream_width_override_builds_one_transient_backend(self, backend):
-        # A per-stream width override must not rebuild a pool per chunk
-        # (for the process backend that would respawn workers and re-ship
-        # the graph every batch_size queries).
-        graph, queries = random_workload(10)
-        engine = make_engine(graph, backend)
-        builds = []
-        original = engine._build_backend
-
-        def counting_build(max_workers, g=None):
-            builds.append(max_workers)
-            return original(max_workers, g)
-
-        engine._build_backend = counting_build
-        try:
-            outcomes = list(engine.run_stream(iter(queries), batch_size=4, max_workers=1))
-        finally:
-            engine.close()
-        assert len(outcomes) == len(queries)
-        assert builds.count(1) == 1, builds
-
-    def test_stream_width_override_survives_graph_swap(self):
-        # The stream's transient process backend must re-adapt to a
-        # mid-stream graph swap (workers pinned to the old graph would
-        # otherwise fail the fingerprint check for the rest of the stream).
+    @pytest.mark.parametrize("consume", ["run_stream", "astream"])
+    def test_stream_survives_graph_swap(self, consume):
+        # A mid-stream graph swap must rebuild the process pool for the
+        # next chunk (workers pinned to the old graph would otherwise fail
+        # the fingerprint check for the rest of the stream).
         first_graph = erdos_renyi(24, 2.5, seed=30)
         second_graph = erdos_renyi(24, 2.5, seed=31)
         queries = random_reachable_queries(first_graph, 3, 6, seed=30).as_batch()
@@ -413,22 +398,44 @@ class TestBackendLifecycle:
             for query in queries[3:]:
                 yield query
 
+        async def consume_async():
+            return [outcome async for outcome in engine.astream(feed(), batch_size=3)]
+
         try:
-            outcomes = list(engine.run_stream(feed(), batch_size=3, max_workers=1))
+            if consume == "run_stream":
+                outcomes = list(engine.run_stream(feed(), batch_size=3))
+            else:
+                outcomes = asyncio.run(consume_async())
         finally:
             engine.close()
+        assert len(outcomes) == len(queries)
         for index, (outcome, query) in enumerate(zip(outcomes, queries)):
             graph = first_graph if index < 3 else second_graph
             assert outcome.ok, (index, outcome.error)
             assert outcome.edges == build_spg(graph, *query).edges
 
-    def test_explicit_max_workers_uses_transient_backend(self, backend):
-        graph, queries = random_workload(9)
-        with make_engine(graph, backend) as engine:
-            baseline = canonical_report(engine.run_batch(queries))
-            engine.clear_cache()
-            override = canonical_report(engine.run_batch(queries, max_workers=1))
-        assert override == baseline
+    def test_swap_while_batch_is_consumed_answers_on_admitted_graph(self):
+        # The batch reads the served graph once: a swap that lands while
+        # its queries are still being consumed must neither plan it on the
+        # new graph nor send it to workers pinned to the old one.
+        first_graph = erdos_renyi(24, 2.5, seed=30)
+        second_graph = erdos_renyi(24, 2.5, seed=31)
+        queries = random_reachable_queries(first_graph, 3, 6, seed=30).as_batch()
+        with make_engine(first_graph, "process", cache_size=0) as engine:
+            engine.run_batch(queries[:1])  # warm the pool on the first graph
+
+            def feed():
+                engine.set_graph(second_graph)
+                yield from queries
+
+            report = engine.run_batch(feed())
+            after = engine.run_batch(queries)
+        for outcome, query in zip(report, queries):
+            assert outcome.ok, outcome.error
+            assert outcome.edges == build_spg(first_graph, *query).edges
+        for outcome, query in zip(after, queries):
+            assert outcome.ok, outcome.error
+            assert outcome.edges == build_spg(second_graph, *query).edges
 
 
 # ----------------------------------------------------------------------
@@ -526,6 +533,89 @@ class TestConcurrencyStress:
             assert [sorted(outcome.edges) for outcome in report] == reference
         assert snapshot["queries_served"] == sum(len(w) for w in workloads)
         assert snapshot["errors"] == 0
+
+    def test_overlapping_async_single_query_batches_share_the_pool(
+        self, slow_eve_queries
+    ):
+        # run_batch_async runs each batch on a helper thread; the EVE work
+        # must still go to the backend's 2 pool threads, so at most 2
+        # queries hold a scratch at once however many batches overlap.
+        graph = power_law_cluster(32, 2, seed=15)
+        queries = random_reachable_queries(graph, 4, 8, seed=15).as_batch()
+
+        async def serve():
+            with make_engine(graph, "thread", cache_size=0) as engine:
+                reports = await asyncio.gather(
+                    *(engine.run_batch_async([query]) for query in queries)
+                )
+                return reports, engine.scratch_pool.allocations
+
+        reports, allocations = asyncio.run(serve())
+        for report, query in zip(reports, queries):
+            assert report.outcomes[0].edges == build_spg(graph, *query).edges
+        assert allocations <= 2, allocations
+
+    def test_concurrent_single_query_batches_share_the_pool(self, slow_eve_queries):
+        # The sync twin: 8 caller threads, one query each, still run at
+        # most 2 queries at once on a 2-thread backend.
+        graph = power_law_cluster(32, 2, seed=15)
+        queries = random_reachable_queries(graph, 4, 8, seed=15).as_batch()
+        results: dict = {}
+        with make_engine(graph, "thread", cache_size=0) as engine:
+
+            def serve(index: int) -> None:
+                results[index] = engine.run_batch([queries[index]])
+
+            threads = [
+                threading.Thread(target=serve, args=(index,))
+                for index in range(len(queries))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            allocations = engine.scratch_pool.allocations
+        for index, query in enumerate(queries):
+            assert results[index].outcomes[0].edges == build_spg(graph, *query).edges
+        assert allocations <= 2, allocations
+
+    @pytest.mark.parametrize("backend_name", ["serial", "thread"])
+    def test_event_loop_stays_responsive_during_a_batch(
+        self, backend_name, slow_eve_queries
+    ):
+        graph = power_law_cluster(40, 2, seed=16)
+        # Distinct queries: duplicates would be computed once.
+        queries = list(
+            dict.fromkeys(random_reachable_queries(graph, 4, 24, seed=16).as_batch())
+        )[:20]
+        assert len(queries) == 20
+
+        async def scenario():
+            gaps = []
+            running = True
+
+            async def ticker():
+                last = time.perf_counter()
+                while running:
+                    await asyncio.sleep(0.001)
+                    now = time.perf_counter()
+                    gaps.append(now - last)
+                    last = now
+
+            with make_engine(graph, backend_name, cache_size=0) as engine:
+                ticking = asyncio.create_task(ticker())
+                started = time.perf_counter()
+                report = await engine.run_batch_async(queries)
+                elapsed = time.perf_counter() - started
+                running = False
+                await ticking
+            return report, elapsed, gaps
+
+        report, elapsed, gaps = asyncio.run(scenario())
+        assert report.num_ok == len(queries)
+        assert elapsed >= 0.2, elapsed
+        assert max(gaps) < 0.05, max(gaps)
 
     def test_astream_accepts_async_iterables(self):
         graph = erdos_renyi(25, 2.5, seed=16)

@@ -17,6 +17,8 @@ import asyncio
 import json
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -235,7 +237,6 @@ class TestQueryCoalescer:
 # The HTTP server, end to end
 # ----------------------------------------------------------------------
 def _engine(graph, **kwargs):
-    kwargs.setdefault("executor_backend", "serial")
     kwargs.setdefault("cache_size", 0)
     return SPGEngine(graph, **kwargs)
 
@@ -761,6 +762,45 @@ class TestMutateEndpoint:
                     assert await frontend.shutdown(5.0)
 
         asyncio.run(scenario())
+
+    def test_concurrent_mutations_share_one_thread(self, small_dense_graph):
+        # Mutations run off the event loop on one thread of their own, so
+        # every graph generation is built in the same malloc arena.
+        threads = set()
+
+        async def scenario():
+            with _engine(small_dense_graph) as engine:
+                apply_delta = engine.apply_delta
+
+                def recording_apply_delta(delta):
+                    threads.add(threading.current_thread().name)
+                    time.sleep(0.01)
+                    return apply_delta(delta)
+
+                engine.apply_delta = recording_apply_delta
+                frontend = await _booted(engine)
+                try:
+                    edges = sorted(small_dense_graph.edge_set())[:4]
+                    responses = await asyncio.gather(
+                        *(
+                            request(
+                                frontend.address,
+                                None,
+                                "POST",
+                                "/mutate",
+                                body=json.dumps({"delete": [list(edge)]}).encode(),
+                            )
+                            for edge in edges
+                        )
+                    )
+                    assert [response.status for response in responses] == [200] * 4
+                    return engine.graph_epoch
+                finally:
+                    assert await frontend.shutdown(5.0)
+
+        assert asyncio.run(scenario()) == 4
+        assert len(threads) == 1, threads
+        assert threading.main_thread().name not in threads
 
     @pytest.mark.parametrize(
         "body, fragment",

@@ -38,9 +38,9 @@ from repro.service import (
     LatencyWindow,
     ResultCache,
     TaskError,
+    ThreadBackend,
     make_cache_key,
     plan_batch,
-    run_tasks,
 )
 from repro.service.workload_io import iter_query_lines, outcome_record, parse_query_line
 
@@ -223,22 +223,32 @@ class TestPlanner:
 class TestExecutor:
     def test_results_in_task_order(self):
         tasks = [lambda i=i: i * i for i in range(20)]
-        assert run_tasks(tasks, max_workers=8) == [i * i for i in range(20)]
+        with ThreadBackend(8) as backend:
+            assert backend.run(tasks) == [i * i for i in range(20)]
 
     def test_error_isolation(self):
         def boom():
             raise ValueError("boom")
 
-        results = run_tasks([lambda: 1, boom, lambda: 3], max_workers=4)
+        with ThreadBackend(4) as backend:
+            results = backend.run([lambda: 1, boom, lambda: 3])
         assert results[0] == 1 and results[2] == 3
         assert isinstance(results[1], TaskError)
         assert "boom" in results[1].message
 
-    def test_inline_path(self):
+    def test_single_worker_runs_tasks_in_order_off_the_caller_thread(self):
         order = []
-        tasks = [lambda i=i: order.append(i) for i in range(5)]
-        run_tasks(tasks, max_workers=1)
+        caller = threading.get_ident()
+        threads = set()
+
+        def task(i):
+            order.append(i)
+            threads.add(threading.get_ident())
+
+        with ThreadBackend(1) as backend:
+            backend.run([lambda i=i: task(i) for i in range(5)])
         assert order == list(range(5))
+        assert caller not in threads and len(threads) == 1
 
 
 # ----------------------------------------------------------------------

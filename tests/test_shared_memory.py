@@ -10,9 +10,10 @@ of `repro.service.SPGEngine`):
    (``close()`` / GC finalizer).
 2. **Shared-memory serving**: process-pool workers attach to the CSR
    arrays zero-copy instead of unpickling the graph, answer identically to
-   pickled workers, release the old segment on a graph swap, and dropping
-   an engine without ``close()`` leaks neither the block nor a
-   ``resource_tracker`` warning.
+   pickled workers, release the old segment on a graph swap, fall back to
+   pickled workers when the segment cannot be built (unless it is
+   required), and dropping an engine without ``close()`` leaks neither the
+   block nor a ``resource_tracker`` warning.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import textwrap
 
 import pytest
 
-from test_executor_backends import canonical_report, random_workload
+from test_executor_backends import canonical_report, make_engine, random_workload
 
 from repro import DiGraph, SPGEngine, build_spg
 from repro.graph.generators import erdos_renyi, power_law_cluster
@@ -136,19 +137,17 @@ class TestSharedMemoryServing:
             report = engine.run_batch(queries)
             assert all(outcome.ok for outcome in report)
             assert engine._segment is not None and not engine._segment.closed
-            probes = engine._ensure_backend().run([Call(_worker_graph_probe)] * 2)
+            probes = engine._ensure_backend(graph).run([Call(_worker_graph_probe)] * 2)
             for probe in probes:
                 assert probe["shared"], probe
                 assert probe["graph_type"] == "CSRGraphView"
                 assert probe["fingerprint"] == graph.fingerprint()
         assert engine._segment is None  # released by close()
 
-    def test_required_shared_memory_covers_transient_pools(self):
-        # shared_memory=True is a contract: even a per-batch width override
-        # (which checks out a *transient* pool) must attach its workers to
-        # a segment instead of pickling, and must unlink it on close.
+    def test_required_shared_memory_attaches_and_unlinks(self):
         graph = erdos_renyi(24, 2.5, seed=26)
         queries = random_reachable_queries(graph, 4, 6, seed=26).as_batch()
+
         def live_segments():
             return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
@@ -156,16 +155,34 @@ class TestSharedMemoryServing:
         with SPGEngine(
             graph, executor_backend="process", max_workers=2, shared_memory=True
         ) as engine:
-            backend, transient = engine._checkout_backend(1)
-            assert transient
-            try:
-                probes = backend.run([Call(_worker_graph_probe)])
-                assert probes[0]["shared"], probes
-            finally:
-                backend.close()
-            report = engine.run_batch(queries, max_workers=1)
+            report = engine.run_batch(queries)
             assert all(outcome.ok for outcome in report)
+            probes = engine._ensure_backend(graph).run([Call(_worker_graph_probe)] * 2)
+            assert all(probe["shared"] for probe in probes), probes
         assert live_segments() <= baseline  # nothing leaked
+
+    def test_segment_failure_policy(self, monkeypatch):
+        # Automatic mode treats a failed segment as "unsupported here" and
+        # pickles the graph into each worker; required mode raises.
+        def no_shared_memory(graph):
+            raise OSError("no shared memory here")
+
+        monkeypatch.setattr(
+            "repro.service.engine.SharedGraphSegment", no_shared_memory
+        )
+        graph, queries = random_workload(9)
+        with make_engine(graph, "serial") as reference_engine:
+            reference = canonical_report(reference_engine.run_batch(queries))
+        with SPGEngine(graph, executor_backend="process", max_workers=2) as engine:
+            assert canonical_report(engine.run_batch(queries)) == reference
+            assert engine._segment is None
+            [probe] = engine._ensure_backend(graph).run([Call(_worker_graph_probe)])
+            assert not probe["shared"]
+        with SPGEngine(
+            graph, executor_backend="process", max_workers=2, shared_memory=True
+        ) as engine:
+            with pytest.raises(OSError, match="no shared memory here"):
+                engine.run_batch(queries)
 
     def test_shared_memory_false_pickles_instead(self):
         graph = erdos_renyi(24, 2.5, seed=26)
@@ -175,7 +192,7 @@ class TestSharedMemoryServing:
         ) as engine:
             engine.run_batch(queries)
             assert engine._segment is None
-            probes = engine._ensure_backend().run([Call(_worker_graph_probe)])
+            probes = engine._ensure_backend(graph).run([Call(_worker_graph_probe)])
             assert not probes[0]["shared"]
             assert probes[0]["graph_type"] == "DiGraph"
 
