@@ -381,6 +381,38 @@ class TestBackendLifecycle:
             engine.clear_cache()
             assert canonical_report(engine.run_batch(queries)) == first
 
+    def test_stream_chunks_share_one_backend(self, backend):
+        # Every chunk of a stream must run on the engine's one backend, not
+        # rebuild a pool per chunk (for the process backend that would
+        # respawn workers and re-ship the graph every batch_size queries).
+        graph, queries = random_workload(10)
+        engine = make_engine(graph, backend, cache_size=0)
+        builds = []
+        original = engine._build_persistent_backend
+
+        def counting_build(g):
+            builds.append(g.fingerprint())
+            return original(g)
+
+        engine._build_persistent_backend = counting_build
+
+        async def consume_async():
+            return [
+                outcome async for outcome in engine.astream(iter(queries), batch_size=4)
+            ]
+
+        try:
+            synced = list(engine.run_stream(iter(queries), batch_size=4))
+            awaited = asyncio.run(consume_async())
+        finally:
+            engine.close()
+        assert builds == [graph.fingerprint()], builds
+        for outcomes in (synced, awaited):
+            assert len(outcomes) == len(queries)
+            for outcome, query in zip(outcomes, queries):
+                assert outcome.ok, outcome.error
+                assert outcome.edges == build_spg(graph, *query).edges
+
     @pytest.mark.parametrize("consume", ["run_stream", "astream"])
     def test_stream_survives_graph_swap(self, consume):
         # A mid-stream graph swap must rebuild the process pool for the
