@@ -1,10 +1,11 @@
 """Dynamic graphs: delta-overlay apply cost vs full CSR rebuild.
 
 The point of the overlay design is that a small batch of edge changes
-should cost work proportional to the *touched rows*, not the whole
-graph: untouched adjacency rows are shared by reference and untouched
-CSR runs are spliced with bulk array copies.  This benchmark makes that
-claim concrete on a graph large enough for the difference to matter:
+should cost Python work proportional to the *touched rows*, not the
+whole graph: the touched rows are rebuilt from their CSR slices and the
+untouched CSR runs are spliced with bulk array copies.  This benchmark
+makes that claim concrete on a graph large enough for the difference to
+matter:
 
 * **apply vs rebuild** — applying a small :class:`GraphDelta` through
   :func:`repro.graph.delta.apply_delta` (including the spliced CSR)

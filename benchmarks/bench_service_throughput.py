@@ -21,9 +21,9 @@ assertion is skipped — there is nothing to parallelise — but the
 identical-answers check still runs.
 
 A shared-memory measurement checks the process pool's zero-copy claim:
-per-worker peak RSS for spawn-family pools must *drop* when workers attach
-to the shared-memory CSR segment instead of unpickling the graph (asserted
-via worker probes).
+per-worker peak RSS for spawn-family pools must *drop* by most of one copy
+of the CSR arrays when workers attach to the shared-memory CSR segment
+instead of unpickling the graph (asserted via worker probes).
 
 A telemetry measurement guards the observability PR's overhead claim:
 with tracing *disabled* (no tracer, or a disabled tracer the engine
@@ -62,10 +62,11 @@ TRACING_DISABLED_SLACK = 0.03
 #: enabled bar is looser than the disabled one.
 TRACING_ENABLED_SLACK = 0.15
 
-#: Minimum per-worker peak-RSS saving (KB) the shared-memory CSR segment
-#: must deliver over pickled-graph workers on the RSS benchmark graph (the
-#: measured saving is ~26 MB; 8 MB leaves slack for allocator noise).
-SHARED_MEMORY_RSS_SAVING_KB = 8 * 1024
+#: Minimum per-worker peak-RSS saving of shared-memory workers over
+#: pickled-graph workers, as a fraction of the one CSR copy sharing saves
+#: each worker: ``16 * (n + 1) + 16 * m`` bytes (fixed before measuring;
+#: the rest is slack for allocator noise).
+SHARED_MEMORY_RSS_SAVING_FRACTION = 0.8
 
 
 def _grouped_workload(scale) -> Tuple[object, List[Tuple[int, int, int]]]:
@@ -261,10 +262,11 @@ def test_service_shared_memory_worker_rss(benchmark, show_table):
 
     The pool start method defaults to ``forkserver`` (spawn family: workers
     never inherit the parent's graph copy-on-write), so worker RSS isolates
-    how the graph *arrives*: unpickling rebuilds adjacency lists and the
-    edge set per worker, while attaching to the shared segment maps the CSR
-    arrays zero-copy.  The probe also proves no unpickling happened — the
-    worker graph must be the shared ``CSRGraphView``.
+    how the graph *arrives*: unpickling gives each worker its own copy of
+    the CSR arrays, while attaching to the shared segment maps them
+    zero-copy.  The saving must reach a fixed fraction of one CSR copy.
+    The probe also proves no unpickling happened — the worker graph's CSR
+    buffers must be memoryviews into the shared block.
     """
     graph = erdos_renyi(15_000, 8.0, seed=1, name="rss-bench")
     workers = min(2, default_worker_count())
@@ -287,15 +289,15 @@ def test_service_shared_memory_worker_rss(benchmark, show_table):
             peaks[shared] = serve()
     shared_peak, shared_flag = peaks[True]
     pickled_peak, pickled_flag = peaks[False]
-    assert shared_flag, "shared-memory workers must serve the CSRGraphView"
-    assert not pickled_flag, "pickled workers must not report a shared view"
+    assert shared_flag, "shared-memory workers must read the shared CSR buffers"
+    assert not pickled_flag, "pickled workers must not report shared CSR buffers"
     show_table(
         [
             {
                 "graph": graph.name,
                 "edges": graph.num_edges,
                 "workers": workers,
-                "worker graph": "shared-memory view" if shared else "pickled DiGraph",
+                "worker graph": "shared-memory buffers" if shared else "pickled copy",
                 "peak_rss_mb": round(peak / 1024.0, 1),
             }
             for shared, (peak, _) in sorted(peaks.items(), reverse=True)
@@ -303,10 +305,13 @@ def test_service_shared_memory_worker_rss(benchmark, show_table):
         "Shared-memory workers: per-worker peak RSS, shared segment vs pickled graph",
     )
     saving = pickled_peak - shared_peak
-    assert saving >= SHARED_MEMORY_RSS_SAVING_KB, (
-        f"expected shared-memory workers to save >= "
-        f"{SHARED_MEMORY_RSS_SAVING_KB} KB of peak RSS over pickled-graph "
-        f"workers, got {saving} KB ({shared_peak} vs {pickled_peak})"
+    csr_copy_kb = (16 * (graph.num_vertices + 1) + 16 * graph.num_edges) / 1024
+    bar_kb = SHARED_MEMORY_RSS_SAVING_FRACTION * csr_copy_kb
+    assert saving >= bar_kb, (
+        f"expected shared-memory workers to save >= {bar_kb:.0f} KB of peak "
+        f"RSS over pickled-graph workers ({SHARED_MEMORY_RSS_SAVING_FRACTION} "
+        f"of one {csr_copy_kb:.0f} KB CSR copy), got {saving} KB "
+        f"({shared_peak} vs {pickled_peak})"
     )
 
 

@@ -1,13 +1,13 @@
 """Directed-graph substrate used by every algorithm in the library.
 
 The central class is :class:`~repro.graph.digraph.DiGraph`, a compact
-adjacency-list directed graph with dense integer vertex ids.  Helper modules
-provide construction from raw edge lists (:mod:`repro.graph.builder`),
-edge-list I/O (:mod:`repro.graph.io`), synthetic generators
-(:mod:`repro.graph.generators`), structural statistics
+directed graph with dense integer vertex ids, stored as CSR arrays.
+Helper modules provide construction from raw edge lists
+(:mod:`repro.graph.builder`), edge-list I/O (:mod:`repro.graph.io`),
+synthetic generators (:mod:`repro.graph.generators`), structural statistics
 (:mod:`repro.graph.properties`), edge-induced subgraphs
-(:mod:`repro.graph.subgraph`), shared-memory CSR segments with
-zero-copy graph views for process-pool workers (:mod:`repro.graph.shm`)
+(:mod:`repro.graph.subgraph`), shared-memory CSR segments that
+process-pool workers attach to zero-copy (:mod:`repro.graph.shm`)
 and batched edge mutations applied as CSR overlays
 (:mod:`repro.graph.delta`).
 """
@@ -17,7 +17,6 @@ from repro.graph.delta import DeltaOverlayView, GraphDelta, apply_delta
 from repro.graph.digraph import DiGraph
 from repro.graph.shm import (
     AttachedGraphSegment,
-    CSRGraphView,
     SharedGraphDescriptor,
     SharedGraphSegment,
     attach_shared_graph,
@@ -37,7 +36,6 @@ __all__ = [
     "SharedGraphSegment",
     "SharedGraphDescriptor",
     "AttachedGraphSegment",
-    "CSRGraphView",
     "attach_shared_graph",
     "shared_memory_available",
 ]

@@ -17,13 +17,13 @@ This module adds a delta layer that preserves the immutability contract:
   :class:`DeltaOverlayView`.  The input graph is never mutated; in-flight
   readers of the old graph are undisturbed.
 * :class:`DeltaOverlayView` — a full :class:`DiGraph` whose storage is
-  built by *overlaying* the delta on the previous graph's arrays: rows of
-  untouched vertices are shared by reference, the CSR views are spliced
-  from the previous CSR at slice-copy speed (no per-edge Python loop, no
-  re-validation, no fingerprint sort), and the fingerprint is a **lineage
-  hash** chained from the previous epoch in O(|delta| log |delta|).
-  ``compact()`` folds the overlay bookkeeping away once it grows past a
-  threshold, resetting the lineage root.
+  built by *overlaying* the delta on the previous graph's CSR pairs: the
+  rows the delta touches are rebuilt from their CSR slices, everything
+  else is spliced from the previous CSR at slice-copy speed (no per-edge
+  Python loop, no re-validation, no fingerprint sort), and the
+  fingerprint is a **lineage hash** chained from the previous epoch in
+  O(|delta| log |delta|).  ``compact()`` folds the overlay bookkeeping
+  away once it grows past a threshold, resetting the lineage root.
 
 Fingerprint lineage
 -------------------
@@ -211,8 +211,7 @@ def _splice_csr(
     sliced wholesale while the cumulative length shift is zero and
     list-comprehension-shifted after the first resized row.  Cost is
     O(n + m) in C-level copies plus O(changed degree) Python work —
-    measured well under a from-scratch ``_build_csr`` over rebuilt
-    adjacency, and far under full ``DiGraph`` construction.
+    far under full ``DiGraph`` construction.
     """
     base_offsets, base_targets = base
     offsets = array("q", [0])
@@ -245,15 +244,13 @@ def _splice_csr(
 class DeltaOverlayView(DiGraph):
     """A :class:`DiGraph` built by overlaying a delta on a previous epoch.
 
-    A view is a *complete, independent* graph — every kernel, partitioner,
-    pickler and shared-memory segment consumes it exactly like a base
-    graph — but its storage is derived from the previous epoch instead of
-    rebuilt: adjacency rows of untouched vertices are shared by reference,
-    the CSR views are spliced from the previous CSR arrays, and the
-    fingerprint is a lineage hash (see the module docstring).  The view
-    does **not** retain a reference to the previous graph object, so
-    retired epochs are garbage-collected as soon as their last in-flight
-    query completes; only immutable rows survive, shared.
+    A view is a *complete, independent* graph — every kernel, pickler
+    and shared-memory segment consumes it exactly like a base graph — but
+    its storage is derived from the previous epoch instead of rebuilt: the
+    CSR pairs are spliced from the previous CSR pairs, and the fingerprint
+    is a lineage hash (see the module docstring).  The view shares no
+    storage with the previous graph, so retired epochs are
+    garbage-collected as soon as their last in-flight query completes.
 
     Construct views with :func:`apply_delta`, never directly.
     """
@@ -310,21 +307,19 @@ class DeltaOverlayView(DiGraph):
 
         The merged storage already lives on this view, so compaction is
         O(1): it strips the overlay bookkeeping (resetting the lineage
-        root for future deltas) and shares every structural field.  The
-        compacted graph deliberately **keeps the lineage fingerprint** so
-        result caches and warm worker pools keyed on it survive
-        compaction — see the module docstring for why that is sound.
+        root for future deltas) and shares the CSR pairs.  The compacted
+        graph deliberately **keeps the lineage fingerprint** so result
+        caches and warm worker pools keyed on it survive compaction — see
+        the module docstring for why that is sound.
         """
-        graph = DiGraph._shell(self._n, name or self.name)
-        graph._out = self._out
-        graph._in = self._in
-        graph._edge_set = self._edge_set
-        graph._m = self._m
-        graph._fingerprint = self._fingerprint
-        graph._csr = self._csr
-        graph._csr_rev = self._csr_rev
-        graph._max_degree = self._max_degree
-        return graph
+        return DiGraph._from_csr(
+            self._n,
+            self._csr,
+            self._csr_rev,
+            name or self.name,
+            fingerprint=self._fingerprint,
+            max_degree=self._max_degree,
+        )
 
     # ------------------------------------------------------------------
     # Pickling: a worker only needs DiGraph behaviour, so the inherited
@@ -348,23 +343,20 @@ class DeltaOverlayView(DiGraph):
         )
 
 
-def _merged_rows(
-    rows: List[List[Vertex]],
+def _changed_rows(
+    csr: CSR,
     deletes_by_key: Dict[Vertex, Set[Vertex]],
     inserts_by_key: Dict[Vertex, List[Vertex]],
 ) -> Dict[Vertex, List[Vertex]]:
-    """Return fresh merged rows for every touched vertex (others untouched)."""
+    """Return the merged row of every touched vertex, read from its CSR slice."""
+    offsets, targets = csr
     merged: Dict[Vertex, List[Vertex]] = {}
-    for key in set(deletes_by_key) | set(inserts_by_key):
-        base_row = rows[key]
+    for key in deletes_by_key.keys() | inserts_by_key.keys():
+        row = targets[offsets[key]:offsets[key + 1]].tolist()
         dropped = deletes_by_key.get(key)
         if dropped:
-            row = [other for other in base_row if other not in dropped]
-        else:
-            row = list(base_row)
-        added = inserts_by_key.get(key)
-        if added:
-            row.extend(added)
+            row = [other for other in row if other not in dropped]
+        row.extend(inserts_by_key.get(key, ()))
         merged[key] = row
     return merged
 
@@ -386,13 +378,13 @@ def apply_delta(
     """
     delta.validate_for(graph)
     n = graph.num_vertices
-    prev_edges = graph._edge_set
+    has_edge = graph.has_edge
 
-    applied_inserts = tuple(e for e in delta.inserts if e not in prev_edges)
-    applied_deletes = tuple(e for e in delta.deletes if e in prev_edges)
+    applied_inserts = tuple(e for e in delta.inserts if not has_edge(*e))
+    applied_deletes = tuple(e for e in delta.deletes if has_edge(*e))
 
-    # Merge adjacency: shared row pointers for untouched vertices, fresh
-    # rows only where the delta actually lands.
+    # Rebuild only the rows the delta actually lands on; the splice copies
+    # every other row from the previous CSR pairs.
     del_out: Dict[Vertex, Set[Vertex]] = {}
     del_in: Dict[Vertex, Set[Vertex]] = {}
     for u, v in applied_deletes:
@@ -403,20 +395,10 @@ def apply_delta(
     for u, v in applied_inserts:
         ins_out.setdefault(u, []).append(v)
         ins_in.setdefault(v, []).append(u)
-
-    merged_out = _merged_rows(graph._out, del_out, ins_out)
-    merged_in = _merged_rows(graph._in, del_in, ins_in)
-
-    out_rows = list(graph._out)
-    in_rows = list(graph._in)
-    for u, row in merged_out.items():
-        out_rows[u] = row
-    for v, row in merged_in.items():
-        in_rows[v] = row
-
-    edge_set = set(prev_edges)
-    edge_set.difference_update(applied_deletes)
-    edge_set.update(applied_inserts)
+    csr, csr_rev = graph.csr(), graph.csr_reverse()
+    if applied_inserts or applied_deletes:
+        csr = _splice_csr(csr, _changed_rows(csr, del_out, ins_out), n)
+        csr_rev = _splice_csr(csr_rev, _changed_rows(csr_rev, del_in, ins_in), n)
 
     # Net overlay relative to the lineage root.  An applied insert that the
     # root already had (it sits in the previous overlay's delete set)
@@ -440,11 +422,7 @@ def apply_delta(
         else:
             overlay_deletes.add(edge)
 
-    view = DeltaOverlayView._shell(n, name or graph.name)
-    view._out = out_rows
-    view._in = in_rows
-    view._edge_set = edge_set
-    view._m = len(edge_set)
+    view = DeltaOverlayView._from_csr(n, csr, csr_rev, name or graph.name)
     view._root_fingerprint = root_fingerprint
     view._overlay_inserts = frozenset(overlay_inserts)
     view._overlay_deletes = frozenset(overlay_deletes)
@@ -458,10 +436,4 @@ def apply_delta(
         view._fingerprint = _lineage_fingerprint(
             root_fingerprint, n, view._overlay_inserts, view._overlay_deletes
         )
-    if applied_inserts or applied_deletes:
-        view._csr = _splice_csr(graph.csr(), merged_out, n)
-        view._csr_rev = _splice_csr(graph.csr_reverse(), merged_in, n)
-    else:
-        view._csr = graph._csr
-        view._csr_rev = graph._csr_rev
     return view

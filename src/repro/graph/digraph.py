@@ -1,10 +1,14 @@
 """A compact directed graph with dense integer vertex ids.
 
 :class:`DiGraph` is the single graph representation used throughout the
-library.  It stores forward and reverse adjacency lists as plain Python
-lists, which keeps neighbour iteration fast in CPython (no attribute lookups
-per step beyond a single list indexing) and keeps memory predictable for the
-graph sizes targeted by this reproduction (10^3 - 10^5 edges).
+library.  Its only storage is two CSR (compressed sparse row) pairs of
+flat integer buffers, one per direction: ``targets[offsets[u]:offsets[u + 1]]``
+are the out-neighbours of ``u`` in the forward pair and its in-neighbours
+in the reverse pair.  The buffers are owned ``array('q')`` objects, or
+``memoryview``s into a shared-memory block when a process-pool worker
+attaches to one (:mod:`repro.graph.shm`).  Every kernel reads the pairs
+directly, and no per-edge Python object outlives construction, so a graph
+holds 16 bytes per edge and 16 per vertex.
 
 Design notes
 ------------
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from itertools import accumulate
+from operator import sub
 from struct import pack
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -30,32 +36,45 @@ from repro.exceptions import EdgeError, GraphError, VertexError
 
 __all__ = ["DiGraph"]
 
-CSR = Tuple[array, array]
+#: ``(offsets, targets)``: ``array('q')`` pairs, or ``memoryview``s of
+#: format ``'q'`` over a shared-memory block.
+CSR = Tuple[Sequence[int], Sequence[Vertex]]
 
 
-def _build_csr(adjacency: Sequence[Sequence[Vertex]]) -> CSR:
-    """Flatten adjacency lists into ``(offsets, targets)`` ``array('q')`` pairs.
+def _group_rows(num_vertices: int, keys: List[Vertex], values: List[Vertex]) -> CSR:
+    """Counting-sort ``values`` by ``keys`` into an ``(offsets, targets)`` pair.
 
-    ``targets[offsets[u]:offsets[u + 1]]`` are the neighbours of ``u``.  The
-    compact layout is what the distance kernels in
-    :mod:`repro.core.distances` iterate: slicing an ``array('q')`` is a
-    single memcpy (no per-element refcounting), which makes neighbour scans
-    measurably faster than walking list-of-list adjacency in CPython.
+    Each row lists its values in input order, so a graph's CSR keeps the
+    insertion order of its edges — which fixes search order, and with it
+    every work counter, downstream.
     """
-    offsets = array("q", [0])
-    targets = array("q")
-    append_offset = offsets.append
-    extend_targets = targets.extend
-    total = 0
-    for neighbors in adjacency:
-        total += len(neighbors)
-        append_offset(total)
-        extend_targets(neighbors)
+    counts = [0] * (num_vertices + 1)
+    for key in keys:
+        counts[key + 1] += 1
+    offsets = array("q", accumulate(counts))
+    cursor = offsets.tolist()
+    targets = array("q", bytes(8 * len(keys)))
+    for key, value in zip(keys, values):
+        slot = cursor[key]
+        targets[slot] = value
+        cursor[key] = slot + 1
     return offsets, targets
 
 
+def _rows(csr: CSR) -> Iterator[Sequence[Vertex]]:
+    """Yield the rows of ``csr`` in vertex order."""
+    offsets, targets = csr
+    for u in range(len(offsets) - 1):
+        yield targets[offsets[u]:offsets[u + 1]]
+
+
+def _owned(csr: CSR) -> CSR:
+    """``csr`` as ``array('q')`` pairs, copying any shared buffer."""
+    return tuple(part if isinstance(part, array) else array("q", part) for part in csr)
+
+
 class DiGraph:
-    """An immutable directed graph backed by adjacency lists.
+    """An immutable directed graph stored as forward and reverse CSR pairs.
 
     Parameters
     ----------
@@ -78,13 +97,9 @@ class DiGraph:
 
     __slots__ = (
         "_n",
-        "_m",
-        "_out",
-        "_in",
-        "_edge_set",
-        "_fingerprint",
         "_csr",
         "_csr_rev",
+        "_fingerprint",
         "_max_degree",
         "name",
     )
@@ -97,30 +112,27 @@ class DiGraph:
     ) -> None:
         if num_vertices < 0:
             raise GraphError(f"num_vertices must be non-negative, got {num_vertices}")
-        self._n = int(num_vertices)
-        self.name = name
-        out: List[List[Vertex]] = [[] for _ in range(self._n)]
-        in_: List[List[Vertex]] = [[] for _ in range(self._n)]
-        edge_set: Set[Edge] = set()
+        n = int(num_vertices)
+        # Duplicates collapse to their first occurrence.  The set of seen
+        # edges is freed before the CSR pairs are built, which keeps the
+        # peak low; no per-edge object outlives the constructor.
+        seen: Set[Edge] = set()
+        sources: List[Vertex] = []
+        targets: List[Vertex] = []
         for u, v in edges:
-            if not (0 <= u < self._n) or not (0 <= v < self._n):
-                raise EdgeError(
-                    f"edge ({u}, {v}) has endpoints outside [0, {self._n})"
-                )
-            if u == v:
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise EdgeError(f"edge ({u}, {v}) has endpoints outside [0, {n})")
+            if u == v or (u, v) in seen:
                 continue
-            if (u, v) in edge_set:
-                continue
-            edge_set.add((u, v))
-            out[u].append(v)
-            in_[v].append(u)
-        self._out = out
-        self._in = in_
-        self._edge_set = edge_set
-        self._m = len(edge_set)
+            seen.add((u, v))
+            sources.append(u)
+            targets.append(v)
+        del seen
+        self._n = n
+        self.name = name
+        self._csr = _group_rows(n, sources, targets)
+        self._csr_rev = _group_rows(n, targets, sources)
         self._fingerprint: Optional[str] = None
-        self._csr: Optional[CSR] = None
-        self._csr_rev: Optional[CSR] = None
         self._max_degree: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -134,7 +146,7 @@ class DiGraph:
     @property
     def num_edges(self) -> int:
         """Number of (distinct, non-loop) directed edges."""
-        return self._m
+        return len(self._csr[1])
 
     def vertices(self) -> range:
         """Return the range of vertex ids."""
@@ -142,17 +154,25 @@ class DiGraph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges as ``(u, v)`` pairs (sorted by source)."""
-        for u in range(self._n):
-            for v in self._out[u]:
+        for u, row in enumerate(_rows(self._csr)):
+            for v in row:
                 yield (u, v)
 
     def edge_set(self) -> Set[Edge]:
-        """Return a copy of the edge set."""
-        return set(self._edge_set)
+        """Return the edges as a new set."""
+        return set(self.edges())
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        """Return ``True`` if the directed edge ``(u, v)`` exists."""
-        return (u, v) in self._edge_set
+        """Return ``True`` if the directed edge ``(u, v)`` exists.
+
+        Never raises: an endpoint that is not an ``int`` in
+        ``[0, num_vertices)`` names no edge.
+        """
+        n = self._n
+        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            return False
+        offsets, targets = self._csr
+        return v in targets[offsets[u]:offsets[u + 1]]
 
     def has_vertex(self, u: Vertex) -> bool:
         """Return ``True`` if ``u`` is a valid vertex id."""
@@ -167,57 +187,57 @@ class DiGraph:
     # Neighbourhoods and degrees
     # ------------------------------------------------------------------
     def out_neighbors(self, u: Vertex) -> Sequence[Vertex]:
-        """Return the list of out-neighbours of ``u`` (do not mutate)."""
-        return self._out[u]
+        """Return the out-neighbours of ``u``: a slice of its CSR row."""
+        offsets, targets = self._csr
+        return targets[offsets[u]:offsets[u + 1]]
 
     def in_neighbors(self, u: Vertex) -> Sequence[Vertex]:
-        """Return the list of in-neighbours of ``u`` (do not mutate)."""
-        return self._in[u]
+        """Return the in-neighbours of ``u``: a slice of its reverse CSR row."""
+        offsets, targets = self._csr_rev
+        return targets[offsets[u]:offsets[u + 1]]
 
     def out_degree(self, u: Vertex) -> int:
         """Return the out-degree of ``u``."""
-        return len(self._out[u])
+        offsets = self._csr[0]
+        return offsets[u + 1] - offsets[u]
 
     def in_degree(self, u: Vertex) -> int:
         """Return the in-degree of ``u``."""
-        return len(self._in[u])
+        offsets = self._csr_rev[0]
+        return offsets[u + 1] - offsets[u]
 
     def degree(self, u: Vertex) -> int:
         """Return in-degree plus out-degree of ``u``."""
-        return len(self._out[u]) + len(self._in[u])
+        return self.out_degree(u) + self.in_degree(u)
 
     def max_degree(self) -> int:
         """Return ``d_max``: the maximum of in- and out-degrees over vertices.
 
-        Computed once and cached (the graph is immutable); reports and the
-        adaptive-search heuristics may call this per query without paying an
-        O(n) scan each time.
+        Read from the offsets once and cached (the graph is immutable);
+        reports and the adaptive-search heuristics may call this per query
+        without paying an O(n) scan each time.
         """
         if self._max_degree is None:
-            best = 0
-            for u in range(self._n):
-                out_degree = len(self._out[u])
-                in_degree = len(self._in[u])
-                if out_degree > best:
-                    best = out_degree
-                if in_degree > best:
-                    best = in_degree
-            self._max_degree = best
+            self._max_degree = max(
+                max(map(sub, offsets[1:], offsets), default=0)
+                for offsets in (self._csr[0], self._csr_rev[0])
+            )
         return self._max_degree
 
     def average_degree(self) -> float:
         """Return ``d_avg = |E| / |V|`` (0 for the empty graph)."""
         if self._n == 0:
             return 0.0
-        return self._m / self._n
+        return self.num_edges / self._n
 
     def fingerprint(self) -> str:
         """Return a stable content fingerprint of ``(num_vertices, edge_set)``.
 
         Two graphs share a fingerprint exactly when they are equal as graphs
         (same vertex count and edge set), regardless of ``name`` or insertion
-        order.  The digest is computed once and cached — the graph is
-        immutable — so repeated calls are O(1).  The service layer keys its
+        order: the digest covers the edges in sorted order, one sorted row
+        at a time.  It is computed once and cached -- the graph is
+        immutable -- so repeated calls are O(1).  The service layer keys its
         result caches on this value, which makes cache invalidation on a
         graph swap automatic: a different graph can never serve stale
         entries.
@@ -225,91 +245,77 @@ class DiGraph:
         if self._fingerprint is None:
             hasher = hashlib.blake2b(digest_size=16)
             hasher.update(pack("<q", self._n))
-            for edge in sorted(self._edge_set):
-                hasher.update(pack("<qq", *edge))
+            for u, row in enumerate(_rows(self._csr)):
+                for v in sorted(row):
+                    hasher.update(pack("<qq", u, v))
             self._fingerprint = hasher.hexdigest()
         return self._fingerprint
 
     # ------------------------------------------------------------------
-    # CSR views (flat-array adjacency for the distance kernels)
+    # The storage: CSR pairs
     # ------------------------------------------------------------------
     def csr(self) -> CSR:
-        """Return the cached ``(offsets, targets)`` CSR view of out-edges.
+        """Return the ``(offsets, targets)`` CSR pair of out-edges.
 
-        Both are ``array('q')``; ``targets[offsets[u]:offsets[u + 1]]`` are
-        the out-neighbours of ``u`` in adjacency order.  Built once per
-        (immutable) graph and shared by every query, thread and derived
-        :meth:`copy`/:meth:`reverse` graph; treat the arrays as read-only.
+        ``targets[offsets[u]:offsets[u + 1]]`` are the out-neighbours of
+        ``u`` in insertion order.  This is the graph's storage itself,
+        shared by every query, thread and derived :meth:`copy`/:meth:`reverse`
+        graph; treat it as read-only.
         """
-        if self._csr is None:
-            self._csr = _build_csr(self._out)
         return self._csr
 
     def csr_reverse(self) -> CSR:
-        """Return the cached CSR view of in-edges (the reverse graph)."""
-        if self._csr_rev is None:
-            self._csr_rev = _build_csr(self._in)
+        """Return the CSR pair of in-edges (the reverse graph)."""
         return self._csr_rev
 
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
     def reverse(self) -> "DiGraph":
-        """Return the reverse graph ``G^r`` (every edge flipped).
+        """Return the reverse graph ``G^r`` (every edge flipped) in O(1).
 
-        Shares the (immutable) adjacency lists and any cached CSR views with
-        this graph — forward and reverse CSR simply swap roles — so deriving
-        the reverse graph never rebuilds or re-validates adjacency.
+        The forward and reverse CSR pairs simply swap roles.
         """
-        reversed_graph = DiGraph._shell(self._n, f"{self.name}-reversed")
-        reversed_graph._out = self._in
-        reversed_graph._in = self._out
-        reversed_graph._edge_set = {(v, u) for (u, v) in self._edge_set}
-        reversed_graph._m = self._m
-        reversed_graph._csr = self._csr_rev
-        reversed_graph._csr_rev = self._csr
-        reversed_graph._max_degree = self._max_degree
-        return reversed_graph
+        return DiGraph._from_csr(
+            self._n,
+            self._csr_rev,
+            self._csr,
+            f"{self.name}-reversed",
+            max_degree=self._max_degree,
+        )
 
     def copy(self, name: Optional[str] = None) -> "DiGraph":
         """Return a copy of this graph (a distinct object, equal as a graph).
 
-        Both graphs are immutable, so the copy shares adjacency, edge set
-        and every cached view (CSR, fingerprint, max degree) instead of
-        re-validating and rebuilding them.
+        Both graphs are immutable, so the copy shares the CSR pairs and the
+        cached fingerprint and max degree instead of rebuilding them.
         """
-        clone = DiGraph._shell(self._n, name or self.name)
-        clone._out = self._out
-        clone._in = self._in
-        clone._edge_set = self._edge_set
-        clone._m = self._m
-        clone._fingerprint = self._fingerprint
-        clone._csr = self._csr
-        clone._csr_rev = self._csr_rev
-        clone._max_degree = self._max_degree
-        return clone
+        return DiGraph._from_csr(
+            self._n,
+            self._csr,
+            self._csr_rev,
+            name or self.name,
+            fingerprint=self._fingerprint,
+            max_degree=self._max_degree,
+        )
 
     # ------------------------------------------------------------------
     # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle the graph compactly for process-pool workers.
+        """Pickle the CSR pairs (raw bytes) and the cached fingerprint.
 
-        Only the two CSR views (built on demand — a worker needs them
-        anyway, and the ``array('q')`` pairs pickle as raw bytes) and the
-        cached fingerprint travel; carrying the fingerprint lets a worker
-        verify it serves the parent's exact graph without re-hashing the
-        edge set.  The adjacency lists and edge set are fully redundant
-        with the CSR views and are rebuilt — in the parent's exact
-        adjacency order — in O(m) on unpickling, keeping the payload far
-        under the naive pickle of every field (lists of boxed ints).
+        Carrying the fingerprint lets a process-pool worker verify it
+        serves the parent's exact graph without re-hashing the edges.
+        Shared buffers travel as owned arrays, so a pickle never refers to
+        a shared-memory segment.
         """
         return {
             "n": self._n,
             "name": self.name,
             "fingerprint": self._fingerprint,
-            "csr": self.csr(),
-            "csr_rev": self.csr_reverse(),
+            "csr": _owned(self._csr),
+            "csr_rev": _owned(self._csr_rev),
             "max_degree": self._max_degree,
         }
 
@@ -318,25 +324,6 @@ class DiGraph:
         self.name = state["name"]
         self._csr = state["csr"]
         self._csr_rev = state["csr_rev"]
-        # Rebuild the redundant views by slicing the carried CSR arrays,
-        # which preserves the parent's exact adjacency order (and thereby
-        # any order-sensitive traversal downstream).
-        out_offsets, out_targets = self._csr
-        self._out = [
-            list(out_targets[out_offsets[u]:out_offsets[u + 1]])
-            for u in range(self._n)
-        ]
-        in_offsets, in_targets = self._csr_rev
-        self._in = [
-            list(in_targets[in_offsets[u]:in_offsets[u + 1]])
-            for u in range(self._n)
-        ]
-        edge_set: Set[Edge] = set()
-        for u, neighbors in enumerate(self._out):
-            for v in neighbors:
-                edge_set.add((u, v))
-        self._edge_set = edge_set
-        self._m = len(edge_set)
         self._fingerprint = state["fingerprint"]
         self._max_degree = state["max_degree"]
 
@@ -345,15 +332,15 @@ class DiGraph:
     # ------------------------------------------------------------------
     def to_edge_list(self) -> List[Edge]:
         """Return all edges as a sorted list of pairs."""
-        return sorted(self._edge_set)
+        return sorted(self.edges())
 
     def to_adjacency_dict(self) -> Dict[Vertex, List[Vertex]]:
         """Return a ``{u: [v, ...]}`` adjacency dictionary copy."""
-        return {u: list(self._out[u]) for u in range(self._n)}
+        return {u: list(row) for u, row in enumerate(_rows(self._csr))}
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, tuple) and len(item) == 2:
-            return item in self._edge_set
+            return self.has_edge(*item)
         if isinstance(item, int):
             return self.has_vertex(item)
         return False
@@ -361,17 +348,26 @@ class DiGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):
             return NotImplemented
-        return self._n == other._n and self._edge_set == other._edge_set
+        offsets, targets = self._csr
+        other_offsets, other_targets = other._csr
+        if self._n != other._n or offsets != other_offsets:
+            return False
+        # Same degrees everywhere: equal as graphs when every row holds the
+        # same neighbours, in whatever order.
+        return targets == other_targets or all(
+            sorted(row) == sorted(other_row)
+            for row, other_row in zip(_rows(self._csr), _rows(other._csr))
+        )
 
     def __hash__(self) -> int:  # pragma: no cover - graphs rarely hashed
-        return hash((self._n, frozenset(self._edge_set)))
+        return hash((self._n, frozenset(self.edges())))
 
     def __len__(self) -> int:
         return self._n
 
     def __repr__(self) -> str:
         return (
-            f"DiGraph(name={self.name!r}, vertices={self._n}, edges={self._m})"
+            f"DiGraph(name={self.name!r}, vertices={self._n}, edges={self.num_edges})"
         )
 
     # ------------------------------------------------------------------
@@ -400,48 +396,41 @@ class DiGraph:
         return cls(num_vertices, (), name=name)
 
     @classmethod
-    def _shell(cls, num_vertices: int, name: str) -> "DiGraph":
-        """Bare instance with empty storage; internal fast path.
-
-        ``copy``/``reverse`` overwrite every structural field with shared
-        references, so building the usual per-vertex empty adjacency lists
-        in ``__init__`` would be pure waste.
-        """
-        graph = cls.__new__(cls)
-        graph._n = num_vertices
-        graph.name = name
-        graph._out = []
-        graph._in = []
-        graph._edge_set = set()
-        graph._m = 0
-        graph._fingerprint = None
-        graph._csr = None
-        graph._csr_rev = None
-        graph._max_degree = None
-        return graph
-
-    @classmethod
-    def _from_trusted_edges(
-        cls, num_vertices: int, edges: Iterable[Edge], name: str = "graph"
+    def _from_csr(
+        cls,
+        num_vertices: int,
+        csr: CSR,
+        csr_rev: CSR,
+        name: str,
+        fingerprint: Optional[str] = None,
+        max_degree: Optional[int] = None,
     ) -> "DiGraph":
-        """Build a graph from edges already known to be valid.
+        """A graph over existing CSR pairs: owned arrays or shared buffers.
 
-        Internal fast path for subgraph extraction: ``edges`` must be
-        in-range and loop-free (they come from an existing graph), so the
-        per-edge bounds checks of ``__init__`` are skipped.  Duplicates are
-        still collapsed, and insertion order is preserved so adjacency
-        order — and therefore any order-sensitive tie-breaking downstream —
-        stays deterministic.
+        Nothing is copied.  The pairs may come from another process (a
+        shared-memory descriptor), so their layout is checked in O(1):
+        ``num_vertices + 1`` offsets in each direction and one target per
+        edge in both.
         """
-        graph = cls(num_vertices, (), name=name)
-        out = graph._out
-        in_ = graph._in
-        edge_set = graph._edge_set
-        for u, v in edges:
-            if (u, v) in edge_set:
-                continue
-            edge_set.add((u, v))
-            out[u].append(v)
-            in_[v].append(u)
-        graph._m = len(edge_set)
+        if num_vertices < 0:
+            raise GraphError(f"num_vertices must be non-negative, got {num_vertices}")
+        offsets, targets = csr
+        rev_offsets, rev_targets = csr_rev
+        if len(offsets) != num_vertices + 1 or len(rev_offsets) != num_vertices + 1:
+            raise GraphError(
+                f"CSR offsets must have num_vertices + 1 = {num_vertices + 1} "
+                f"entries, got {len(offsets)} forward / {len(rev_offsets)} reverse"
+            )
+        if len(targets) != len(rev_targets):
+            raise GraphError(
+                "forward and reverse CSR pairs disagree on the edge count: "
+                f"{len(targets)} vs {len(rev_targets)}"
+            )
+        graph = cls.__new__(cls)
+        graph._n = int(num_vertices)
+        graph.name = name
+        graph._csr = csr
+        graph._csr_rev = csr_rev
+        graph._fingerprint = fingerprint
+        graph._max_degree = max_degree
         return graph

@@ -79,27 +79,30 @@ def strongly_connected_components(graph: DiGraph) -> List[List[Vertex]]:
     stack: List[Vertex] = []
     components: List[List[Vertex]] = []
 
+    # Read the CSR row in place: slicing a hub's row on every resume would
+    # copy it once per child.
+    offsets, targets = graph.csr()
     for root in range(n):
         if indices[root] != -1:
             continue
-        # Each work item is (vertex, iterator position over out-neighbours).
-        work: List[List[int]] = [[root, 0]]
+        # Each work item is (vertex, next position in the CSR targets).
+        work: List[List[int]] = [[root, offsets[root]]]
         while work:
-            v, neighbor_index = work[-1]
-            if neighbor_index == 0:
+            v, position = work[-1]
+            if indices[v] == -1:
                 indices[v] = index_counter
                 lowlinks[v] = index_counter
                 index_counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            out = graph.out_neighbors(v)
-            while neighbor_index < len(out):
-                w = out[neighbor_index]
-                neighbor_index += 1
+            end = offsets[v + 1]
+            while position < end:
+                w = targets[position]
+                position += 1
                 if indices[w] == -1:
-                    work[-1][1] = neighbor_index
-                    work.append([w, 0])
+                    work[-1][1] = position
+                    work.append([w, offsets[w]])
                     advanced = True
                     break
                 if on_stack[w]:

@@ -24,11 +24,10 @@ def edge_induced_subgraph(
     Vertex ids are preserved; the result has the same ``num_vertices`` as the
     input graph so vertex ids remain valid, but only the selected edges.
     Edges missing from the parent graph are filtered silently to support
-    label arrays computed over candidate spaces; the survivors are known
-    valid, so construction skips per-edge re-validation.
+    label arrays computed over candidate spaces.
     """
     selected = (e for e in edges if graph.has_edge(*e))
-    return DiGraph._from_trusted_edges(graph.num_vertices, selected, name=name)
+    return DiGraph(graph.num_vertices, selected, name=name)
 
 
 def vertex_induced_subgraph(
@@ -43,4 +42,4 @@ def vertex_induced_subgraph(
         for v in graph.out_neighbors(u)
         if v in keep
     )
-    return DiGraph._from_trusted_edges(graph.num_vertices, edges, name=name)
+    return DiGraph(graph.num_vertices, edges, name=name)

@@ -356,15 +356,13 @@ def _init_process_worker(graph: DiGraph, config: EVEConfig) -> None:
 
     Runs exactly once per worker process — the one-time pickling (or
     ``fork`` copy-on-write share) of the graph that replaces any per-task
-    graph shipping.  The CSR views and fingerprint are warmed eagerly so the
-    first served group does not pay the O(m) rebuild.  The scratch lives in
+    graph shipping.  The fingerprint is warmed eagerly so the first served
+    group does not pay the O(m) hash.  The scratch lives in
     a worker-local *standalone* :class:`~repro.core.eve.ScratchPool`
     (it records its own counters), so each task can report the pool-counter
     delta it caused back to the parent.
     """
     global _worker_graph, _worker_config, _worker_scratch
-    graph.csr()
-    graph.csr_reverse()
     graph.fingerprint()
     _worker_graph = graph
     _worker_config = config
@@ -395,10 +393,10 @@ def _init_shared_process_worker(
     """Pool initializer for shared-memory workers: attach instead of unpickle.
 
     The worker attaches to the shared graph segment zero-copy and untracked:
-    the installed :class:`~repro.graph.shm.CSRGraphView` serves adjacency
-    straight from the shared block — no per-worker unpickling or adjacency
-    rebuild.  The attachment is kept in module state and released at worker
-    exit; the *creator* (the parent engine) owns the block's unlink.
+    the installed :class:`~repro.graph.digraph.DiGraph` reads its CSR pairs
+    straight from the shared block — no per-worker unpickled copy.  The
+    attachment is kept in module state and released at worker exit; the
+    *creator* (the parent engine) owns the block's unlink.
     """
     global _worker_attached, _worker_cleanup_registered
     if _worker_attached is not None:
@@ -416,17 +414,15 @@ def _worker_graph_probe() -> Dict[str, object]:
     """Diagnostic task payload: how this worker holds its graph.
 
     Used by the shared-memory tests and the RSS benchmark leg to assert that
-    shared-memory workers serve a zero-copy view (``shared=True``) instead
-    of an unpickled graph, and to read the worker's peak RSS.
+    shared-memory workers read their CSR pairs from the shared block
+    (``shared=True``: the buffers are memoryviews) instead of from an
+    unpickled copy, and to read the worker's peak RSS.
     """
     import resource
 
-    from repro.graph.shm import CSRGraphView
-
     graph = _worker_graph
     return {
-        "graph_type": None if graph is None else type(graph).__name__,
-        "shared": isinstance(graph, CSRGraphView),
+        "shared": graph is not None and isinstance(graph.csr()[1], memoryview),
         "fingerprint": None if graph is None else graph.fingerprint(),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
@@ -599,14 +595,12 @@ class SPGEngine:
 
     @staticmethod
     def _warm_graph(graph: DiGraph) -> None:
-        """Force the graph's lazy caches on the caller thread.
+        """Force the graph's lazy fingerprint on the caller thread.
 
-        The CSR views (and fingerprint) are built lazily and without
-        synchronization; warming them here keeps a cold batch's worker
-        threads from all racing to rebuild the same O(m) arrays.
+        The fingerprint is computed lazily and without synchronization;
+        warming it here keeps a cold batch's worker threads from all
+        racing to hash the same O(m) edges.
         """
-        graph.csr()
-        graph.csr_reverse()
         graph.fingerprint()
 
     @classmethod
@@ -811,10 +805,10 @@ class SPGEngine:
         """Apply an edge delta to the served graph under live traffic.
 
         The successor graph is built as a :class:`~repro.graph.delta`
-        overlay of the current epoch (shared rows, spliced CSR, lineage
-        fingerprint) — or folded into a fresh base via ``compact()`` once
-        the net overlay outgrows ``compact_threshold`` — and swapped in
-        through :meth:`set_graph`.  The epoch semantics fall out of the
+        overlay of the current epoch (spliced CSR, lineage fingerprint) —
+        or folded into a fresh base via ``compact()`` once the net overlay
+        outgrows ``compact_threshold`` — and swapped in through
+        :meth:`set_graph`.  The epoch semantics fall out of the
         existing immutability machinery:
 
         * In-flight queries and batches read ``self._graph`` exactly once

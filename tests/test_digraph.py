@@ -1,9 +1,14 @@
 """Unit tests for the DiGraph substrate."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import EdgeError, GraphError, VertexError
+from repro.graph import GraphDelta, apply_delta
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi
 
 
 class TestConstruction:
@@ -123,3 +128,42 @@ class TestIterationAndExport:
         graph = DiGraph(3, [(0, 1)], name="tiny")
         assert len(graph) == 3
         assert "tiny" in repr(graph)
+
+
+def held_bytes(build):
+    """``(result, bytes)``: what ``build()`` returns and the memory it still holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+def csr_bytes(graph):
+    """Bytes of one forward plus one reverse CSR pair of 8-byte ints."""
+    return 16 * (graph.num_vertices + 1) + 16 * graph.num_edges
+
+
+class TestStorage:
+    """A graph holds its CSR arrays and no per-edge Python objects."""
+
+    def test_graph_holds_only_its_csr(self):
+        def build():
+            graph = erdos_renyi(5000, 4.0, seed=11)
+            graph.csr(), graph.csr_reverse(), graph.fingerprint()
+            return graph
+
+        graph, held = held_bytes(build)
+        assert held <= 1.5 * csr_bytes(graph), held / csr_bytes(graph)
+
+    def test_delta_view_holds_only_its_csr(self):
+        graph = erdos_renyi(5000, 4.0, seed=11)
+        delta = GraphDelta(inserts=[(0, 1), (2, 3)], deletes=[next(graph.edges())])
+        view, held = held_bytes(lambda: apply_delta(graph, delta))
+        assert view.num_edges == graph.num_edges + 1
+        assert held <= 1.5 * csr_bytes(view), held / csr_bytes(view)

@@ -4,8 +4,8 @@ Four layers of guarantees, each with its own differential oracle:
 
 1. **Structure** — a :class:`~repro.graph.delta.DeltaOverlayView` is
    content-identical to a from-scratch :class:`DiGraph` over the mutated
-   edge list (adjacency, CSR views, edge set), while sharing untouched
-   rows with the previous epoch and chaining its fingerprint lineage.
+   edge list (adjacency, CSR pairs, edge set), while splicing its CSR
+   from the previous epoch and chaining its fingerprint lineage.
 2. **Serving** — for random mutation schedules over generator topologies
    x ``k in {3..8}`` x executor backends, every post-delta engine answer
    is identical to a cold engine on a from-scratch rebuild at the same
@@ -26,6 +26,8 @@ import asyncio
 import pickle
 import random
 import threading
+from array import array
+from itertools import accumulate, chain
 
 import pytest
 
@@ -34,7 +36,6 @@ from repro.core.distances import bounded_multi_source_distances
 from repro.exceptions import EdgeError, GraphError
 from repro.graph import DeltaOverlayView, DiGraph, GraphDelta, apply_delta
 from repro.graph.delta import _splice_csr
-from repro.graph.digraph import _build_csr
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.service import ResultCache, SPGEngine, make_cache_key
 
@@ -148,18 +149,12 @@ class TestDeltaOverlayView:
             for u in range(50):
                 assert sorted(view.out_neighbors(u)) == sorted(oracle.out_neighbors(u))
                 assert sorted(view.in_neighbors(u)) == sorted(oracle.in_neighbors(u))
-            # The spliced CSR must equal a from-scratch flatten of the
-            # view's own adjacency (same order, same offsets).
-            assert view.csr() == _build_csr(view._out)
-            assert view.csr_reverse() == _build_csr(view._in)
-
-    def test_untouched_rows_shared_by_reference(self):
-        graph = erdos_renyi(40, 2.0, seed=9)
-        view = apply_delta(graph, GraphDelta(inserts=[(0, 20)]))
-        shared_out = sum(1 for u in range(40) if view._out[u] is graph._out[u])
-        assert shared_out >= 39  # only vertex 0's out-row is fresh
-        shared_in = sum(1 for u in range(40) if view._in[u] is graph._in[u])
-        assert shared_in >= 39  # only vertex 20's in-row is fresh
+            # Each spliced CSR must equal the CSR a from-scratch graph
+            # builds from that CSR's own edges in row order (same order,
+            # same offsets).
+            assert view.csr() == DiGraph(50, list(view.edges())).csr()
+            flipped = DiGraph(50, list(view.reverse().edges()))
+            assert view.csr_reverse() == flipped.csr()
 
     def test_idempotent_noops_are_skipped(self):
         graph = DiGraph(5, [(0, 1), (1, 2)])
@@ -214,8 +209,8 @@ class TestDeltaOverlayView:
         assert type(compacted) is DiGraph
         assert compacted == view
         assert compacted.fingerprint() == view.fingerprint()
-        assert compacted._out is view._out
-        assert compacted._csr is view._csr
+        assert compacted.csr() is view.csr()
+        assert compacted.csr_reverse() is view.csr_reverse()
         # Deltas on the compacted graph chain off the *new* root.
         next_view = apply_delta(compacted, GraphDelta(inserts=[(2, 17)]))
         assert next_view.root_fingerprint == compacted.fingerprint()
@@ -249,18 +244,24 @@ class TestDeltaOverlayView:
         assert bare.fingerprint() == empty.fingerprint()
 
     def test_splice_csr_against_reference(self):
+        def flatten(rows):
+            return (
+                array("q", accumulate(map(len, rows), initial=0)),
+                array("q", chain.from_iterable(rows)),
+            )
+
         rng = random.Random(13)
         for trial in range(20):
             n = rng.randrange(1, 12)
             adjacency = [
                 sorted(rng.sample(range(n), rng.randrange(0, n))) for _ in range(n)
             ]
-            base = _build_csr(adjacency)
+            base = flatten(adjacency)
             changed = {}
             for u in rng.sample(range(n), rng.randrange(0, n + 1)):
                 changed[u] = sorted(rng.sample(range(n), rng.randrange(0, n)))
             merged = [changed.get(u, adjacency[u]) for u in range(n)]
-            assert _splice_csr(base, changed, n) == _build_csr(merged), trial
+            assert _splice_csr(base, changed, n) == flatten(merged), trial
 
 
 # ----------------------------------------------------------------------

@@ -690,10 +690,9 @@ class TestPickling:
 
     def test_digraph_round_trip_cold_and_warm(self):
         graph = power_law_cluster(28, 2, seed=17)
-        # Cold: nothing cached yet — the CSR views are built at pickle time
-        # (a worker needs them anyway), the fingerprint on demand.
+        # Cold: nothing cached yet — the fingerprint is computed on demand.
         self._check_graph_round_trip(power_law_cluster(28, 2, seed=17))
-        # Warm: CSR views and fingerprint carried through the pickle.
+        # Warm: fingerprint and max degree carried through the pickle.
         graph.csr()
         graph.csr_reverse()
         graph.fingerprint()

@@ -6,16 +6,17 @@ single-vertex and zero-vertex graphs — are run through each layer between
 a graph and an answer:
 
 1. **Graph structure** (:class:`~repro.graph.digraph.DiGraph`): the CSR
-   views mirror the adjacency lists, every edge appears once in each
+   pairs mirror the neighbour accessors, every edge appears once in each
    direction, the fingerprint is a function of the vertex count and edge
    set only, and pickling, ``copy`` and ``reverse`` preserve all of it.
 2. **The shared backward pass**
    (:func:`~repro.core.distances.backward_distance_map`) equals a naive
    reverse BFS for every target, rejects bad targets and budgets, and a
    query fed the shared map answers like a cold one.
-3. **Shared-memory views** (:mod:`repro.graph.shm`): a view attached to a
-   segment of each shape is the same graph, answers and rejects queries
-   identically, and its segment is unlinked exactly once.
+3. **Shared-memory graphs** (:mod:`repro.graph.shm`): a graph attached to
+   a segment of each shape reads its CSR pairs from the block, is the same
+   graph, answers and rejects queries identically, and its segment is
+   unlinked exactly once.
 4. **Delta overlays** (:mod:`repro.graph.delta`): an overlay equals a
    from-scratch rebuild of the mutated edge list.
 5. **The engine** (:class:`~repro.service.SPGEngine`) on every executor
@@ -31,6 +32,7 @@ import asyncio
 import gc
 import pickle
 import random
+from array import array
 from collections import Counter, deque
 
 import pytest
@@ -44,7 +46,6 @@ from repro.exceptions import EdgeError, QueryError, VertexError
 from repro.graph import GraphDelta, apply_delta
 from repro.graph.generators import erdos_renyi, path_graph, power_law_cluster, star_graph
 from repro.graph.shm import (
-    CSRGraphView,
     SharedGraphSegment,
     attach_shared_graph,
     shared_memory_available,
@@ -173,6 +174,11 @@ def random_shape_delta(graph: DiGraph, seed: int) -> GraphDelta:
     ]
     inserts = rng.sample(absent, min(len(absent), 4))
     return GraphDelta(inserts=inserts, deletes=deletes)
+
+
+def buffer_types(graph: DiGraph) -> set:
+    """The types of the four CSR buffers a graph reads."""
+    return {type(part) for part in (*graph.csr(), *graph.csr_reverse())}
 
 
 def make_engine(graph: DiGraph, backend_name: str, **kwargs) -> SPGEngine:
@@ -354,7 +360,7 @@ class TestSharedMemoryView:
         with SharedGraphSegment(graph) as segment:
             attached = attach_shared_graph(segment.descriptor)
             view = attached.graph
-            assert isinstance(view, CSRGraphView)
+            assert type(view) is DiGraph and buffer_types(view) == {memoryview}
             assert view == graph
             assert view.num_vertices == graph.num_vertices
             assert view.num_edges == graph.num_edges
@@ -395,7 +401,9 @@ class TestSharedMemoryView:
             # A reversed view carries no fingerprint and hashes its buffers.
             assert view.reverse().fingerprint() == graph.reverse().fingerprint()
             attached.close()
-        unlabelled = CSRGraphView(graph.num_vertices, graph.csr(), graph.csr_reverse())
+        unlabelled = DiGraph._from_csr(
+            graph.num_vertices, graph.csr(), graph.csr_reverse(), "unlabelled"
+        )
         assert unlabelled.fingerprint() == graph.fingerprint()
 
     def test_pickle_round_trip_outlives_segment(self, graph):
@@ -403,7 +411,7 @@ class TestSharedMemoryView:
             attached = attach_shared_graph(segment.descriptor)
             clone = pickle.loads(pickle.dumps(attached.graph))
             attached.close()
-        assert isinstance(clone, CSRGraphView)
+        assert type(clone) is DiGraph and buffer_types(clone) == {array}
         assert clone == graph
         assert clone.fingerprint() == graph.fingerprint()
         for u in graph.vertices():
@@ -419,8 +427,8 @@ class TestSharedMemoryView:
             reverse = view.reverse()
             assert reverse.edge_set() == {(v, u) for (u, v) in graph.edge_set()}
             assert reverse.reverse() == graph
-            materialized = view.materialize()
-            assert type(materialized) is DiGraph and materialized == graph
+            materialized = DiGraph(view.num_vertices, view.edges())
+            assert materialized == graph
             assert materialized.fingerprint() == graph.fingerprint()
             attached.close()
 
@@ -437,6 +445,12 @@ class TestSharedMemoryView:
                 with pytest.raises(VertexError) as from_graph:
                     graph.check_vertex(bad)
                 assert str(from_view.value) == str(from_graph.value)
+            # Endpoints that are not ints name no edge, and asking never raises.
+            bad_edges = [("a", 0), (None, 0), (0.5, 0)]
+            bad_edges += [(float(u), v) for u, v in list(graph.edges())[:1]]
+            for owner in (view, graph):
+                for edge in bad_edges:
+                    assert not owner.has_edge(*edge) and edge not in owner, edge
             attached.close()
 
     @pytest.mark.parametrize("k", [1, 3])

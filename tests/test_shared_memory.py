@@ -3,11 +3,11 @@
 Two contracts are enforced here (`repro.graph.shm` and the process backend
 of `repro.service.SPGEngine`):
 
-1. **The zero-copy view**: a :class:`~repro.graph.shm.CSRGraphView`
-   attached to a :class:`~repro.graph.shm.SharedGraphSegment` answers every
-   adjacency and EVE query exactly like the graph it mirrors, pickles into
-   a self-contained copy, and the segment is unlinked exactly once
-   (``close()`` / GC finalizer).
+1. **The zero-copy graph**: a :class:`~repro.DiGraph` attached to a
+   :class:`~repro.graph.shm.SharedGraphSegment` reads its CSR pairs from
+   the block, answers every adjacency and EVE query exactly like the graph
+   it mirrors, pickles into a self-contained copy, and the segment is
+   unlinked exactly once (``close()`` / GC finalizer).
 2. **Shared-memory serving**: process-pool workers attach to the CSR
    arrays zero-copy instead of unpickling the graph, answer identically to
    pickled workers, release the old segment on a graph swap, fall back to
@@ -24,6 +24,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from array import array
 
 import pytest
 
@@ -32,7 +33,6 @@ from test_executor_backends import canonical_report, make_engine, random_workloa
 from repro import DiGraph, SPGEngine, build_spg
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.graph.shm import (
-    CSRGraphView,
     SharedGraphSegment,
     attach_shared_graph,
     shared_memory_available,
@@ -52,6 +52,11 @@ pytestmark = [
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def buffer_types(graph: DiGraph) -> set:
+    """The types of the four CSR buffers a graph reads."""
+    return {type(part) for part in (*graph.csr(), *graph.csr_reverse())}
+
+
 class TestSharedGraphSegment:
     def test_attach_round_trip_equals_graph(self):
         graph = power_law_cluster(26, 2, seed=19)
@@ -59,7 +64,7 @@ class TestSharedGraphSegment:
         with SharedGraphSegment(graph) as segment:
             attached = attach_shared_graph(segment.descriptor)
             view = attached.graph
-            assert isinstance(view, CSRGraphView)
+            assert type(view) is DiGraph and buffer_types(view) == {memoryview}
             assert view == graph
             assert view.fingerprint() == graph.fingerprint()
             assert view.num_edges == graph.num_edges
@@ -111,7 +116,7 @@ class TestSharedGraphSegment:
             clone = pickle.loads(pickle.dumps(attached.graph))
             attached.close()
         # The segment is gone; the clone must still answer.
-        assert isinstance(clone, CSRGraphView)
+        assert type(clone) is DiGraph and buffer_types(clone) == {array}
         assert clone == graph
         assert clone.fingerprint() == graph.fingerprint()
 
@@ -124,8 +129,7 @@ class TestSharedGraphSegment:
             assert clone == graph and clone.fingerprint() == graph.fingerprint()
             reverse = view.reverse()
             assert reverse.edge_set() == {(v, u) for (u, v) in graph.edge_set()}
-            materialized = view.materialize()
-            assert type(materialized) is DiGraph and materialized == graph
+            assert DiGraph(view.num_vertices, view.edges()) == graph
             attached.close()
 
 
@@ -140,7 +144,6 @@ class TestSharedMemoryServing:
             probes = engine._ensure_backend(graph).run([Call(_worker_graph_probe)] * 2)
             for probe in probes:
                 assert probe["shared"], probe
-                assert probe["graph_type"] == "CSRGraphView"
                 assert probe["fingerprint"] == graph.fingerprint()
         assert engine._segment is None  # released by close()
 
@@ -194,7 +197,6 @@ class TestSharedMemoryServing:
             assert engine._segment is None
             probes = engine._ensure_backend(graph).run([Call(_worker_graph_probe)])
             assert not probes[0]["shared"]
-            assert probes[0]["graph_type"] == "DiGraph"
 
     def test_shared_and_pickled_serving_identical(self):
         graph, queries = random_workload(9)
