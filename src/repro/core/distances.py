@@ -30,10 +30,12 @@ Execution backend
 -----------------
 Since the CSR refactor, every search runs on the flat-array adjacency of
 :meth:`repro.graph.digraph.DiGraph.csr` instead of list-of-list neighbour
-walks, and visited bookkeeping uses *epoch-stamped* flat buffers instead of
-per-query dicts: a vertex ``v`` is reached iff ``stamp[v] == epoch``, so
-resetting between queries is a single integer increment rather than an
-O(n) clear or a fresh allocation.  The buffers live in a
+walks, and visited bookkeeping uses one *marked* flat buffer instead of
+per-query dicts: each search gets a fresh ``base``, a vertex ``v`` is
+reached iff ``mark[v] >= base``, and its distance is ``mark[v] - base``.
+Resetting between queries is a single integer addition rather than an
+O(n) clear or a fresh allocation, and one list read answers both "reached?"
+and "how far?".  The buffers live in a
 :class:`DistanceScratch` that callers (every :meth:`repro.core.eve.EVE.query`,
 via a pooled :class:`repro.core.eve.QueryScratch`) reuse across queries for
 zero per-query allocation; a direct kernel call without a scratch creates a
@@ -75,10 +77,10 @@ _INF = float("inf")
 # Flat-buffer scratch and the dict-like view over it
 # ----------------------------------------------------------------------
 class ArrayDistanceMap(_MappingABC):
-    """Read-only ``{vertex: distance}`` view over epoch-stamped flat buffers.
+    """Read-only ``{vertex: distance}`` view over a marked flat buffer.
 
-    A vertex is present exactly when ``stamp[vertex] == epoch``; its
-    distance is then ``dist[vertex]``.  ``touched`` lists the present
+    A vertex is present exactly when ``mark[vertex] >= base``; its
+    distance is then ``mark[vertex] - base``.  ``touched`` lists the present
     vertices in discovery (BFS level) order, which makes iteration and
     ``len`` O(reached) rather than O(n).  The class implements the full
     ``Mapping`` protocol (including ``==`` against plain dicts), so code
@@ -91,14 +93,11 @@ class ArrayDistanceMap(_MappingABC):
     retain (batch planners cache it across queries).
     """
 
-    __slots__ = ("dist", "stamp", "epoch", "touched")
+    __slots__ = ("mark", "base", "touched")
 
-    def __init__(
-        self, dist: List[int], stamp: List[int], epoch: int, touched: List[Vertex]
-    ) -> None:
-        self.dist = dist
-        self.stamp = stamp
-        self.epoch = epoch
+    def __init__(self, mark: List[int], base: int, touched: List[Vertex]) -> None:
+        self.mark = mark
+        self.base = base
         self.touched = touched
 
     def get(self, vertex: Vertex, default=None):
@@ -107,29 +106,26 @@ class ArrayDistanceMap(_MappingABC):
         Like ``dict.get``, any non-vertex key (wrong type, out of range)
         yields ``default`` instead of raising.
         """
-        stamp = self.stamp
+        mark = self.mark
         try:
-            if 0 <= vertex < len(stamp) and stamp[vertex] == self.epoch:
-                return self.dist[vertex]
+            if 0 <= vertex < len(mark) and mark[vertex] >= self.base:
+                return mark[vertex] - self.base
         except TypeError:
             return default
         return default
 
     def __getitem__(self, vertex: Vertex) -> int:
-        stamp = self.stamp
-        try:
-            if 0 <= vertex < len(stamp) and stamp[vertex] == self.epoch:
-                return self.dist[vertex]
-        except TypeError:
-            raise KeyError(vertex) from None
-        raise KeyError(vertex)
+        distance = self.get(vertex)
+        if distance is None:
+            raise KeyError(vertex)
+        return distance
 
     def __contains__(self, vertex: object) -> bool:
-        stamp = self.stamp
+        mark = self.mark
         return (
             isinstance(vertex, int)
-            and 0 <= vertex < len(stamp)
-            and stamp[vertex] == self.epoch
+            and 0 <= vertex < len(mark)
+            and mark[vertex] >= self.base
         )
 
     def __iter__(self) -> Iterator[Vertex]:
@@ -140,36 +136,40 @@ class ArrayDistanceMap(_MappingABC):
 
     def items(self) -> List[Tuple[Vertex, int]]:
         """Return ``(vertex, distance)`` pairs in discovery order (fast path)."""
-        dist = self.dist
-        return [(v, dist[v]) for v in self.touched]
+        mark, base = self.mark, self.base
+        return [(v, mark[v] - base) for v in self.touched]
 
     def to_dict(self) -> dict:
         """Materialise a plain dict copy (detached from the scratch buffers)."""
-        dist = self.dist
-        return {v: dist[v] for v in self.touched}
+        mark, base = self.mark, self.base
+        return {v: mark[v] - base for v in self.touched}
 
     def __repr__(self) -> str:
-        return f"ArrayDistanceMap(reached={len(self.touched)}, epoch={self.epoch})"
+        return f"ArrayDistanceMap(reached={len(self.touched)}, base={self.base})"
 
 
 class _ScratchSide:
-    """One reusable (dist, stamp) buffer pair with its current epoch."""
+    """One reusable mark buffer and the base of its next search."""
 
-    __slots__ = ("dist", "stamp", "epoch")
+    __slots__ = ("mark", "next_base")
 
     def __init__(self) -> None:
-        self.dist: List[int] = []
-        self.stamp: List[int] = []
-        self.epoch = 0
+        self.mark: List[int] = []
+        self.next_base = 1
 
-    def begin(self, num_vertices: int) -> Tuple[List[int], List[int], int]:
-        """Start a new search: bump the epoch, grow buffers to fit the graph."""
-        grow = num_vertices - len(self.stamp)
+    def begin(self, num_vertices: int, max_depth: int) -> Tuple[List[int], int]:
+        """Start a search of at most ``max_depth`` hops; grow to fit the graph.
+
+        The search marks its vertices in ``[base, base + max_depth]``, so
+        the next search starts above that range and every older mark reads
+        as unreached.
+        """
+        grow = num_vertices - len(self.mark)
         if grow > 0:
-            self.dist.extend([0] * grow)
-            self.stamp.extend([0] * grow)
-        self.epoch += 1
-        return self.dist, self.stamp, self.epoch
+            self.mark.extend([0] * grow)
+        base = self.next_base
+        self.next_base = base + max(max_depth, 0) + 1
+        return self.mark, base
 
 
 class DistanceScratch:
@@ -192,7 +192,7 @@ class DistanceScratch:
     @property
     def capacity(self) -> int:
         """Number of vertices the buffers currently cover without growing."""
-        return len(self.forward.stamp)
+        return len(self.forward.mark)
 
 
 @dataclass
@@ -278,25 +278,23 @@ def _csr_bfs(
     targets,
     source: Vertex,
     max_depth: int,
-    dist: List[int],
-    stamp: List[int],
-    epoch: int,
+    mark: List[int],
+    base: int,
 ) -> List[Vertex]:
     """Level BFS on a CSR view; returns the touched vertices in level order."""
-    dist[source] = 0
-    stamp[source] = epoch
+    mark[source] = base
     touched = [source]
     frontier = [source]
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
+        level = base + depth
         next_frontier: List[Vertex] = []
         push = next_frontier.append
         for vertex in frontier:
             for neighbor in targets[offsets[vertex]:offsets[vertex + 1]]:
-                if stamp[neighbor] != epoch:
-                    stamp[neighbor] = epoch
-                    dist[neighbor] = depth
+                if mark[neighbor] < base:
+                    mark[neighbor] = level
                     push(neighbor)
         touched.extend(next_frontier)
         frontier = next_frontier
@@ -308,46 +306,45 @@ def _csr_bfs_allowed(
     targets,
     source: Vertex,
     max_depth: int,
-    dist: List[int],
-    stamp: List[int],
-    epoch: int,
+    mark: List[int],
+    base: int,
     allowed: Mapping[Vertex, int],
     budget: int,
 ) -> List[Vertex]:
     """Restricted level BFS: admit ``w`` at depth ``d`` only when the other
     side knows it and ``d + allowed[w] <= budget`` (the source is always
     seeded).  Array-backed ``allowed`` maps are read through their raw
-    buffers; any other mapping falls back to ``.get``.
+    buffer; any other mapping falls back to ``.get``.
     """
     array_allowed = isinstance(allowed, ArrayDistanceMap)
     if array_allowed:
-        adist = allowed.dist
-        astamp = allowed.stamp
-        aepoch = allowed.epoch
+        amark = allowed.mark
+        abase = allowed.base
     else:
         aget = allowed.get
-    dist[source] = 0
-    stamp[source] = epoch
+    mark[source] = base
     touched = [source]
     frontier = [source]
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
+        level = base + depth
+        # Array case: ``allowed[w] <= budget - depth`` as one mark range.
+        alimit = abase + budget - depth if array_allowed else 0
         next_frontier: List[Vertex] = []
         push = next_frontier.append
         for vertex in frontier:
             for neighbor in targets[offsets[vertex]:offsets[vertex + 1]]:
-                if stamp[neighbor] == epoch:
+                if mark[neighbor] >= base:
                     continue
                 if array_allowed:
-                    if astamp[neighbor] != aepoch or depth + adist[neighbor] > budget:
+                    if not abase <= amark[neighbor] <= alimit:
                         continue
                 else:
                     other = aget(neighbor)
                     if other is None or depth + other > budget:
                         continue
-                stamp[neighbor] = epoch
-                dist[neighbor] = depth
+                mark[neighbor] = level
                 push(neighbor)
         touched.extend(next_frontier)
         frontier = next_frontier
@@ -359,19 +356,18 @@ def _expand_level(
     targets,
     frontier: List[Vertex],
     depth: int,
-    dist: List[int],
-    stamp: List[int],
-    epoch: int,
+    mark: List[int],
+    base: int,
     touched: List[Vertex],
 ) -> List[Vertex]:
-    """Expand ``frontier`` by one hop, recording new distances at ``depth``."""
+    """Expand ``frontier`` by one hop, marking new vertices at ``depth``."""
+    level = base + depth
     next_frontier: List[Vertex] = []
     push = next_frontier.append
     for vertex in frontier:
         for neighbor in targets[offsets[vertex]:offsets[vertex + 1]]:
-            if stamp[neighbor] != epoch:
-                stamp[neighbor] = epoch
-                dist[neighbor] = depth
+            if mark[neighbor] < base:
+                mark[neighbor] = level
                 push(neighbor)
     touched.extend(next_frontier)
     return next_frontier
@@ -383,12 +379,10 @@ def _restricted_extension(
     frontier: List[Vertex],
     start_depth: int,
     k: int,
-    dist: List[int],
-    stamp: List[int],
-    epoch: int,
-    odist: List[int],
-    ostamp: List[int],
-    oepoch: int,
+    mark: List[int],
+    base: int,
+    omark: List[int],
+    obase: int,
     touched: List[Vertex],
 ) -> int:
     """Extend a partially-explored side up to depth ``k``.
@@ -403,16 +397,18 @@ def _restricted_extension(
     current = frontier
     while current and depth < k:
         depth += 1
+        level = base + depth
+        # Admit ``w`` when the other side reached it within ``k - depth``.
+        olimit = obase + k - depth
         next_frontier: List[Vertex] = []
         push = next_frontier.append
         for vertex in current:
             for neighbor in targets[offsets[vertex]:offsets[vertex + 1]]:
-                if stamp[neighbor] == epoch:
+                if mark[neighbor] >= base:
                     continue
-                if ostamp[neighbor] != oepoch or depth + odist[neighbor] > k:
+                if not obase <= omark[neighbor] <= olimit:
                     continue
-                stamp[neighbor] = epoch
-                dist[neighbor] = depth
+                mark[neighbor] = level
                 push(neighbor)
                 explored += 1
         touched.extend(next_frontier)
@@ -453,15 +449,15 @@ def bounded_bfs(
     """
     offsets, targets = graph.csr_reverse() if reverse else graph.csr()
     side = scratch_side if scratch_side is not None else _ScratchSide()
-    dist, stamp, epoch = side.begin(graph.num_vertices)
+    mark, base = side.begin(graph.num_vertices, max_depth)
     if allowed is not None:
         touched = _csr_bfs_allowed(
-            offsets, targets, source, max_depth, dist, stamp, epoch,
+            offsets, targets, source, max_depth, mark, base,
             allowed, allowed_budget or 0,
         )
     else:
-        touched = _csr_bfs(offsets, targets, source, max_depth, dist, stamp, epoch)
-    return ArrayDistanceMap(dist, stamp, epoch, touched)
+        touched = _csr_bfs(offsets, targets, source, max_depth, mark, base)
+    return ArrayDistanceMap(mark, base, touched)
 
 
 def bounded_multi_source_distances(
@@ -483,7 +479,7 @@ def bounded_multi_source_distances(
     invalidation k-ball test conservative.
 
     Runs once per applied delta (not per query), so it uses plain dict
-    bookkeeping instead of the epoch-stamped scratch machinery.
+    bookkeeping instead of the marked scratch buffers.
     """
     offsets, targets = graph.csr_reverse() if reverse else graph.csr()
     n = graph.num_vertices
@@ -544,13 +540,11 @@ def _two_phase(
     n = graph.num_vertices
     f_offsets, f_targets = graph.csr()
     b_offsets, b_targets = graph.csr_reverse()
-    fdist, fstamp, fepoch = scratch.forward.begin(n)
-    bdist, bstamp, bepoch = scratch.backward.begin(n)
+    fmark, fbase = scratch.forward.begin(n, k)
+    bmark, bbase = scratch.backward.begin(n, k)
 
-    fdist[s] = 0
-    fstamp[s] = fepoch
-    bdist[t] = 0
-    bstamp[t] = bepoch
+    fmark[s] = fbase
+    bmark[t] = bbase
     forward_touched = [s]
     backward_touched = [t]
     forward_frontier: List[Vertex] = [s]
@@ -574,14 +568,14 @@ def _two_phase(
                 forward_depth += 1
                 forward_frontier = _expand_level(
                     f_offsets, f_targets, forward_frontier, forward_depth,
-                    fdist, fstamp, fepoch, forward_touched,
+                    fmark, fbase, forward_touched,
                 )
                 explored += len(forward_frontier)
             else:
                 backward_depth += 1
                 backward_frontier = _expand_level(
                     b_offsets, b_targets, backward_frontier, backward_depth,
-                    bdist, bstamp, bepoch, backward_touched,
+                    bmark, bbase, backward_touched,
                 )
                 explored += len(backward_frontier)
     else:
@@ -591,14 +585,14 @@ def _two_phase(
             forward_depth += 1
             forward_frontier = _expand_level(
                 f_offsets, f_targets, forward_frontier, forward_depth,
-                fdist, fstamp, fepoch, forward_touched,
+                fmark, fbase, forward_touched,
             )
             explored += len(forward_frontier)
         while backward_depth < backward_budget and backward_frontier:
             backward_depth += 1
             backward_frontier = _expand_level(
                 b_offsets, b_targets, backward_frontier, backward_depth,
-                bdist, bstamp, bepoch, backward_touched,
+                bmark, bbase, backward_touched,
             )
             explored += len(backward_frontier)
 
@@ -606,18 +600,18 @@ def _two_phase(
     # distance on both sides.
     explored += _restricted_extension(
         f_offsets, f_targets, forward_frontier, forward_depth, k,
-        fdist, fstamp, fepoch, bdist, bstamp, bepoch, forward_touched,
+        fmark, fbase, bmark, bbase, forward_touched,
     )
     explored += _restricted_extension(
         b_offsets, b_targets, backward_frontier, backward_depth, k,
-        bdist, bstamp, bepoch, fdist, fstamp, fepoch, backward_touched,
+        bmark, bbase, fmark, fbase, backward_touched,
     )
     return DistanceIndex(
         source=s,
         target=t,
         k=k,
-        from_source=ArrayDistanceMap(fdist, fstamp, fepoch, forward_touched),
-        to_target=ArrayDistanceMap(bdist, bstamp, bepoch, backward_touched),
+        from_source=ArrayDistanceMap(fmark, fbase, forward_touched),
+        to_target=ArrayDistanceMap(bmark, bbase, backward_touched),
         explored_vertices=explored,
         strategy="adaptive" if adaptive else "bidirectional",
     )

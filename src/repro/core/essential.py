@@ -312,9 +312,8 @@ def _propagate(
     if prune and distance_to_other is not None:
         if isinstance(distance_to_other, ArrayDistanceMap):
             array_pruning = True
-            other_dist = distance_to_other.dist
-            other_stamp = distance_to_other.stamp
-            other_epoch = distance_to_other.epoch
+            other_mark = distance_to_other.mark
+            other_base = distance_to_other.base
         else:
             distance_get = distance_to_other.get
 
@@ -326,6 +325,9 @@ def _propagate(
     for level in range(1, k):
         side.work_epoch += 1
         epoch = side.work_epoch
+        # Array pruning keeps ``y`` when the other side reached it within
+        # ``k - level`` hops: one mark range.
+        other_limit = other_base + k - level if array_pruning else 0
         updated: List[Vertex] = []
         for x in frontier:
             base = sets[x][-1]
@@ -333,7 +335,7 @@ def _propagate(
                 if y == anchor or y == excluded:
                     continue
                 if array_pruning:
-                    if other_stamp[y] != other_epoch or level + other_dist[y] > k:
+                    if not other_base <= other_mark[y] <= other_limit:
                         continue
                 elif distance_get is not None:
                     other = distance_get(y)

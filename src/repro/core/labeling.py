@@ -231,17 +231,18 @@ def _label_edges_flat(
     flevels, fsets = forward._levels, forward._sets
     blevels, bsets = backward._levels, backward._sets
 
+    # ``dist(s, u) = smark[u] - sbase`` for both kinds of map.
     from_source = distances.from_source
     if isinstance(from_source, ArrayDistanceMap):
         source_order = from_source.touched
-        sdist = from_source.dist
+        smark, sbase = from_source.mark, from_source.base
     else:
         source_order = list(from_source)
-        sdist = from_source
+        smark, sbase = from_source, 0
 
     to_target = distances.to_target
     if isinstance(to_target, ArrayDistanceMap):
-        tdist, tstamp, tepoch = to_target.dist, to_target.stamp, to_target.epoch
+        tmark, tbase = to_target.mark, to_target.base
         to_target_get = None
     else:
         to_target_get = to_target.get
@@ -281,9 +282,21 @@ def _label_edges_flat(
     )
 
     for u in source_order:
-        dist_su = sdist[u]
-        if dist_su + 1 > k:
+        # An out-edge (u, v) is a candidate when ``dist(v, t) <= budget``.
+        # Then u is a candidate vertex as well, whose exact ``dist(u, t)``
+        # is at most ``budget + 1``; any other u has no candidate out-edge,
+        # so its row is never read.
+        budget = k - 1 - (smark[u] - sbase)
+        if budget < 0:
             continue
+        if to_target_get is None:
+            tlimit = tbase + budget
+            if not tbase <= tmark[u] <= tlimit + 1:
+                continue
+        else:
+            dist_ut = to_target_get(u)
+            if dist_ut is None or dist_ut > budget + 1:
+                continue
         start, end = offsets[u], offsets[u + 1]
         if start == end:
             continue
@@ -291,15 +304,12 @@ def _label_edges_flat(
         u_ready = False
         for v in targets[start:end]:
             if to_target_get is None:
-                if tstamp[v] != tepoch:
+                if not tbase <= tmark[v] <= tlimit:
                     continue
-                dist_vt = tdist[v]
             else:
                 dist_vt = to_target_get(v)
-                if dist_vt is None:
+                if dist_vt is None or dist_vt > budget:
                     continue
-            if dist_su + 1 + dist_vt > k:
-                continue
 
             if not u_ready:
                 # Deferred per-source prelude: many candidate-ball vertices

@@ -339,7 +339,7 @@ class DeltaOverlayView(DiGraph):
     def __repr__(self) -> str:
         return (
             f"DeltaOverlayView(name={self.name!r}, vertices={self._n}, "
-            f"edges={self._m}, overlay={self.overlay_size})"
+            f"edges={self.num_edges}, overlay={self.overlay_size})"
         )
 
 

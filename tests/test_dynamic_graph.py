@@ -201,6 +201,7 @@ class TestDeltaOverlayView:
         assert isinstance(view, DeltaOverlayView)
         # The lineage root is still the original base, not an intermediate.
         assert view.root_fingerprint == graph.fingerprint()
+        assert f"edges={view.num_edges}" in repr(view)
 
     def test_compact_shares_storage_and_fingerprint(self):
         graph = erdos_renyi(30, 2.0, seed=6)

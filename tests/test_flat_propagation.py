@@ -200,6 +200,28 @@ class TestFlatMatchesReference:
         via_flat = labeling.compute_upper_bound(graph, s, t, k, index, fwd, bwd)
         assert_uppers_match(via_flat, via_fallback, (s, t, k))
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_fused_pass_reads_dict_distance_indexes(self, seed, k):
+        """The fused pass gives one answer over array and dict distances.
+
+        A dict index (the oracle's) takes the ``.get`` branch of every
+        candidate test, including the skip of rows whose source lies
+        outside the candidate space.
+        """
+        graph = random_graph(seed, num_vertices=18, degree=2.6)
+        s, t = random_query(graph, seed + 200)
+        uppers = []
+        for index in (
+            distances.compute_distance_index(graph, s, t, k),
+            distances_reference.compute_distance_index(graph, s, t, k),
+        ):
+            fwd = essential.propagate_forward(graph, s, t, k, distances=index)
+            bwd = essential.propagate_backward(graph, s, t, k, distances=index)
+            uppers.append(labeling.compute_upper_bound(graph, s, t, k, index, fwd, bwd))
+        assert_uppers_match(uppers[1], uppers[0], (seed, s, t, k))
+        assert list(uppers[1].labels) == list(uppers[0].labels)
+
 
 # ----------------------------------------------------------------------
 # Small-k labelling: the vacuous split loop, proven against enumeration

@@ -38,6 +38,7 @@ from collections import Counter, deque
 import pytest
 
 from test_executor_backends import canonical_outcome, canonical_report
+from test_shared_memory import buffer_types
 
 from repro import DiGraph, SPGEngine, build_spg
 from repro.core.distances import backward_distance_map
@@ -174,11 +175,6 @@ def random_shape_delta(graph: DiGraph, seed: int) -> GraphDelta:
     ]
     inserts = rng.sample(absent, min(len(absent), 4))
     return GraphDelta(inserts=inserts, deletes=deletes)
-
-
-def buffer_types(graph: DiGraph) -> set:
-    """The types of the four CSR buffers a graph reads."""
-    return {type(part) for part in (*graph.csr(), *graph.csr_reverse())}
 
 
 def make_engine(graph: DiGraph, backend_name: str, **kwargs) -> SPGEngine:
