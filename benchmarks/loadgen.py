@@ -222,7 +222,7 @@ async def _boot(
     scale: float,
     *,
     seed: int,
-    backend: str,
+    backend: Optional[str],
     max_queue_depth: int,
     tenant_rate: Optional[float],
 ) -> _Target:
@@ -254,7 +254,7 @@ async def run_table(
     duration: float,
     warmup_runs: int = 1,
     seed: int = 20230901,
-    backend: str = "thread",
+    backend: Optional[str] = None,
     max_queue_depth: int = 256,
     host: Optional[str] = None,
     port: Optional[int] = None,
@@ -480,8 +480,6 @@ async def _spawn_http_server(
             str(seed),
             "--port",
             "0",
-            "--backend",
-            "thread",
             "--cache-size",
             "256",
         ],
@@ -557,7 +555,7 @@ async def mutation_smoke(
                 topology,
                 scale,
                 seed=seed,
-                backend="thread",
+                backend=None,
                 max_queue_depth=256,
                 tenant_rate=None,
             )
@@ -674,7 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--warmup-runs", type=int, default=1)
     run.add_argument("--seed", type=int, default=20230901)
     run.add_argument(
-        "--backend", default="thread", help="engine executor backend (in-process mode)"
+        "--backend",
+        default=None,
+        help="engine executor backend (in-process mode; default: the engine's)",
     )
     run.add_argument("--max-queue-depth", type=int, default=256)
     run.add_argument(

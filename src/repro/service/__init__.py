@@ -13,11 +13,12 @@ serving layer exploits.  This subsystem layers four things on top of
   ``(t, k)`` so the backward distance pass is computed once per group and
   reused via the hooks in :mod:`repro.core.distances`;
 * **pluggable executor backends** (:mod:`repro.service.executor`) —
-  ``serial``, ``thread`` and ``process`` (a warm
+  ``serial`` (the default: inline on the calling thread, at most
+  ``max_workers`` planned groups at once) and ``process`` (a warm
   :class:`~concurrent.futures.ProcessPoolExecutor` that runs CPU-bound EVE
   queries truly in parallel, its workers attached zero-copy to a
-  shared-memory CSR segment when the platform supports it), all with
-  deterministic result ordering and per-query error isolation, and all
+  shared-memory CSR segment when the platform supports it), both with
+  deterministic result ordering and per-query error isolation, and both
   producing identical batch reports;
 * a **scratch pool** (:class:`ScratchPool`, re-exported from
   :mod:`repro.core.eve`) — reusable :class:`~repro.core.eve.QueryScratch`
@@ -61,7 +62,6 @@ from repro.service.executor import (
     ProcessBackend,
     SerialBackend,
     TaskError,
-    ThreadBackend,
     create_backend,
     default_worker_count,
     resolve_backend_name,
@@ -91,7 +91,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "ExecutorBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "create_backend",
     "resolve_backend_name",

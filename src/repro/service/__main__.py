@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="executor pool size (default: available CPUs)",
+        help="most query groups the backend runs at once (default: available CPUs)",
     )
     parser.add_argument(
         "--backend",
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "executor backend for the batch (default: $REPRO_EXECUTOR_BACKEND "
-            "or 'thread'; 'process' runs CPU-bound queries on multiple cores)"
+            "or 'serial'; 'process' runs CPU-bound queries on multiple cores)"
         ),
     )
     parser.add_argument(

@@ -84,26 +84,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Scoped invalidation (dynamic graphs)
     # ------------------------------------------------------------------
-    def invalidate_where(self, predicate: Callable[[CacheKey], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; return the count.
-
-        The historical invalidation model was all-or-nothing: a graph swap
-        changed the fingerprint, so *every* old entry went stale at once and
-        simply aged out.  Delta mutations break that assumption — most
-        entries survive a localized edit — so this walks the table under the
-        lock and removes exactly the matching keys.  ``predicate`` must be a
-        pure function of the key (it runs with the lock held; it must not
-        call back into the cache).  Hit/miss counters are untouched:
-        invalidation is not a lookup, and dropped entries are tallied in
-        ``invalidations`` instead.
-        """
-        with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            self.invalidations += len(doomed)
-            return len(doomed)
-
     def rekey_fingerprint(
         self,
         old_fingerprint: str,
@@ -120,9 +100,10 @@ class ResultCache:
         conservative whole-flush.  Returns ``(invalidated, retained)``.
 
         Runs atomically under the lock, so a concurrent ``get`` sees either
-        the old key or the new one, never a half-migrated table.  Like
-        :meth:`invalidate_where`, ``keep`` must be pure and must not call
-        back into the cache.  Retained entries keep their stored result
+        the old key or the new one, never a half-migrated table.  ``keep``
+        runs with the lock held, so it must be pure and must not call back
+        into the cache.  Hit/miss counters are untouched: invalidation is
+        not a lookup.  Retained entries keep their stored result
         object and are refreshed to most-recently-used (they just survived
         a mutation — demonstrably still hot).
         """
@@ -163,8 +144,8 @@ class ResultCache:
 
         Reads both counters under the lock, like :meth:`stats` — two
         unsynchronised reads could see a hit counted by a concurrent
-        ``get`` whose miss sibling it misses (torn ratio) under the thread
-        backend.
+        ``get`` whose miss sibling it misses (torn ratio) when batches
+        overlap.
         """
         with self._lock:
             total = self.hits + self.misses

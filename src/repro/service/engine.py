@@ -5,8 +5,8 @@
 (:meth:`SPGEngine.query`), batches (:meth:`SPGEngine.run_batch` /
 :meth:`SPGEngine.run_batch_async`) and streamed workloads
 (:meth:`SPGEngine.run_stream` / :meth:`SPGEngine.astream`).  Batches execute
-on a pluggable :class:`~repro.service.executor.ExecutorBackend` (``serial``,
-``thread`` or ``process``); four guarantees hold regardless of
+on a pluggable :class:`~repro.service.executor.ExecutorBackend` (``serial``
+or ``process``); four guarantees hold regardless of
 cache state, planning, backend or parallelism:
 
 * **identical answers** — every result equals what a cold per-query
@@ -110,9 +110,11 @@ class EngineConfig:
     ``executor_backend`` selects how batches execute (see
     :data:`repro.service.executor.EXECUTOR_BACKENDS`); ``None`` defers to
     the ``REPRO_EXECUTOR_BACKEND`` environment variable and finally to
-    ``"thread"``.  Note that process workers only ever receive the graph
-    plus the :meth:`eve_config` slice of this config — the serving-layer
-    knobs (cache, planner, pool sizing) live exclusively in the parent.
+    ``"serial"``.  ``max_workers`` is the process pool size, or on
+    ``serial`` the most planned groups that run at once.  Note that
+    process workers only ever receive the graph plus the
+    :meth:`eve_config` slice of this config — the serving-layer knobs
+    (cache, planner, pool sizing) live exclusively in the parent.
 
     ``shared_memory`` controls whether the workers of the engine's one
     process pool receive the graph through a
@@ -508,18 +510,21 @@ class SPGEngine:
     cache_size:
         Maximum LRU entries; ``0`` disables the result cache entirely.
     max_workers:
-        Pool size of the engine's backend, which every batch uses
-        (``None`` = available CPUs, capped).
+        How many planned groups run at once across overlapping batches:
+        the process pool size, or the serial backend's in-flight bound
+        (``None`` = available CPUs, capped).  Each running group holds one
+        pooled scratch bundle.
     min_group_size:
         Smallest ``(target, k)`` group that precomputes a shared backward
         pass (must be >= 2).
     executor_backend:
         One of :data:`repro.service.executor.EXECUTOR_BACKENDS`.  ``None``
-        defers to ``$REPRO_EXECUTOR_BACKEND``, then ``"thread"``.  The
-        ``process`` backend is the one that actually runs CPU-bound EVE
-        queries on multiple cores (threads are GIL-bound); it pays a
-        one-time pool spin-up + graph share per served graph, so it wins on
-        multi-query CPU-bound batches and loses on tiny ones.  The engine
+        defers to ``$REPRO_EXECUTOR_BACKEND``, then ``"serial"``, which
+        runs each group inline on the calling thread.  The ``process``
+        backend is the one that runs CPU-bound EVE queries on multiple
+        cores; it pays a one-time pool spin-up + graph share per served
+        graph, so it wins on multi-query CPU-bound batches and loses on
+        tiny ones and on graphs that change often.  The engine
         owns exactly one backend: built lazily, kept warm across batches
         and streams, rebuilt only when a process pool goes stale, and
         released by :meth:`close` (the engine is also a context manager).
@@ -530,7 +535,7 @@ class SPGEngine:
         platform supports it, with a silent fallback to the pickled-graph
         initializer.  ``True`` requires the segment (the batch that builds
         the pool raises when shared memory is unavailable); ``False``
-        always pickles.  Irrelevant for in-process backends.
+        always pickles.  Irrelevant for the serial backend.
     compact_threshold:
         Net overlay size (insert + delete edges relative to the last
         compacted base) at which :meth:`apply_delta` folds the
@@ -598,8 +603,8 @@ class SPGEngine:
         """Force the graph's lazy fingerprint on the caller thread.
 
         The fingerprint is computed lazily and without synchronization;
-        warming it here keeps a cold batch's worker threads from all
-        racing to hash the same O(m) edges.
+        warming it here keeps overlapping cold batches from all racing to
+        hash the same O(m) edges.
         """
         graph.fingerprint()
 
@@ -680,7 +685,7 @@ class SPGEngine:
     def _build_persistent_backend(self, graph: DiGraph) -> ExecutorBackend:
         """Build the engine's one backend, which every batch and stream uses.
 
-        In-process backends share the parent's memory.  A process pool
+        The serial backend shares the parent's memory.  A process pool
         either attaches its workers zero-copy to a shared segment, tracked
         in ``self._segment`` and closed on staleness rebuilds,
         :meth:`close` and the GC finalizer, or, when
@@ -711,8 +716,8 @@ class SPGEngine:
         A process backend is pinned to the graph its workers were
         initialised with: a ``graph`` with a different fingerprint (or a
         broken pool after a worker death) closes the old pool and builds a
-        fresh one.  Thread and serial backends share the parent's memory
-        and survive swaps untouched.
+        fresh one.  The serial backend shares the parent's memory and
+        survives swaps untouched.
         """
         with self._backend_lock:
             backend = self._backend
@@ -1053,9 +1058,11 @@ class SPGEngine:
 
         The whole batch — cache lookups, planning, backend dispatch (and a
         cold process pool's start-up), finalization — runs on a helper
-        thread, so the event loop stays responsive.  On the ``thread`` and
-        ``process`` backends EVE work itself stays on the backend's
-        workers, so ``max_workers`` bounds it however many calls overlap.
+        thread, so the event loop stays responsive.  On ``serial`` the
+        helper thread runs the EVE work itself, holding one of the
+        backend's ``max_workers`` permits per planned group; on
+        ``process`` the work goes to the pool's workers.  Either way
+        ``max_workers`` bounds it however many calls overlap.
         Overlapping calls on one engine are safe — cache, stats and scratch
         pool are thread-safe — and each batch still returns outcomes in its
         own input order.
@@ -1186,7 +1193,7 @@ class SPGEngine:
     ) -> List[Call]:
         """Build one task per planned group, in the backend's task form.
 
-        In-process backends close over the engine (shared scratch pool and
+        The serial backend closes over the engine (shared scratch pool and
         stats); the process backend gets module-level picklable payloads
         carrying the graph fingerprint for the worker-side staleness check
         plus whether the parent wants trace events shipped back.

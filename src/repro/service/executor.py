@@ -10,15 +10,14 @@ interchangeable (and differential-testable, see
 * **error isolation** — a task that raises is captured as a
   :class:`TaskError` entry instead of poisoning the whole batch.
 
-Three backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
+Two backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
 
-``serial``
-    Everything runs inline on the calling thread.  Zero overhead, the
-    reference semantics every other backend must match.
-``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap
-    task dispatch, shared memory — but CPU-bound pure-Python tasks stay
-    GIL-bound on one core.
+``serial`` (the default)
+    Every task runs inline on the calling thread, and at most
+    ``max_workers`` tasks run at once however many threads call in.  The
+    reference semantics the other backend must match.  EVE is CPU-bound
+    pure Python, so a thread pool would add hand-offs and lock contention
+    but no parallelism under the GIL.
 ``process``
     A persistent :class:`~concurrent.futures.ProcessPoolExecutor`: true
     multi-core parallelism for CPU-bound tasks.  Tasks must be *picklable*
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +48,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "ExecutorBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "create_backend",
     "resolve_backend_name",
@@ -57,7 +55,7 @@ __all__ = [
 ]
 
 #: Recognised backend names, in "least to most machinery" order.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+EXECUTOR_BACKENDS = ("serial", "process")
 
 #: Environment variable consulted by :func:`resolve_backend_name` when no
 #: backend is named (engine construction, ``EngineConfig``, the CLI); lets
@@ -120,11 +118,11 @@ def resolve_backend_name(name: Optional[str]) -> str:
     """Resolve a backend name, falling back to ``$REPRO_EXECUTOR_BACKEND``.
 
     ``None`` (the "unspecified" default throughout the serving layer) reads
-    the environment variable and finally defaults to ``"thread"``.  Unknown
+    the environment variable and finally defaults to ``"serial"``.  Unknown
     names raise :class:`ValueError` naming the valid choices.
     """
     if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or "thread"
+        name = os.environ.get(BACKEND_ENV_VAR) or "serial"
     name = name.lower()
     if name not in EXECUTOR_BACKENDS:
         raise ValueError(
@@ -139,32 +137,6 @@ def _invoke(task: Task) -> Any:
         return task()
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return TaskError(exc)
-
-
-def _submit_ordered(
-    pool,
-    fn: Callable[[Task], Any],
-    tasks: Sequence[Task],
-    on_failure: Optional[Callable[[BaseException], None]] = None,
-) -> List[Any]:
-    """Submit every task, degrading submit-time failures per task.
-
-    ``submit`` raising ``RuntimeError`` (pool shut down concurrently, or —
-    its :class:`BrokenExecutor` subclass — a dead worker) becomes a
-    pre-resolved :class:`TaskError` placeholder in the returned list, so
-    batches keep their ordering and isolation guarantees instead of
-    escaping with an exception.  ``on_failure`` observes the raw submit
-    exception (e.g. to mark a process pool broken).
-    """
-    entries: List[Any] = []
-    for task in tasks:
-        try:
-            entries.append(pool.submit(fn, task))
-        except RuntimeError as exc:
-            if on_failure is not None:
-                on_failure(exc)
-            entries.append(TaskError(exc))
-    return entries
 
 
 class ExecutorBackend:
@@ -198,65 +170,31 @@ class ExecutorBackend:
 
 
 class SerialBackend(ExecutorBackend):
-    """Inline execution on the calling thread — the reference semantics."""
+    """Inline execution on the calling thread, at most ``max_workers`` at once.
+
+    Each task holds one permit of a semaphore sized ``max_workers`` while
+    it runs, so the number of callers does not bound how many tasks run at
+    once.  Under :meth:`~repro.service.engine.SPGEngine.run_batch_async`
+    the callers are the event loop's default-executor threads
+    (``min(32, CPUs + 4)``), and each running query holds a pooled
+    :class:`~repro.core.eve.QueryScratch` (about 20 MB at n=100k).
+    """
 
     name = "serial"
 
-    def run(self, tasks: Sequence[Task]) -> List[Any]:
-        return [_invoke(task) for task in tasks]
-
-
-class ThreadBackend(ExecutorBackend):
-    """A persistent thread pool (today's default backend).
-
-    Every task goes to the pool, even a single task or at
-    ``max_workers=1``.  Running small batches inline would save a hand-off,
-    but then the number of callers, not the pool width, would bound how
-    many queries run at once.  Under
-    :meth:`~repro.service.engine.SPGEngine.run_batch_async` the callers are
-    the event loop's default-executor threads (``min(32, CPUs + 4)``), and
-    each running query holds a pooled :class:`~repro.core.eve.QueryScratch`
-    (about 20 MB at n=100k): with the inline shortcut, the HTTP server's
-    resident memory rose by about 15% on a 2-CPU machine.
-    """
-
-    name = "thread"
-
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self._workers = default_worker_count() if max_workers is None else max(1, max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # First use may race: two batches on a fresh backend must not each
-        # build (and then leak) a pool.
-        self._pool_guard = threading.Lock()
-
-    @property
-    def max_workers(self) -> int:
-        return self._workers
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_guard:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self._workers)
-            return self._pool
+        self._permits = threading.BoundedSemaphore(self._workers)
 
     def run(self, tasks: Sequence[Task]) -> List[Any]:
-        # _invoke never raises, so result() only propagates pool-level failures.
-        return [
-            entry if isinstance(entry, TaskError) else entry.result()
-            for entry in _submit_ordered(self._ensure_pool(), _invoke, tasks)
-        ]
-
-    def close(self) -> None:
-        with self._pool_guard:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        results: List[Any] = []
+        for task in tasks:
+            with self._permits:
+                results.append(_invoke(task))
+        return results
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(max_workers={self._workers}, "
-            f"warm={self._pool is not None})"
-        )
+        return f"{type(self).__name__}(max_workers={self._workers})"
 
 
 class ProcessBackend(ExecutorBackend):
@@ -303,10 +241,6 @@ class ProcessBackend(ExecutorBackend):
         self._broken = False
 
     @property
-    def max_workers(self) -> int:
-        return self._workers
-
-    @property
     def broken(self) -> bool:
         """True once the pool has failed; callers should close and rebuild."""
         return self._broken
@@ -340,12 +274,6 @@ class ProcessBackend(ExecutorBackend):
                 self._broken = False
             return self._pool
 
-    def _mark_broken(self, exc: BaseException) -> None:
-        # Any submit-time failure means the pool can no longer be trusted;
-        # the broken flag tells the owning engine to rebuild before the
-        # next batch.
-        self._broken = True
-
     def _collect(self, future) -> Any:
         try:
             return future.result()
@@ -358,9 +286,18 @@ class ProcessBackend(ExecutorBackend):
     def run(self, tasks: Sequence[Task]) -> List[Any]:
         if not tasks:
             return []
-        entries = _submit_ordered(
-            self._ensure_pool(), _invoke, tasks, on_failure=self._mark_broken
-        )
+        pool = self._ensure_pool()
+        entries: List[Any] = []
+        for task in tasks:
+            try:
+                entries.append(pool.submit(_invoke, task))
+            except RuntimeError as exc:
+                # The pool was shut down concurrently or a worker died
+                # (BrokenExecutor is a RuntimeError): the task degrades to
+                # a TaskError, and the broken flag tells the owning engine
+                # to rebuild the pool before the next batch.
+                self._broken = True
+                entries.append(TaskError(exc))
         return [
             entry if isinstance(entry, TaskError) else self._collect(entry)
             for entry in entries
@@ -390,15 +327,14 @@ def create_backend(
     """Build an :class:`ExecutorBackend` by name.
 
     ``name=None`` resolves through :func:`resolve_backend_name` (environment
-    override, then ``"thread"``).  ``initializer``/``initargs``/
-    ``start_method`` only apply to the process backend and are ignored —
-    the state is already shared in-process — everywhere else.
+    override, then ``"serial"``).  ``max_workers`` is the pool size of the
+    process backend and the in-flight bound of the serial one.
+    ``initializer``/``initargs``/``start_method`` only apply to the process
+    backend; the serial backend already shares the caller's state.
     """
     resolved = resolve_backend_name(name)
     if resolved == "serial":
-        return SerialBackend()
-    if resolved == "thread":
-        return ThreadBackend(max_workers)
+        return SerialBackend(max_workers)
     return ProcessBackend(
         max_workers,
         initializer=initializer,

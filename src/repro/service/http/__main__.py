@@ -79,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="executor pool size (default: available CPUs)",
+        help="most query groups the backend runs at once (default: available CPUs)",
     )
     parser.add_argument(
         "--backend",
         choices=EXECUTOR_BACKENDS,
         default=None,
-        help="executor backend (default: $REPRO_EXECUTOR_BACKEND or 'thread')",
+        help="executor backend (default: $REPRO_EXECUTOR_BACKEND or 'serial')",
     )
     parser.add_argument(
         "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"

@@ -27,10 +27,13 @@ dependency — requests are parsed straight off ``asyncio`` streams:
 
 Overload sheds with 429 (queue full or tenant quota) and shutdown drains
 gracefully: new requests get 503 while admitted queries finish, bounded
-by the configured drain timeout.  When the engine carries a
-:class:`~repro.telemetry.Tracer`, every request records an
-``http.request`` span (method, path, status, tenant, query count) into
-the same buffer as the engine's phase spans.
+by the configured drain timeout.  Any other failure of a request answers
+500 with a JSON ``error`` naming the exception and closes the connection;
+a ``/batch`` stream whose head already went out can only close.  When the
+engine carries a :class:`~repro.telemetry.Tracer`, every request records
+an ``http.request`` span (method, path, status, tenant, query count) into
+the same buffer as the engine's phase spans; a failed request's span says
+500.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +61,8 @@ from repro.service.workload_io import (
 )
 
 __all__ = ["HTTPError", "Request", "HTTPFrontend"]
+
+_LOG = logging.getLogger(__name__)
 
 _REASONS = {
     200: "OK",
@@ -79,6 +85,15 @@ class HTTPError(Exception):
         super().__init__(detail)
         self.status = status
         self.detail = detail
+
+
+class _StreamAborted(Exception):
+    """A streamed response failed after its head went out.
+
+    Nothing can be answered any more: the connection closes, and the
+    unterminated chunked body tells the client the stream did not finish.
+    The original failure is the ``__cause__``.
+    """
 
 
 @dataclass
@@ -339,6 +354,21 @@ class HTTPFrontend:
                         _json_body({"error": exc.detail}),
                         keep_alive=keep_alive,
                     )
+                except _StreamAborted as exc:
+                    _LOG.error("%s %s failed", request.method, request.path, exc_info=exc.__cause__)
+                    self._record_request_span(request, 500, started)
+                    break
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    raise
+                except Exception as exc:  # noqa: BLE001 - answer, never drop
+                    _LOG.error("%s %s failed", request.method, request.path, exc_info=exc)
+                    status, keep_alive = 500, False
+                    _write_response(
+                        writer,
+                        500,
+                        _json_body({"error": f"{type(exc).__name__}: {exc}"}),
+                        keep_alive=False,
+                    )
                 self._record_request_span(request, status, started)
                 await writer.drain()
                 if not keep_alive:
@@ -520,6 +550,10 @@ class HTTPFrontend:
                         record = outcome_record(outcome, relabel=relabel)
                     self._write_chunk(writer, _json_body(record))
                     await writer.drain()
+            except (ConnectionError, asyncio.IncompleteReadError):
+                raise
+            except Exception as exc:
+                raise _StreamAborted() from exc
             finally:
                 await stream.aclose()
             writer.write(b"0\r\n\r\n")

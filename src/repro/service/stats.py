@@ -277,11 +277,10 @@ class EngineStats:
         recorded as cache misses without executing), ``scratch_allocations
         + scratch_reuses == cache_misses``, and ``scratch_allocations``
         stays bounded by the peak number of concurrent workers — the "zero
-        per-query allocation" property the benchmarks assert.  In-process
-        backends (``serial``/``thread``/``async``) count here directly; the
-        ``process`` backend counts in each worker's local pool and folds
-        the deltas in via :meth:`merge_counters`, so both invariants hold
-        across all backends.
+        per-query allocation" property the benchmarks assert.  The
+        ``serial`` backend counts here directly; the ``process`` backend
+        counts in each worker's local pool and folds the deltas in via
+        :meth:`merge_counters`, so both invariants hold on both backends.
         """
         with self._lock:
             if reused:

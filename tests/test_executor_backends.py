@@ -1,16 +1,16 @@
 """Cross-backend differential and stress harness for the executor layer.
 
-Every executor backend (``serial`` / ``thread`` / ``process``) must be
+Every executor backend (``serial`` / ``process``) must be
 *answer-identical*: the same workload through the same engine
 configuration yields the same :class:`~repro.service.BatchReport`, outcome
 by outcome, error by error, whatever the scheduling.  The ``backend``
-fixture parametrises the whole harness over all three backends so any new
+fixture parametrises the whole harness over both backends so any new
 backend is automatically held to the same contract; the differential tests
 then compare each backend's canonicalised report against the serial
 reference.
 
 Also covered here: concurrency stress (thread hammering, overlapping async
-batches, the in-flight bound the pool width sets, event-loop
+batches, the in-flight bound ``max_workers`` sets, event-loop
 responsiveness, the scratch-pool no-sharing guard), pickling round trips
 for everything that crosses the process boundary (``DiGraph`` with its
 CSR views, configs, outcomes), and the affinity-aware
@@ -23,6 +23,7 @@ import asyncio
 import os
 import pickle
 import random
+import sys
 import threading
 import time
 
@@ -72,6 +73,23 @@ def _return_exception() -> ValueError:
 def _sleepy_identity(x: int) -> int:
     time.sleep(0.001)
     return x
+
+
+def _timed_sleep(seconds: float) -> tuple:
+    """Sleep; return the ``time.monotonic()`` span (system-wide on Linux)."""
+    started = time.monotonic()
+    time.sleep(seconds)
+    return started, time.monotonic()
+
+
+def max_overlap(spans) -> int:
+    """The most ``(start, end)`` spans that were open at one instant."""
+    events = sorted([(start, 1) for start, _ in spans] + [(end, -1) for _, end in spans])
+    running = peak = 0
+    for _, step in events:
+        running += step
+        peak = max(peak, running)
+    return peak
 
 
 def canonical_outcome(outcome) -> tuple:
@@ -211,21 +229,50 @@ class TestExecutorContract:
             assert results[0] == 9
             assert isinstance(results[1], TaskError)
 
+    def test_at_most_max_workers_tasks_run_at_once(self, backend):
+        # Six callers, one backend of width 2: the width, not the number
+        # of callers, bounds how many tasks (planned groups, in the
+        # engine) run at once.
+        spans: list = []
+        guard = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with create_backend(backend, 2) as instance:
+                instance.run([Call(_square, (1,))])  # warm a process pool
+
+                def call() -> None:
+                    results = instance.run([Call(_timed_sleep, (0.03,))] * 2)
+                    with guard:
+                        spans.extend(results)
+
+                threads = [threading.Thread(target=call) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(spans) == 12
+        assert all(not isinstance(span, TaskError) for span in spans), spans
+        assert max_overlap(spans) == 2
+
     def test_unknown_backend_rejected(self):
-        for name in ("gpu", "async"):
+        for name in ("gpu", "async", "thread"):
             with pytest.raises(ValueError, match="unknown executor backend"):
                 create_backend(name)
             with pytest.raises(ValueError, match="serial"):
                 resolve_backend_name(name)
 
     def test_env_var_selects_default_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert resolve_backend_name(None) == "serial"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        assert resolve_backend_name(None) == "process"
         monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
         with pytest.raises(ValueError):
             resolve_backend_name(None)
         monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend_name(None) == "thread"
+        assert resolve_backend_name(None) == "serial"
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +366,14 @@ class TestBackendLifecycle:
             warm = engine._backend
             engine.run_batch(queries)
             assert engine._backend is warm  # reused, not rebuilt
+
+    def test_engine_sizes_its_backend_by_max_workers(self, backend):
+        # The in-flight bound is only as good as the width the engine
+        # passes on; 3 differs from the affinity default on small boxes.
+        graph, queries = random_workload(7)
+        with make_engine(graph, backend, max_workers=3) as engine:
+            engine.run_batch(queries)
+            assert "max_workers=3" in repr(engine._backend)
 
     def test_close_is_idempotent_and_engine_recovers(self, backend):
         graph, queries = random_workload(8)
@@ -484,7 +539,7 @@ class TestConcurrencyStress:
             seed: [sorted(build_spg(graph, *q).edges) for q in workload]
             for seed, workload in enumerate(workloads)
         }
-        engine = SPGEngine(graph, executor_backend="thread", max_workers=4)
+        engine = SPGEngine(graph, executor_backend="serial", max_workers=4)
         failures: list = []
 
         def hammer(seed: int) -> None:
@@ -569,14 +624,15 @@ class TestConcurrencyStress:
     def test_overlapping_async_single_query_batches_share_the_pool(
         self, slow_eve_queries
     ):
-        # run_batch_async runs each batch on a helper thread; the EVE work
-        # must still go to the backend's 2 pool threads, so at most 2
-        # queries hold a scratch at once however many batches overlap.
+        # run_batch_async runs each batch on a helper thread, and the
+        # event loop's default executor has more threads than the
+        # backend's 2 permits: still at most 2 queries hold a scratch at
+        # once however many batches overlap.
         graph = power_law_cluster(32, 2, seed=15)
         queries = random_reachable_queries(graph, 4, 8, seed=15).as_batch()
 
         async def serve():
-            with make_engine(graph, "thread", cache_size=0) as engine:
+            with make_engine(graph, "serial", cache_size=0) as engine:
                 reports = await asyncio.gather(
                     *(engine.run_batch_async([query]) for query in queries)
                 )
@@ -589,11 +645,11 @@ class TestConcurrencyStress:
 
     def test_concurrent_single_query_batches_share_the_pool(self, slow_eve_queries):
         # The sync twin: 8 caller threads, one query each, still run at
-        # most 2 queries at once on a 2-thread backend.
+        # most 2 queries at once on a backend of width 2.
         graph = power_law_cluster(32, 2, seed=15)
         queries = random_reachable_queries(graph, 4, 8, seed=15).as_batch()
         results: dict = {}
-        with make_engine(graph, "thread", cache_size=0) as engine:
+        with make_engine(graph, "serial", cache_size=0) as engine:
 
             def serve(index: int) -> None:
                 results[index] = engine.run_batch([queries[index]])
@@ -612,10 +668,7 @@ class TestConcurrencyStress:
             assert results[index].outcomes[0].edges == build_spg(graph, *query).edges
         assert allocations <= 2, allocations
 
-    @pytest.mark.parametrize("backend_name", ["serial", "thread"])
-    def test_event_loop_stays_responsive_during_a_batch(
-        self, backend_name, slow_eve_queries
-    ):
+    def test_event_loop_stays_responsive_during_a_batch(self, slow_eve_queries):
         graph = power_law_cluster(40, 2, seed=16)
         # Distinct queries: duplicates would be computed once.
         queries = list(
@@ -635,7 +688,7 @@ class TestConcurrencyStress:
                     gaps.append(now - last)
                     last = now
 
-            with make_engine(graph, backend_name, cache_size=0) as engine:
+            with make_engine(graph, "serial", cache_size=0) as engine:
                 ticking = asyncio.create_task(ticker())
                 started = time.perf_counter()
                 report = await engine.run_batch_async(queries)
@@ -659,7 +712,7 @@ class TestConcurrencyStress:
                 yield query
 
         async def consume():
-            with make_engine(graph, "thread") as engine:
+            with make_engine(graph, "serial") as engine:
                 return [outcome async for outcome in engine.astream(feed(), batch_size=4)]
 
         outcomes = asyncio.run(consume())

@@ -6,7 +6,7 @@ answer-identical to the retained dict/recursive oracle
 are held to their ``*_reference`` twins: confirmed-edge-set identity on
 randomized graphs across ``k in {5..9}``, every distance strategy, with
 and without the Section 5.3 ordering, and through every executor backend
-(serial / thread / process) of the serving engine.
+(serial / process) of the serving engine.
 
 It also pins the behaviours the rewrite changed on purpose:
 
@@ -270,7 +270,7 @@ def _verification_span_profile(graph, batch, make_engine):
 
 
 class TestBackendIndependence:
-    BACKENDS = ["serial", "thread", "process"]
+    BACKENDS = ["serial", "process"]
 
     @staticmethod
     def _engine_factory(backend):
@@ -280,7 +280,7 @@ class TestBackendIndependence:
 
     def test_stats_identical_on_every_backend(self):
         """The same batch records identical verification span counters on
-        serial, thread and process engines."""
+        serial and process engines."""
         graph = erdos_renyi(80, 3.0, seed=41, name="backend-verify")
         rng = random.Random(41)
         batch = [

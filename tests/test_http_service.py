@@ -517,6 +517,82 @@ class TestHTTPFrontend:
 
         asyncio.run(scenario())
 
+    def test_unexpected_failure_answers_500(self, small_dense_graph, monkeypatch, caplog):
+        # A failure that is not a client error must get an explicit answer,
+        # not a dropped connection and an unhandled connection task.
+        async def failing_batch(*args, **kwargs):
+            raise RuntimeError("batch failed")
+
+        def failing_delta(delta):
+            raise RuntimeError("delta failed")
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            with _engine(small_dense_graph) as engine:
+                engine.tracer = Tracer()
+                monkeypatch.setattr(engine, "run_batch_async", failing_batch)
+                monkeypatch.setattr(engine, "apply_delta", failing_delta)
+                frontend = await _booted(engine)
+                try:
+                    address = frontend.address
+                    query = await request(
+                        address,
+                        None,
+                        "POST",
+                        "/query",
+                        body=json.dumps({"source": 0, "target": 7, "k": 4}).encode(),
+                    )
+                    assert query.status == 500
+                    assert query.json() == {"error": "RuntimeError: batch failed"}
+                    assert query.headers["connection"] == "close"
+                    mutate = await request(
+                        address,
+                        None,
+                        "POST",
+                        "/mutate",
+                        body=json.dumps({"insert": [[0, 7]]}).encode(),
+                    )
+                    assert mutate.status == 500
+                    assert mutate.json() == {"error": "RuntimeError: delta failed"}
+                    assert mutate.headers["connection"] == "close"
+                    # A /batch head goes out before the first outcome: the
+                    # stream can only close, unterminated.
+                    with pytest.raises(ConnectionError):
+                        await request(address, None, "POST", "/batch", body=b"0 7 4\n")
+                    health = await request(address, path="/healthz")
+                    assert health.status == 200
+                    assert health.json()["queue_depth"] == 0
+                finally:
+                    assert await frontend.shutdown(5.0)
+                statuses = {
+                    (event.attributes["path"], event.attributes["status"])
+                    for event in engine.tracer.events()
+                    if event.name == "http.request"
+                }
+            assert statuses == {
+                ("/query", 500),
+                ("/mutate", 500),
+                ("/batch", 500),
+                ("/healthz", 200),
+            }
+            assert unhandled == []
+
+        asyncio.run(scenario())
+        # The traceback is logged, not lost with the connection.
+        failures = {
+            (record.getMessage(), str(record.exc_info[1]))
+            for record in caplog.records
+            if record.name == "repro.service.http.server"
+        }
+        assert failures == {
+            ("POST /query failed", "batch failed"),
+            ("POST /mutate failed", "delta failed"),
+            ("POST /batch failed", "batch failed"),
+        }
+
     def test_keep_alive_serves_sequential_requests(self, small_dense_graph):
         async def scenario():
             with _engine(small_dense_graph) as engine:

@@ -2,7 +2,7 @@
 
 Covers the graph fingerprint, the shared backward-pass hook in
 ``repro.core.distances``/``repro.core.eve``, the LRU result cache, the
-batch planner, the concurrent executor, ``SPGEngine`` (batch == sequential,
+batch planner, ``SPGEngine`` (batch == sequential,
 cache hit/invalidation, determinism under threads, error isolation,
 streaming), the workload adapters, and a CLI round trip.
 """
@@ -37,8 +37,6 @@ from repro.service import (
     EngineStats,
     LatencyWindow,
     ResultCache,
-    TaskError,
-    ThreadBackend,
     make_cache_key,
     plan_batch,
 )
@@ -215,40 +213,6 @@ class TestPlanner:
         assert plan.num_shared_groups == 0
         with pytest.raises(QueryError):
             plan_batch([], min_group_size=1)
-
-
-# ----------------------------------------------------------------------
-# Executor
-# ----------------------------------------------------------------------
-class TestExecutor:
-    def test_results_in_task_order(self):
-        tasks = [lambda i=i: i * i for i in range(20)]
-        with ThreadBackend(8) as backend:
-            assert backend.run(tasks) == [i * i for i in range(20)]
-
-    def test_error_isolation(self):
-        def boom():
-            raise ValueError("boom")
-
-        with ThreadBackend(4) as backend:
-            results = backend.run([lambda: 1, boom, lambda: 3])
-        assert results[0] == 1 and results[2] == 3
-        assert isinstance(results[1], TaskError)
-        assert "boom" in results[1].message
-
-    def test_single_worker_runs_tasks_in_order_off_the_caller_thread(self):
-        order = []
-        caller = threading.get_ident()
-        threads = set()
-
-        def task(i):
-            order.append(i)
-            threads.add(threading.get_ident())
-
-        with ThreadBackend(1) as backend:
-            backend.run([lambda i=i: task(i) for i in range(5)])
-        assert order == list(range(5))
-        assert caller not in threads and len(threads) == 1
 
 
 # ----------------------------------------------------------------------

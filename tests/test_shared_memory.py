@@ -221,10 +221,9 @@ class TestSharedMemoryServing:
             assert old_segment.closed
             assert not engine._segment.closed
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_in_process_backends_never_build_segments(self, backend):
+    def test_serial_backend_never_builds_segments(self):
         graph, queries = random_workload(10)
-        with SPGEngine(graph, executor_backend=backend, max_workers=2) as engine:
+        with SPGEngine(graph, executor_backend="serial", max_workers=2) as engine:
             engine.run_batch(queries)
             assert engine._segment is None
 
