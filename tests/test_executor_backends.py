@@ -229,17 +229,19 @@ class TestExecutorContract:
             assert results[0] == 9
             assert isinstance(results[1], TaskError)
 
-    def test_at_most_max_workers_tasks_run_at_once(self, backend):
-        # Six callers, one backend of width 2: the width, not the number
-        # of callers, bounds how many tasks (planned groups, in the
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_at_most_max_workers_tasks_run_at_once(self, backend, width):
+        # Six callers, one backend of the given width: the width, not the
+        # number of callers, bounds how many tasks (planned groups, in the
         # engine) run at once.
         spans: list = []
         guard = threading.Lock()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with create_backend(backend, 2) as instance:
-                instance.run([Call(_square, (1,))])  # warm a process pool
+            with create_backend(backend, width) as instance:
+                # Warm a process pool: one submit spawns at most one worker.
+                instance.run([Call(_square, (1,))] * width)
 
                 def call() -> None:
                     results = instance.run([Call(_timed_sleep, (0.03,))] * 2)
@@ -256,7 +258,55 @@ class TestExecutorContract:
             sys.setswitchinterval(interval)
         assert len(spans) == 12
         assert all(not isinstance(span, TaskError) for span in spans), spans
-        assert max_overlap(spans) == 2
+        assert max_overlap(spans) == width
+
+    def test_overlapping_callers_get_their_own_results_in_order(self, backend):
+        # One shared backend, six callers: each gets back exactly its own
+        # tasks' results, in its own task order, errors in place.
+        def tasks_of(caller: int) -> list:
+            tasks = [Call(_sleepy_identity, (caller * 100 + i,)) for i in range(5)]
+            tasks.insert(caller % 5, Call(_boom, (f"caller-{caller}",)))
+            return tasks
+
+        results: dict = {}
+        with create_backend(backend, 2) as instance:
+
+            def call(caller: int) -> None:
+                results[caller] = instance.run(tasks_of(caller))
+
+            threads = [threading.Thread(target=call, args=(caller,)) for caller in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        for caller in range(6):
+            got = results[caller]
+            error = got.pop(caller % 5)
+            assert isinstance(error, TaskError)
+            assert error.message == f"ValueError: caller-{caller}"
+            assert got == [caller * 100 + i for i in range(5)]
+
+    def test_serial_backend_runs_each_task_on_its_calling_thread(self):
+        # No hand-off: every task of a call runs on the thread that made
+        # it, so the scratch and stats a task touches are the caller's.
+        idents: dict = {}
+        with create_backend("serial", 2) as instance:
+
+            def call(caller: int) -> None:
+                idents[caller] = (
+                    threading.get_ident(),
+                    instance.run([Call(threading.get_ident)] * 4),
+                )
+
+            threads = [threading.Thread(target=call, args=(caller,)) for caller in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        for caller_ident, task_idents in idents.values():
+            assert task_idents == [caller_ident] * 4
 
     def test_unknown_backend_rejected(self):
         for name in ("gpu", "async", "thread"):
@@ -367,13 +417,15 @@ class TestBackendLifecycle:
             engine.run_batch(queries)
             assert engine._backend is warm  # reused, not rebuilt
 
-    def test_engine_sizes_its_backend_by_max_workers(self, backend):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_engine_sizes_its_backend_by_max_workers(self, backend, width):
         # The in-flight bound is only as good as the width the engine
-        # passes on; 3 differs from the affinity default on small boxes.
+        # passes on; 1 and 3 differ from the affinity default on small
+        # boxes, and 1 no longer means anything but a width.
         graph, queries = random_workload(7)
-        with make_engine(graph, backend, max_workers=3) as engine:
+        with make_engine(graph, backend, max_workers=width) as engine:
             engine.run_batch(queries)
-            assert "max_workers=3" in repr(engine._backend)
+            assert f"max_workers={width}" in repr(engine._backend)
 
     def test_close_is_idempotent_and_engine_recovers(self, backend):
         graph, queries = random_workload(8)

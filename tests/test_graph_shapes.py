@@ -24,14 +24,21 @@ a graph and an answer:
    queries, graph swaps and deltas answer exactly like cold
    :func:`~repro.build_spg` calls, and a query ``build_spg`` rejects comes
    back as an errored outcome carrying the same exception text.
+6. **Overlapping callers** on one engine: batches, streams, async batches
+   and single queries from several threads at once, and batches that
+   overlap graph swaps and deltas, still answer like cold ``build_spg``
+   calls on the one graph each call read, with consistent stats and cache.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import pickle
 import random
+import sys
+import threading
 from array import array
 from collections import Counter, deque
 
@@ -621,3 +628,201 @@ class TestEngineAcrossShapes:
             assert engine.graph == rebuilt
             after = engine.run_batch(queries)
         assert_matches_cold_queries(rebuilt, queries, after)
+
+
+# ----------------------------------------------------------------------
+# 6. Overlapping callers on one engine
+# ----------------------------------------------------------------------
+#: More callers than the engine's two permits, so callers queue on the
+#: bound as well as run side by side.
+CALLERS = 4
+
+
+def run_callers(count: int, work) -> list:
+    """Run ``work(index)`` on ``count`` threads released together; return the results.
+
+    A failure on any thread is re-raised here, so assertions inside
+    ``work`` fail the test.
+    """
+    barrier = threading.Barrier(count)
+    results: list = [None] * count
+    failures: list = []
+
+    def call(index: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            results[index] = work(index)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=call, args=(index,)) for index in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    if failures:
+        raise failures[0]
+    return results
+
+
+@contextlib.contextmanager
+def fine_thread_switching():
+    """Switch threads every 10 µs so short critical windows interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def expected_outcomes(graph: DiGraph, queries: list) -> list:
+    return [expected_outcome(graph, query) for query in queries]
+
+
+class TestOverlappingCallersAcrossShapes:
+    """Batches, streams and queries from several threads at once on one engine.
+
+    ``serial`` runs each planned group on the thread that called in, so
+    every caller thread is an executor thread here: the answers, the
+    cache, the stats and the scratch pool must come out as if the calls
+    had run one after another.
+    """
+
+    def test_overlapping_batches_match_cold_build_spg(self, graph, backend):
+        workloads = [shape_queries(graph, seed=10 + index) for index in range(CALLERS)]
+        with make_engine(graph, backend) as engine:
+            reports = run_callers(CALLERS, lambda index: engine.run_batch(workloads[index]))
+        for queries, report in zip(workloads, reports):
+            assert_matches_cold_queries(graph, queries, report)
+
+    def test_overlapping_batches_keep_stats_and_cache_consistent(self, graph):
+        queries = shape_queries(graph, seed=11)
+        expected_errors = sum(
+            1 for outcome in expected_outcomes(graph, queries) if outcome[0] == "error"
+        )
+        with make_engine(graph, "serial") as engine:
+            reports = run_callers(CALLERS, lambda index: engine.run_batch(queries))
+            snapshot = engine.stats_snapshot()
+            again = engine.run_batch(queries)
+        for report in reports:
+            assert_matches_cold_queries(graph, queries, report)
+            assert report.errors == expected_errors
+        total = CALLERS * len(queries)
+        assert snapshot["batches_served"] == CALLERS
+        assert snapshot["queries_served"] == total
+        assert snapshot["cache_hits"] + snapshot["cache_misses"] == total
+        assert snapshot["errors"] == CALLERS * expected_errors
+        # Two permits: no more than two queries ever held a scratch bundle.
+        assert snapshot["scratch_allocations"] <= 2
+        assert_matches_cold_queries(graph, queries, again)
+        assert again.cache_hits == again.num_ok
+
+    def test_overlapping_streams_match_cold_build_spg(self, graph):
+        workloads = [shape_queries(graph, seed=20 + index) for index in range(CALLERS)]
+        with make_engine(graph, "serial") as engine:
+            streams = run_callers(
+                CALLERS,
+                lambda index: list(engine.run_stream(iter(workloads[index]), batch_size=4)),
+            )
+        for queries, outcomes in zip(workloads, streams):
+            assert_matches_cold_queries(graph, queries, outcomes)
+
+    def test_overlapping_async_batches_match_cold_build_spg(self, graph):
+        workloads = [shape_queries(graph, seed=30 + index) for index in range(CALLERS)]
+
+        async def serve():
+            with make_engine(graph, "serial") as engine:
+                return await asyncio.gather(
+                    *(engine.run_batch_async(queries) for queries in workloads)
+                )
+
+        for queries, report in zip(workloads, asyncio.run(serve())):
+            assert_matches_cold_queries(graph, queries, report)
+
+    def test_overlapping_single_queries_match_and_fill_cache(self, graph):
+        queries = shape_queries(graph, seed=40)
+        expected = expected_outcomes(graph, queries)
+
+        def ask_each(index: int) -> list:
+            # Each caller starts at a different query, so first asks overlap.
+            answers: list = [None] * len(queries)
+            positions = list(range(len(queries)))
+            for position in positions[index:] + positions[:index]:
+                try:
+                    answers[position] = ("ok", engine.query(*queries[position]).edges)
+                except Exception as exc:  # noqa: BLE001 - compared below
+                    answers[position] = ("error", f"{type(exc).__name__}: {exc}")
+            return answers
+
+        with make_engine(graph, "serial") as engine:
+            answers = run_callers(CALLERS, ask_each)
+            report = engine.run_batch(queries)
+        for caller_answers in answers:
+            assert caller_answers == expected
+        assert_matches_cold_queries(graph, queries, report)
+        assert report.cache_hits == report.num_ok
+
+    def test_batches_overlapping_graph_swaps_answer_on_one_graph(self, graph):
+        other = erdos_renyi(12, 2.0, seed=3)
+        queries = shape_queries(graph, seed=50)
+        on_graph = expected_outcomes(graph, queries)
+        on_other = expected_outcomes(other, queries)
+        with make_engine(graph, "serial") as engine:
+            caller_done = threading.Event()
+
+            def serve(index: int) -> list:
+                if index == 0:
+                    # Swap back and forth until some caller is done.
+                    swaps = 0
+                    while not caller_done.is_set():
+                        engine.set_graph(other if swaps % 2 == 0 else graph)
+                        swaps += 1
+                    engine.set_graph(graph)
+                    return []
+                try:
+                    return [
+                        [observed_outcome(outcome) for outcome in engine.run_batch(queries)]
+                        for _ in range(5)
+                    ]
+                finally:
+                    caller_done.set()
+
+            with fine_thread_switching():
+                rounds = run_callers(CALLERS, serve)
+            assert engine.graph is graph
+            settled = engine.run_batch(queries)
+        for observed in (report for caller in rounds for report in caller):
+            # Each batch reads the served graph once: all of it answers
+            # on one graph or all of it on the other.
+            assert observed in (on_graph, on_other)
+        assert_matches_cold_queries(graph, queries, settled)
+
+    def test_batches_overlapping_a_delta_answer_on_one_epoch(self, pair_graph):
+        queries = shape_queries(pair_graph, seed=60)
+        delta = random_shape_delta(pair_graph, seed=60)
+        after = (pair_graph.edge_set() - set(delta.deletes)) | set(delta.inserts)
+        rebuilt = DiGraph(pair_graph.num_vertices, sorted(after))
+        before_delta = expected_outcomes(pair_graph, queries)
+        after_delta = expected_outcomes(rebuilt, queries)
+        with make_engine(pair_graph, "serial") as engine:
+            engine.run_batch(queries)  # old-epoch entries for the delta to migrate
+
+            def serve(index: int) -> list:
+                if index == 0:
+                    return [engine.apply_delta(delta)]
+                return [
+                    [observed_outcome(outcome) for outcome in engine.run_batch(queries)]
+                    for _ in range(5)
+                ]
+
+            with fine_thread_switching():
+                rounds = run_callers(CALLERS, serve)
+            settled = engine.run_batch(queries)
+        (report,) = rounds[0]
+        assert report.epoch == 1 and not report.noop
+        for observed in (batch for caller in rounds[1:] for batch in caller):
+            assert observed in (before_delta, after_delta)
+        # Whatever the overlap, the cache serves only the new epoch now.
+        assert_matches_cold_queries(rebuilt, queries, settled)
