@@ -55,12 +55,19 @@ class ResultCache:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey) -> Optional[SimplePathGraphResult]:
-        """Return the cached result for ``key`` or ``None`` (counts hit/miss)."""
+    def get(
+        self, key: CacheKey, *, count_miss: bool = True
+    ) -> Optional[SimplePathGraphResult]:
+        """Return the cached result for ``key`` or ``None`` (counts hit/miss).
+
+        ``count_miss=False`` leaves a miss uncounted, for a caller that
+        hands the key on to a second lookup which counts it.
+        """
         with self._lock:
             result = self._entries.get(key)
             if result is None:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

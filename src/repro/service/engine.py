@@ -1024,6 +1024,34 @@ class SPGEngine:
             self._cache.put(key, result)
         return result
 
+    def cached_outcome(self, query: QueryLike) -> Optional[QueryOutcome]:
+        """Answer one query from the result cache alone; ``None`` on a miss.
+
+        Reads the served graph once and builds the key :meth:`run_batch`
+        would build, so a hit is exact for the epoch it keyed on.  It takes
+        only the cache's lock — no EVE work, planning or backend call — so
+        an event loop can call it inline.  A malformed query is a miss; the
+        batch it is sent on to reports it.
+
+        Counting rule: every query is one cache lookup and one served query,
+        whichever path answers it.  A hit here counts as a cache hit and as
+        one served cached query, with no batch.  A miss counts nowhere: the
+        caller sends the query on to :meth:`run_batch`, whose own lookup
+        counts it.
+        """
+        if self._cache is None:
+            return None
+        try:
+            normalized = self._normalize(query)
+        except QueryError:
+            return None
+        _, outcome = self._lookup(
+            normalized, self._graph.fingerprint(), True, count_miss=False
+        )
+        if outcome is not None:
+            self._stats.record_query(0.0, cached=True)
+        return outcome
+
     # ------------------------------------------------------------------
     # Batches
     # ------------------------------------------------------------------
@@ -1157,15 +1185,10 @@ class SPGEngine:
         for index, entry in enumerate(normalized):
             if entry is None:
                 continue
-            source, target, k = entry
-            key = make_cache_key(source, target, k, self._config, fingerprint)
-            if use_cache and self._cache is not None:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    outcomes[index] = QueryOutcome(
-                        source=source, target=target, k=k, result=hit, cached=True
-                    )
-                    continue
+            key, hit = self._lookup(entry, fingerprint, use_cache)
+            if hit is not None:
+                outcomes[index] = hit
+                continue
             pending.setdefault(key, []).append(index)
 
         # One computation per distinct uncached query; duplicates are filled
@@ -1187,6 +1210,26 @@ class SPGEngine:
             plan=plan,
             use_cache=use_cache,
         )
+
+    def _lookup(
+        self,
+        query: Tuple[Vertex, Vertex, int],
+        fingerprint: str,
+        use_cache: bool,
+        *,
+        count_miss: bool = True,
+    ) -> Tuple[CacheKey, Optional[QueryOutcome]]:
+        """Key one normalised query on ``fingerprint``; return the key and
+        its cached outcome, or ``None`` on a miss (or with the cache off)."""
+        source, target, k = query
+        key = make_cache_key(source, target, k, self._config, fingerprint)
+        if use_cache and self._cache is not None:
+            hit = self._cache.get(key, count_miss=count_miss)
+            if hit is not None:
+                return key, QueryOutcome(
+                    source=source, target=target, k=k, result=hit, cached=True
+                )
+        return key, None
 
     def _group_tasks(
         self, prepared: _PreparedBatch, backend: ExecutorBackend

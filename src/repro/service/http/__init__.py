@@ -6,8 +6,9 @@ Layers, bottom to top:
   one frozen dataclass;
 * :mod:`~repro.service.http.admission` — bounded queue, per-tenant token
   buckets, graceful drain;
-* :mod:`~repro.service.http.coalescer` — folds single queries into
-  planner batches under a latency budget;
+* :mod:`~repro.service.http.coalescer` — answers cache hits on the event
+  loop and folds the other single queries into planner batches by group
+  commit;
 * :mod:`~repro.service.http.server` — :class:`HTTPFrontend`, the
   hand-rolled HTTP/1.1 server itself (``POST /query``, ``POST /batch``,
   ``GET /metrics``, ``GET /healthz``);

@@ -4,7 +4,10 @@ Loads a graph exactly like the offline ``python -m repro.service`` (a
 Table 2 synthetic proxy or an edge-list file, same flags), then serves it
 through :class:`~repro.service.http.server.HTTPFrontend` until SIGINT or
 SIGTERM, at which point the server drains gracefully: new requests get
-503 while admitted queries finish.
+503 while admitted queries finish.  A ``/query`` the result cache can
+answer is answered on the event loop; the rest are batched by group
+commit, with no coalescing window (``--coalesce-max-batch`` bounds a
+batch).
 
 Examples
 --------
@@ -117,17 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the verification phase (upper bound only; exact for k <= 4)",
     )
     parser.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="latency budget for folding single queries into one batch",
-    )
-    parser.add_argument(
         "--coalesce-max-batch",
         type=int,
         default=64,
-        help="pending queries that force an immediate coalescer flush",
+        help="most queued single queries one coalescer batch runs at once",
     )
     parser.add_argument(
         "--max-queue-depth",
@@ -214,7 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         http_config = HTTPConfig(
             host=args.host,
             port=args.port,
-            coalesce_window=args.coalesce_window,
             coalesce_max_batch=args.coalesce_max_batch,
             max_queue_depth=args.max_queue_depth,
             tenant_rate=args.tenant_rate,

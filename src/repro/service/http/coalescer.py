@@ -1,67 +1,60 @@
-"""Fold single HTTP queries into planner batches under a latency budget.
+"""Fold single HTTP queries into planner batches by group commit.
 
 Independent clients each send one query, but the engine's wins — shared
 ``(t, k)`` backward passes, in-batch deduplication, one executor round
-trip — only materialise on *batches*.  The :class:`QueryCoalescer` holds
-the first query of a window for at most ``window_seconds`` and answers
-everything that arrived in the meantime with a single
-:meth:`~repro.service.engine.SPGEngine.run_batch_async` call, so planner
-batching works across connections, not just within one request.
+trip — only materialise on *batches*.  The :class:`QueryCoalescer` runs
+at most one batch at a time: a query that finds the coalescer idle is
+dispatched on the next event-loop iteration (together with anything else
+that arrived in the same tick), and queries that arrive while a batch is
+in flight queue up and form the next batch, up to ``max_batch`` at a time.
+An idle server therefore adds no wait, and a busy one batches across
+connections as deeply as its load makes it queue.
 
-The trade is explicit: up to one window of added latency buys batch
-throughput.  ``max_batch`` caps both the added latency under load (a full
-batch flushes immediately) and the batch size handed to the planner.
-Event-loop-confined like the admission layer; per-query error isolation
-is inherited from the engine (an errored query resolves its own future
-with an errored outcome, not an exception).
+A query the engine can answer from its result cache never queues: it is
+answered on the event loop by
+:meth:`~repro.service.engine.SPGEngine.cached_outcome` before it is
+enqueued.  Event-loop-confined like the admission layer; per-query error
+isolation is inherited from the engine (an errored query resolves its own
+future with an errored outcome, not an exception).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Set, Tuple
+import time
+from typing import List, Optional, Tuple
 
 from repro.service.engine import QueryOutcome, SPGEngine
 
 __all__ = ["QueryCoalescer"]
 
-#: One pending entry: the normalised query and the future its HTTP
-#: request handler awaits.
-_Pending = Tuple[Tuple[int, int, int], "asyncio.Future[QueryOutcome]"]
+#: One pending entry: the normalised query, the future its HTTP request
+#: handler awaits, and when it was enqueued (``time.perf_counter``).
+_Pending = Tuple[Tuple[int, int, int], "asyncio.Future[QueryOutcome]", float]
 
 
 class QueryCoalescer:
-    """Batch single queries arriving within one latency window.
+    """Answer cache hits inline and batch the rest by group commit.
 
     Parameters
     ----------
     engine:
-        The engine batches are run on (``run_batch_async``).
-    window_seconds:
-        Latency budget: how long the first query of a window may wait for
-        company.  ``0`` still coalesces arrivals of the same event-loop
-        tick.
+        The engine queries are answered by (``cached_outcome`` on the
+        loop, ``run_batch_async`` for batches).
     max_batch:
-        Pending size that triggers an immediate flush.
+        The most queries one batch hands to the planner; a longer queue
+        is worked off in several consecutive batches.
     """
 
-    def __init__(
-        self,
-        engine: SPGEngine,
-        *,
-        window_seconds: float = 0.002,
-        max_batch: int = 64,
-    ) -> None:
-        if window_seconds < 0:
-            raise ValueError(f"window_seconds must be >= 0, got {window_seconds}")
+    def __init__(self, engine: SPGEngine, *, max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._engine = engine
-        self._window = window_seconds
         self._max_batch = max_batch
         self._pending: List[_Pending] = []
-        self._timer: Optional[asyncio.Task] = None
-        self._inflight: Set[asyncio.Task] = set()
+        # The one task that runs batches while queries are pending; the
+        # strong reference also keeps it alive (the loop holds tasks weakly).
+        self._runner: Optional[asyncio.Task] = None
         self._closed = False
         #: Flush/batch accounting for tests and the run-table harness.
         self.batches_flushed = 0
@@ -69,62 +62,71 @@ class QueryCoalescer:
 
     # ------------------------------------------------------------------
     async def submit(self, query: Tuple[int, int, int]) -> QueryOutcome:
-        """Enqueue one normalised ``(s, t, k)`` query; await its outcome."""
+        """Answer one normalised ``(s, t, k)`` query.
+
+        A cache hit returns without yielding to the loop; a miss joins the
+        pending queue, starting the runner if no batch is in flight.
+        """
         if self._closed:
             raise RuntimeError("coalescer is closed")
+        outcome = self._engine.cached_outcome(query)
+        if outcome is not None:
+            return outcome
         future: "asyncio.Future[QueryOutcome]" = (
             asyncio.get_running_loop().create_future()
         )
-        self._pending.append((query, future))
-        if len(self._pending) >= self._max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = asyncio.create_task(self._flush_after_window())
+        self._pending.append((query, future, time.perf_counter()))
+        if self._runner is None:
+            self._runner = asyncio.create_task(self._run())
         return await future
 
     @property
     def pending(self) -> int:
-        """Queries waiting for the current window to flush."""
+        """Queries queued behind the batch in flight (not counting it)."""
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        """Move the pending window into one engine batch task."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
-        task = asyncio.create_task(self._run_batch(batch))
-        # Keep a strong reference: the loop only holds tasks weakly.
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _flush_after_window(self) -> None:
+    async def _run(self) -> None:
+        """Run the pending queue batch by batch, then exit."""
+        batch: List[_Pending] = []
         try:
-            await asyncio.sleep(self._window)
+            while self._pending:
+                batch = self._pending[: self._max_batch]
+                del self._pending[: self._max_batch]
+                await self._run_batch(batch)
         except asyncio.CancelledError:
-            return
-        self._timer = None
-        batch, self._pending = self._pending, []
-        if batch:
-            task = asyncio.create_task(self._run_batch(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            # Nobody else will answer these futures: fail every waiter,
+            # then let the cancellation through.
+            for _, future, _ in batch + self._pending:
+                future.cancel()
+            self._pending.clear()
+            raise
+        finally:
+            self._runner = None
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
-        queries = [query for query, _ in batch]
+        queries = [query for query, _, _ in batch]
+        started = time.perf_counter()
         try:
             report = await self._engine.run_batch_async(queries)
-        except BaseException as exc:  # noqa: BLE001 - fan the failure out
-            for _, future in batch:
+        except Exception as exc:  # noqa: BLE001 - fan the failure out
+            for _, future, _ in batch:
                 if not future.done():
                     future.set_exception(exc)
             return
+        finally:
+            tracer = self._engine.tracer
+            if tracer is not None:
+                tracer.record(
+                    "http.batch",
+                    started,
+                    time.perf_counter() - started,
+                    queries=len(batch),
+                    wait_ms=(started - batch[0][2]) * 1000.0,
+                )
         self.batches_flushed += 1
         self.queries_coalesced += len(batch)
-        for (_, future), outcome in zip(batch, report.outcomes):
+        for (_, future, _), outcome in zip(batch, report.outcomes):
             # A future may be done already if its client disconnected and
             # the handler cancelled it; the outcome is simply dropped.
             if not future.done():
@@ -132,14 +134,16 @@ class QueryCoalescer:
 
     # ------------------------------------------------------------------
     async def aclose(self) -> None:
-        """Flush the pending window and wait for every in-flight batch."""
+        """Refuse new queries, answer every pending one and wait for the runner."""
         self._closed = True
-        self._flush()
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        if self._runner is not None:
+            # asyncio.wait, unlike awaiting the task, does not cancel the
+            # runner if this caller is cancelled.
+            await asyncio.wait([self._runner])
 
     def __repr__(self) -> str:
         return (
-            f"QueryCoalescer(window={self._window}s, max_batch={self._max_batch}, "
-            f"pending={len(self._pending)}, flushed={self.batches_flushed})"
+            f"QueryCoalescer(max_batch={self._max_batch}, "
+            f"in_flight={self._runner is not None}, pending={len(self._pending)}, "
+            f"flushed={self.batches_flushed})"
         )

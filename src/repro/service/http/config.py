@@ -24,16 +24,13 @@ class HTTPConfig:
         Listen address.  ``port=0`` binds an ephemeral port (the bound
         address is readable from ``HTTPFrontend.address`` after start) —
         the load rig and the CI smoke test rely on this.
-    coalesce_window:
-        Latency budget in seconds for folding single ``POST /query``
-        requests into one planner batch.  The first query of a window
-        starts the timer; everything arriving before it fires is answered
-        by one ``run_batch_async`` call, so shared-target planning and
-        in-batch deduplication apply across independent HTTP clients.
-        ``0`` still coalesces same-event-loop-tick arrivals.
     coalesce_max_batch:
-        Queries that force an immediate flush before the window elapses,
-        bounding worst-case added latency *and* batch size under load.
+        The most single ``POST /query`` requests one coalescer batch
+        folds into a ``run_batch_async`` call.  There is no window: a
+        query that finds no batch in flight is dispatched at once, and
+        queries that queue behind a running batch form the next ones, so
+        shared-target planning and in-batch deduplication apply across
+        independent HTTP clients exactly when load makes them queue.
     max_queue_depth:
         Bound on admitted-but-unfinished queries.  A request that would
         push the depth past this is shed with 429 instead of joining an
@@ -57,7 +54,6 @@ class HTTPConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    coalesce_window: float = 0.002
     coalesce_max_batch: int = 64
     max_queue_depth: int = 256
     tenant_rate: Optional[float] = None
@@ -70,8 +66,6 @@ class HTTPConfig:
     max_header_bytes: int = 64 * 1024
 
     def __post_init__(self) -> None:
-        if self.coalesce_window < 0:
-            raise ValueError(f"coalesce_window must be >= 0, got {self.coalesce_window}")
         if self.coalesce_max_batch < 1:
             raise ValueError(
                 f"coalesce_max_batch must be >= 1, got {self.coalesce_max_batch}"

@@ -5,10 +5,11 @@
 dependency — requests are parsed straight off ``asyncio`` streams:
 
 * ``POST /query`` — one JSON query object; admitted through the bounded
-  queue and the per-tenant quota, then folded into a planner batch by the
-  :class:`~repro.service.http.coalescer.QueryCoalescer`; the response is
-  the same :func:`~repro.service.workload_io.outcome_record` JSON the
-  offline CLI prints.
+  queue and the per-tenant quota, then handed to the
+  :class:`~repro.service.http.coalescer.QueryCoalescer`, which answers a
+  cache hit on the event loop and batches misses by group commit; the
+  response is the same :func:`~repro.service.workload_io.outcome_record`
+  JSON the offline CLI prints.
 * ``POST /batch`` — a JSONL workload in the request body; the response
   streams one outcome record per line as chunked transfer encoding,
   backed by :meth:`~repro.service.engine.SPGEngine.astream`, with
@@ -31,9 +32,9 @@ by the configured drain timeout.  Any other failure of a request answers
 500 with a JSON ``error`` naming the exception and closes the connection;
 a ``/batch`` stream whose head already went out can only close.  When the
 engine carries a :class:`~repro.telemetry.Tracer`, every request records
-an ``http.request`` span (method, path, status, tenant, query count) into
-the same buffer as the engine's phase spans; a failed request's span says
-500.
+an ``http.request`` span (method, path, status, tenant) into the same
+buffer as the engine's phase spans, and every coalescer batch an
+``http.batch`` span; a failed request's span says 500.
 """
 
 from __future__ import annotations
@@ -218,8 +219,10 @@ class HTTPFrontend:
     Parameters
     ----------
     engine:
-        The engine that answers everything.  Closing it remains the
-        caller's job (the CLI owns both lifecycles).
+        The engine that answers everything: ``/query`` cache hits on the
+        event loop through :meth:`~repro.service.engine.SPGEngine.cached_outcome`,
+        all other work off it.  Closing it remains the caller's job (the
+        CLI owns both lifecycles).
     builder:
         The :class:`~repro.graph.builder.GraphBuilder` of an edge-list
         graph, when one was loaded: query endpoints are then the file's
@@ -247,9 +250,7 @@ class HTTPFrontend:
             tenant_burst=self._config.resolved_tenant_burst(),
         )
         self._coalescer = QueryCoalescer(
-            engine,
-            window_seconds=self._config.coalesce_window,
-            max_batch=self._config.coalesce_max_batch,
+            engine, max_batch=self._config.coalesce_max_batch
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
@@ -307,8 +308,9 @@ class HTTPFrontend:
 
         New requests are answered 503 while every already-admitted query
         finishes (bounded by ``drain_timeout``, default from the config);
-        then the coalescer flushes and the listener closes.  No admitted
-        in-flight query is dropped by a completed drain.
+        then the coalescer answers what is still queued and the listener
+        closes.  No admitted in-flight query is dropped by a completed
+        drain.
         """
         timeout = (
             self._config.drain_timeout if drain_timeout is None else drain_timeout

@@ -1,11 +1,13 @@
 """Tests for the asyncio HTTP front end (repro.service.http).
 
 Covers the admission layer (token buckets, bounded queue, drain), the
-request coalescer, the HTTP server itself (routing, error statuses,
-framing limits, keep-alive), parity between ``POST /batch`` and the
-offline CLI on the same workload, overload behaviour (shed with 429,
-never 5xx, bounded queue depth), per-tenant quotas, cross-connection
-coalescing, graceful drain, and the ``/metrics`` exposition.
+request coalescer (group commit, cancellation, batch spans), the HTTP
+server itself (routing, error statuses, framing limits, keep-alive),
+parity between ``POST /batch`` and the offline CLI on the same workload,
+overload behaviour (shed with 429, never 5xx, bounded queue depth),
+per-tenant quotas, cross-connection coalescing, cache hits answered on
+the event loop (counters, epochs), graceful drain, and the ``/metrics``
+exposition.
 
 No pytest-asyncio here: async tests run their coroutine with
 ``asyncio.run`` from a sync test function.
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import DiGraph, build_spg
 from repro.graph.io import load_graph
 from repro.service.engine import QueryOutcome, SPGEngine
 from repro.service.http import (
@@ -163,12 +166,21 @@ class TestAdmissionController:
 # Coalescer (against a fake engine: batching behaviour only)
 # ----------------------------------------------------------------------
 class _FakeEngine:
-    def __init__(self, fail=False):
+    """Misses every cache lookup; each batch waits for ``gate``."""
+
+    def __init__(self, fail=False, tracer=None):
         self.batches = []
         self.fail = fail
+        self.tracer = tracer
+        self.gate = asyncio.Event()
+        self.gate.set()
+
+    def cached_outcome(self, query):
+        return None
 
     async def run_batch_async(self, queries):
         self.batches.append(list(queries))
+        await self.gate.wait()
         if self.fail:
             raise RuntimeError("engine exploded")
         outcomes = [
@@ -178,11 +190,20 @@ class _FakeEngine:
         return type("Report", (), {"outcomes": outcomes})()
 
 
+async def _until(predicate, rounds=5, delay=0.0):
+    """Yield to the loop until ``predicate()`` holds; at most ``rounds`` times."""
+    for _ in range(rounds):
+        if predicate():
+            return True
+        await asyncio.sleep(delay)
+    return predicate()
+
+
 class TestQueryCoalescer:
-    def test_same_window_arrivals_share_one_batch(self):
+    def test_same_tick_arrivals_share_one_batch(self):
         async def scenario():
             engine = _FakeEngine()
-            coalescer = QueryCoalescer(engine, window_seconds=0.05, max_batch=64)
+            coalescer = QueryCoalescer(engine, max_batch=64)
             outcomes = await asyncio.gather(
                 *(coalescer.submit((i, i + 1, 3)) for i in range(5))
             )
@@ -194,26 +215,50 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
-    def test_max_batch_flushes_immediately(self):
+    def test_lone_query_is_dispatched_without_waiting(self):
         async def scenario():
             engine = _FakeEngine()
-            coalescer = QueryCoalescer(engine, window_seconds=10.0, max_batch=2)
-            outcomes = await asyncio.gather(
-                *(coalescer.submit((i, i + 1, 3)) for i in range(4))
-            )
-            assert len(outcomes) == 4
-            # A 10s window can only have been beaten by the max-batch flush.
-            assert coalescer.batches_flushed == 2
-            assert all(len(batch) == 2 for batch in engine.batches)
+            engine.gate.clear()
+            coalescer = QueryCoalescer(engine)
+            waiter = asyncio.create_task(coalescer.submit((0, 1, 3)))
+            # No timer: the query reaches the engine within a few loop
+            # iterations, not after a coalescing window.
+            assert await _until(lambda: engine.batches == [[(0, 1, 3)]])
+            engine.gate.set()
+            assert (await waiter).source == 0
+            await coalescer.aclose()
+
+        asyncio.run(scenario())
+
+    def test_queued_queries_form_capped_batches_in_order(self):
+        async def scenario():
+            engine = _FakeEngine()
+            engine.gate.clear()
+            coalescer = QueryCoalescer(engine, max_batch=2)
+            first = asyncio.create_task(coalescer.submit((0, 1, 3)))
+            assert await _until(lambda: len(engine.batches) == 1)
+            queued = [
+                asyncio.create_task(coalescer.submit((i, i + 1, 3)))
+                for i in range(1, 6)
+            ]
+            assert await _until(lambda: coalescer.pending == 5)
+            # One batch in flight at a time: nothing else starts while it runs.
+            assert not await _until(lambda: len(engine.batches) > 1)
+            engine.gate.set()
+            outcomes = await asyncio.wait_for(asyncio.gather(first, *queued), 5.0)
+            assert [outcome.source for outcome in outcomes] == list(range(6))
+            assert [[s for s, _, _ in batch] for batch in engine.batches] == [
+                [0], [1, 2], [3, 4], [5],
+            ]
+            assert coalescer.batches_flushed == 4
+            assert coalescer.queries_coalesced == 6
             await coalescer.aclose()
 
         asyncio.run(scenario())
 
     def test_engine_failure_fans_out_to_every_future(self):
         async def scenario():
-            coalescer = QueryCoalescer(
-                _FakeEngine(fail=True), window_seconds=0.01, max_batch=64
-            )
+            coalescer = QueryCoalescer(_FakeEngine(fail=True), max_batch=64)
             results = await asyncio.gather(
                 *(coalescer.submit((i, i + 1, 3)) for i in range(3)),
                 return_exceptions=True,
@@ -223,9 +268,79 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
+    def test_cancelled_runner_cancels_every_waiter(self):
+        async def scenario():
+            engine = _FakeEngine()
+            engine.gate.clear()
+            coalescer = QueryCoalescer(engine, max_batch=1)
+            waiters = [
+                asyncio.create_task(coalescer.submit((i, i + 1, 3))) for i in range(3)
+            ]
+            assert await _until(lambda: len(engine.batches) == 1)
+            (runner,) = asyncio.all_tasks() - {asyncio.current_task(), *waiters}
+            runner.cancel()
+            try:
+                results = await asyncio.wait_for(
+                    asyncio.gather(*waiters, return_exceptions=True), 5.0
+                )
+            finally:
+                engine.gate.set()  # a runner that survived must not hang teardown
+            assert all(isinstance(r, asyncio.CancelledError) for r in results)
+            assert runner.cancelled()
+            assert coalescer.pending == 0
+            # The next query starts a fresh runner.
+            assert (await coalescer.submit((7, 8, 3))).source == 7
+            await coalescer.aclose()
+
+        asyncio.run(scenario())
+
+    def test_batch_spans_carry_size_and_queue_wait(self):
+        async def scenario():
+            engine = _FakeEngine(tracer=Tracer())
+            engine.gate.clear()
+            coalescer = QueryCoalescer(engine)
+            first = asyncio.create_task(coalescer.submit((0, 1, 3)))
+            assert await _until(lambda: len(engine.batches) == 1)
+            queued = [
+                asyncio.create_task(coalescer.submit((i, i + 1, 3)))
+                for i in range(1, 8)
+            ]
+            assert await _until(lambda: coalescer.pending == 7)
+            held_from = time.perf_counter()
+            await asyncio.sleep(0.02)
+            held_ms = (time.perf_counter() - held_from) * 1000.0
+            engine.gate.set()
+            await asyncio.wait_for(asyncio.gather(first, *queued), 5.0)
+            await coalescer.aclose()
+            return engine.tracer.events(), held_ms
+
+        events, held_ms = asyncio.run(scenario())
+        spans = [event for event in events if event.name == "http.batch"]
+        assert [span.attributes["queries"] for span in spans] == [1, 7]
+        assert spans[1].attributes["wait_ms"] >= held_ms
+        assert spans[0].duration * 1000.0 >= held_ms
+
+    def test_aclose_answers_queued_queries(self):
+        async def scenario():
+            engine = _FakeEngine()
+            engine.gate.clear()
+            coalescer = QueryCoalescer(engine, max_batch=2)
+            waiters = [
+                asyncio.create_task(coalescer.submit((i, i + 1, 3))) for i in range(5)
+            ]
+            assert await _until(lambda: coalescer.pending == 3)
+            closing = asyncio.create_task(coalescer.aclose())
+            await asyncio.sleep(0)
+            engine.gate.set()
+            await asyncio.wait_for(closing, 5.0)
+            assert all(waiter.done() for waiter in waiters)
+            assert [w.result().source for w in waiters] == list(range(5))
+
+        asyncio.run(scenario())
+
     def test_submit_after_close_raises(self):
         async def scenario():
-            coalescer = QueryCoalescer(_FakeEngine(), window_seconds=0.01)
+            coalescer = QueryCoalescer(_FakeEngine())
             await coalescer.aclose()
             with pytest.raises(RuntimeError):
                 await coalescer.submit((0, 1, 2))
@@ -248,6 +363,19 @@ async def _booted(engine, builder=None, **config_kwargs):
     )
     await frontend.start()
     return frontend
+
+
+async def _post_query(frontend, query):
+    """``POST /query`` one ``(s, t, k)`` on a fresh connection; the record."""
+    s, t, k = query
+    body = json.dumps({"source": s, "target": t, "k": k}).encode()
+    response = await request(frontend.address, None, "POST", "/query", body=body)
+    assert response.status == 200
+    return response.json()
+
+
+def _edges(record):
+    return {tuple(edge) for edge in record["edges"]}
 
 
 class TestHTTPFrontend:
@@ -442,35 +570,51 @@ class TestHTTPFrontend:
 
         asyncio.run(scenario())
 
-    def test_concurrent_queries_coalesce_into_one_batch(self, small_dense_graph):
+    def test_queries_behind_a_held_batch_share_the_next_batch(
+        self, small_dense_graph, monkeypatch
+    ):
+        # Seven connections send while the first query's batch is held in
+        # flight; group commit folds all seven into the next batch.
+        queries = [
+            (0, 1, 4), (2, 1, 4), (3, 1, 4), (4, 1, 3),
+            (0, 3, 3), (7, 3, 3), (9, 8, 3), (4, 8, 3),
+        ]
+        entered, gate = threading.Event(), threading.Event()
+
         async def scenario():
             with _engine(small_dense_graph) as engine:
-                frontend = await _booted(
-                    engine, coalesce_window=0.1, coalesce_max_batch=64
-                )
-                try:
-                    queries = [(0, 7, 4), (3, 9, 4), (1, 7, 4), (5, 9, 4)]
-                    responses = await asyncio.gather(
-                        *(
-                            request(
-                                frontend.address,
-                                None,
-                                "POST",
-                                "/query",
-                                body=json.dumps(
-                                    {"source": s, "target": t, "k": k}
-                                ).encode(),
-                            )
-                            for s, t, k in queries
-                        )
-                    )
-                    assert all(r.status == 200 for r in responses)
-                    assert frontend.coalescer.batches_flushed == 1
-                    assert frontend.coalescer.queries_coalesced == len(queries)
-                finally:
-                    assert await frontend.shutdown(5.0)
+                run_batch = engine.run_batch
 
-        asyncio.run(scenario())
+                def gated_run_batch(batch, **kwargs):
+                    entered.set()
+                    gate.wait(10.0)
+                    return run_batch(batch, **kwargs)
+
+                monkeypatch.setattr(engine, "run_batch", gated_run_batch)
+                frontend = await _booted(engine)
+                try:
+                    sends = [asyncio.create_task(_post_query(frontend, queries[0]))]
+                    assert await _until(entered.is_set, rounds=500, delay=0.01)
+                    sends += [
+                        asyncio.create_task(_post_query(frontend, query))
+                        for query in queries[1:]
+                    ]
+                    assert await _until(
+                        lambda: frontend.coalescer.pending == 7, rounds=500, delay=0.01
+                    )
+                    gate.set()
+                    records = await asyncio.wait_for(asyncio.gather(*sends), 10.0)
+                    assert frontend.coalescer.batches_flushed == 2
+                    assert frontend.coalescer.queries_coalesced == 8
+                finally:
+                    gate.set()
+                    assert await frontend.shutdown(5.0)
+                return records
+
+        records = asyncio.run(scenario())
+        for (s, t, k), record in zip(queries, records):
+            assert record["ok"]
+            assert _edges(record) == build_spg(small_dense_graph, s, t, k).edges
 
     def test_drain_rejects_new_work_then_completes(self, small_dense_graph):
         async def scenario():
@@ -656,13 +800,98 @@ class TestHTTPFrontend:
 
 
 # ----------------------------------------------------------------------
+# /query cache hits answered on the event loop
+# ----------------------------------------------------------------------
+class TestLoopCacheHits:
+    def test_repeat_is_answered_without_a_batch(self, small_dense_graph):
+        async def scenario():
+            with _engine(small_dense_graph, cache_size=64) as engine:
+                frontend = await _booted(engine)
+                try:
+                    first = await _post_query(frontend, (0, 1, 4))
+                    batches = engine.stats.batches_served
+                    repeat = await _post_query(frontend, (0, 1, 4))
+                    assert engine.stats.batches_served == batches
+                finally:
+                    assert await frontend.shutdown(5.0)
+            return first, repeat
+
+        first, repeat = asyncio.run(scenario())
+        assert first["cached"] is False and repeat["cached"] is True
+        assert _edges(repeat) == build_spg(small_dense_graph, 0, 1, 4).edges
+
+    def test_each_query_is_one_lookup(self, small_dense_graph):
+        sequential = [(0, 1, 4), (0, 1, 4), (7, 3, 3), (0, 1, 4), (7, 3, 3)]
+        concurrent = [(2, 1, 4)] * 3 + [(9, 8, 3)] * 2
+
+        async def scenario():
+            with _engine(small_dense_graph, cache_size=64) as engine:
+                frontend = await _booted(engine)
+                try:
+                    for query in sequential:
+                        await _post_query(frontend, query)
+                    # Only the two first sightings needed a batch.
+                    assert engine.stats.batches_served == 2
+                    await asyncio.gather(
+                        *(_post_query(frontend, query) for query in concurrent)
+                    )
+                finally:
+                    assert await frontend.shutdown(5.0)
+                return engine.stats, engine.cache
+
+        stats, cache = asyncio.run(scenario())
+        served = len(sequential) + len(concurrent)
+        assert stats.queries_served == served
+        assert stats.cache_hits + stats.cache_misses == served
+        assert cache.hits + cache.misses == served
+
+    def test_mutation_rekeys_what_the_loop_serves(self, small_dense_graph):
+        changed, kept = (0, 7, 4), (3, 1, 4)
+        mutated = DiGraph(
+            small_dense_graph.num_vertices,
+            sorted(small_dense_graph.edge_set() | {(0, 7)}),
+        )
+
+        async def scenario():
+            with _engine(small_dense_graph, cache_size=64) as engine:
+                frontend = await _booted(engine)
+                try:
+                    await _post_query(frontend, changed)
+                    await _post_query(frontend, kept)
+                    body = json.dumps({"insert": [[0, 7]]}).encode()
+                    report = (
+                        await request(frontend.address, None, "POST", "/mutate", body=body)
+                    ).json()
+                    assert report["cache_invalidated"] == 1
+                    assert report["cache_retained"] == 1
+                    batches = engine.stats.batches_served
+                    records = [
+                        await _post_query(frontend, query)
+                        for query in (kept, changed, changed)
+                    ]
+                    # Only the invalidated entry needed a batch.
+                    assert engine.stats.batches_served == batches + 1
+                finally:
+                    assert await frontend.shutdown(5.0)
+            return records
+
+        kept_hit, recomputed, changed_hit = asyncio.run(scenario())
+        assert [kept_hit["cached"], recomputed["cached"], changed_hit["cached"]] == [
+            True, False, True,
+        ]
+        assert _edges(kept_hit) == build_spg(mutated, *kept).edges
+        assert _edges(recomputed) == build_spg(mutated, *changed).edges
+        assert _edges(changed_hit) == _edges(recomputed)
+        assert (0, 7) in _edges(recomputed)
+
+
+# ----------------------------------------------------------------------
 # Config validation
 # ----------------------------------------------------------------------
 class TestHTTPConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"coalesce_window": -0.1},
             {"coalesce_max_batch": 0},
             {"max_queue_depth": 0},
             {"tenant_rate": 0.0},
