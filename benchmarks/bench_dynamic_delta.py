@@ -2,10 +2,11 @@
 
 The point of the overlay design is that a small batch of edge changes
 should cost Python work proportional to the *touched rows*, not the
-whole graph: the touched rows are rebuilt from their CSR slices and the
-untouched CSR runs are spliced with bulk array copies.  This benchmark
-makes that claim concrete on a graph large enough for the difference to
-matter:
+whole graph: the touched rows are rebuilt from their CSR slices, and the
+untouched CSR runs are spliced in C (one memcpy per run of targets, and
+one memcpy or one big-int lane add per run of offsets; no per-offset
+Python loop).  This benchmark makes that claim concrete on a graph large
+enough for the difference to matter:
 
 * **apply vs rebuild** — applying a small :class:`GraphDelta` through
   :func:`repro.graph.delta.apply_delta` (including the spliced CSR)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro._types import Vertex
 from repro.exceptions import QueryError
@@ -64,7 +64,6 @@ __all__ = [
     "compute_distance_index",
     "backward_distance_map",
     "bounded_bfs",
-    "bounded_multi_source_distances",
     "DISTANCE_STRATEGIES",
 ]
 
@@ -458,56 +457,6 @@ def bounded_bfs(
     else:
         touched = _csr_bfs(offsets, targets, source, max_depth, mark, base)
     return ArrayDistanceMap(mark, base, touched)
-
-
-def bounded_multi_source_distances(
-    graph: DiGraph,
-    sources: Iterable[Vertex],
-    max_depth: int,
-    reverse: bool = False,
-    extra_adjacency: Optional[Mapping[Vertex, Sequence[Vertex]]] = None,
-) -> Dict[Vertex, int]:
-    """Depth-bounded multi-source BFS, optionally through extra edges.
-
-    Starts from every vertex in ``sources`` at distance 0 and returns a
-    ``{vertex: distance}`` dict for all vertices within ``max_depth``
-    hops.  ``extra_adjacency`` overlays additional out-edges (in-edges
-    when ``reverse``) on top of the graph's CSR view without rebuilding
-    it; the scoped cache invalidation in the service layer uses this to
-    traverse the *union* of a pre- and post-delta graph — the union's
-    distances lower-bound both epochs', which is what makes the
-    invalidation k-ball test conservative.
-
-    Runs once per applied delta (not per query), so it uses plain dict
-    bookkeeping instead of the marked scratch buffers.
-    """
-    offsets, targets = graph.csr_reverse() if reverse else graph.csr()
-    n = graph.num_vertices
-    dist: Dict[Vertex, int] = {}
-    frontier: List[Vertex] = []
-    for source in sources:
-        if 0 <= source < n and source not in dist:
-            dist[source] = 0
-            frontier.append(source)
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        next_frontier: List[Vertex] = []
-        for u in frontier:
-            neighbors = targets[offsets[u]:offsets[u + 1]]
-            for v in neighbors:
-                if v not in dist:
-                    dist[v] = depth
-                    next_frontier.append(v)
-            if extra_adjacency is not None:
-                extra = extra_adjacency.get(u)
-                if extra:
-                    for v in extra:
-                        if v not in dist:
-                            dist[v] = depth
-                            next_frontier.append(v)
-        frontier = next_frontier
-    return dist
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ class ResultCache:
         self,
         old_fingerprint: str,
         new_fingerprint: str,
-        keep: Optional[Callable[[CacheKey], bool]] = None,
+        keep: Callable[[CacheKey], bool],
     ) -> Tuple[int, int]:
         """Migrate entries from one graph fingerprint to its successor.
 
@@ -103,8 +103,7 @@ class ResultCache:
         true the entry is re-inserted under ``new_fingerprint`` (its result
         is still exact on the successor graph — the caller proved its
         k-ball misses the touched region); otherwise it is dropped and
-        counted in ``invalidations``.  ``keep=None`` drops everything, the
-        conservative whole-flush.  Returns ``(invalidated, retained)``.
+        counted in ``invalidations``.  Returns ``(invalidated, retained)``.
 
         Runs atomically under the lock, so a concurrent ``get`` sees either
         the old key or the new one, never a half-migrated table.  ``keep``
@@ -120,7 +119,7 @@ class ResultCache:
             matching = [key for key in self._entries if key[4] == old_fingerprint]
             for key in matching:
                 result = self._entries.pop(key)
-                if keep is not None and keep(key):
+                if keep(key):
                     new_key = (key[0], key[1], key[2], key[3], new_fingerprint)
                     self._entries[new_key] = result
                     retained += 1

@@ -44,17 +44,19 @@ from dataclasses import dataclass, field
 from threading import Lock
 from typing import (
     AsyncIterator,
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 from repro._types import Edge, Vertex
-from repro.core.distances import backward_distance_map, bounded_multi_source_distances
+from repro.core.distances import backward_distance_map
 from repro.core.eve import EVE, EVEConfig, ScratchPool
 from repro.core.result import SimplePathGraphResult
 from repro.exceptions import QueryError
@@ -484,6 +486,108 @@ def _release_backend(
         segment.close()
 
 
+# ----------------------------------------------------------------------
+# Scoped cache invalidation for one delta
+# ----------------------------------------------------------------------
+class _TouchedBall:
+    """A multi-source BFS from a delta's touched endpoints, one level a step.
+
+    ``dist`` holds every vertex within ``radius`` hops of the sources, at
+    its exact distance; every other vertex is at least ``radius + 1``
+    away.  The search walks one direction of a CSR pair and never passes
+    ``cap``; a frontier that empties first sets ``radius`` to ``cap``,
+    since nothing unreached lies within it.
+    """
+
+    __slots__ = ("_offsets", "_targets", "dist", "frontier", "radius", "cap")
+
+    def __init__(
+        self, csr: Tuple[Sequence[int], Sequence[Vertex]], sources: Set[Vertex], cap: int
+    ) -> None:
+        self._offsets, self._targets = csr
+        self.dist: Dict[Vertex, int] = dict.fromkeys(sources, 0)
+        self.frontier: List[Vertex] = list(self.dist)
+        self.cap = cap
+        self.radius = 0 if self.frontier else cap
+
+    def advance(self) -> None:
+        """Settle the next level."""
+        offsets, targets, dist = self._offsets, self._targets, self.dist
+        depth = self.radius + 1
+        frontier: List[Vertex] = []
+        for u in self.frontier:
+            for v in targets[offsets[u]:offsets[u + 1]]:
+                if v not in dist:
+                    dist[v] = depth
+                    frontier.append(v)
+        self.frontier = frontier
+        self.radius = depth if frontier else self.cap
+
+
+def _scoped_keep_predicate(
+    graph: DiGraph,
+    touched: Sequence[Edge],
+    keys: Iterable[Tuple[Vertex, Vertex, int]],
+) -> Callable[[CacheKey], bool]:
+    """Build the k-ball keep-predicate for one delta over the cached ``keys``.
+
+    An entry ``(s, t, k)`` can only change if some ``touched`` edge ``(u,
+    v)`` lies on an s-t path of at most ``k`` hops in the old or the new
+    graph, which needs ``dist(s, tails) + 1 + dist(heads, t) <= k`` for
+    the nearest touched tail and head.  Those two distances are the same
+    in both graphs and in their union: a shortest path to a touched tail
+    never crosses a touched edge, whose own tail would end a shorter one
+    (symmetrically for paths from the heads).  So ``graph``, the new one,
+    serves alone.
+
+    Two balls grow in it one level at a time, reverse from the touched
+    tails and forward from the touched heads, each capped at ``k_max - 1``
+    for the largest cached ``k``.  As in the adaptive bidirectional search
+    of Section 3.3, the side with the smaller frontier advances, and the
+    search stops once every key is decided.  With an unreached end counted
+    at its ball's ``radius + 1``, the sum ``dist(s, tails) + 1 + dist(heads,
+    t)`` only grows as the balls do: a key is *kept* once it exceeds ``k``,
+    and *invalidated* once both ends are reached and it is still ``<= k``.
+    Those are the decisions of two full-depth passes, at the cost of the
+    levels the keys need.
+
+    ``keep(key)`` applies the same bound with the final radii.  A key with
+    ``k > k_max`` (a racing put from an in-flight old-epoch batch), or one
+    the stopped search left undecided, fails it and is dropped:
+    over-invalidation is always safe.
+    """
+    pending = list(keys)
+    if not pending:
+        return lambda key: False
+    k_max = max(k for _, _, k in pending)
+    cap = max(0, k_max - 1)
+    to_tails = _TouchedBall(graph.csr_reverse(), {u for u, _ in touched}, cap)
+    from_heads = _TouchedBall(graph.csr(), {v for _, v in touched}, cap)
+
+    while True:
+        to_tail, far_tail = to_tails.dist, to_tails.radius + 1
+        from_head, far_head = from_heads.dist, from_heads.radius + 1
+        # Undecided: dist(s, tails) + 1 + dist(heads, t), with an unreached
+        # end at its ball's radius + 1, is still <= k, and an end is unreached.
+        pending = [
+            (s, t, k)
+            for s, t, k in pending
+            if to_tail.get(s, far_tail) + from_head.get(t, far_head) < k
+            and (s not in to_tail or t not in from_head)
+        ]
+        growing = [ball for ball in (to_tails, from_heads) if ball.radius < cap]
+        if not pending or not growing:
+            break
+        min(growing, key=lambda ball: len(ball.frontier)).advance()
+
+    def keep(key: CacheKey) -> bool:
+        k = key[2]
+        # Kept: that bound, at the final radii, exceeds k.
+        return k <= k_max and to_tail.get(key[0], far_tail) + from_head.get(key[1], far_head) >= k
+
+    return keep
+
+
 @dataclass
 class _PreparedBatch:
     """Everything ``run_batch`` computes before tasks are handed to a backend."""
@@ -804,9 +908,7 @@ class SPGEngine:
     # ------------------------------------------------------------------
     # Dynamic graphs: epoch-versioned delta application
     # ------------------------------------------------------------------
-    def apply_delta(
-        self, delta: GraphDelta, *, scoped_invalidation: bool = True
-    ) -> DeltaReport:
+    def apply_delta(self, delta: GraphDelta) -> DeltaReport:
         """Apply an edge delta to the served graph under live traffic.
 
         The successor graph is built as a :class:`~repro.graph.delta`
@@ -826,17 +928,17 @@ class SPGEngine:
           fingerprint and stay consistent.
 
         Cache entries keyed on the old fingerprint are migrated with a
-        *scoped* invalidation instead of the historical whole-flush: an
-        entry ``(s, t, k)`` can only change if some touched edge ``(u,
-        v)`` sits on a path of length <= k from ``s`` to ``t``, i.e. if
-        ``dist(s, u) + 1 + dist(v, t) <= k``.  Both distances are
-        measured in the *union* of the pre- and post-delta graphs (the
-        new graph plus the just-deleted edges), which lower-bounds both
-        epochs' distances, so the test is conservative: it may
-        over-invalidate, never retain a stale entry.  Surviving entries
-        are re-keyed to the new fingerprint atomically.  Pass
-        ``scoped_invalidation=False`` to drop every old-epoch entry
-        instead (the conservative whole-flush).
+        *scoped* invalidation instead of a whole-flush: an entry ``(s, t,
+        k)`` can only change if some touched edge ``(u, v)`` sits on a
+        path of length <= k from ``s`` to ``t`` in either epoch, which
+        needs ``dist(s, u) + 1 + dist(v, t) <= k`` for the nearest touched
+        tail ``u`` and head ``v``.  Those distances are the same in both
+        epochs, so the test is conservative: it may over-invalidate, never
+        retain a stale entry.  The search behind it stops once every
+        old-epoch entry is decided, so it scans only the levels around the
+        touched edges those entries need (see
+        :func:`_scoped_keep_predicate`).
+        Surviving entries are re-keyed to the new fingerprint atomically.
 
         Mutations serialize against each other; queries are never
         blocked.  No-op deltas (every edge already present/absent) leave
@@ -876,15 +978,15 @@ class SPGEngine:
             new_graph: DiGraph = view.compact() if compacted else view
             old_fingerprint = old_graph.fingerprint()
 
-            # Scoped invalidation runs its union-graph BFS *before* the
-            # swap: the predicate is a pure function over the precomputed
-            # distance maps, so the later atomic re-key holds the cache
-            # lock only for dict operations.
-            keep = None
-            if self._cache is not None and scoped_invalidation:
-                keep = self._scoped_keep_predicate(
-                    new_graph, view.applied_inserts, view.applied_deletes,
-                    old_fingerprint,
+            # Scoped invalidation runs its search *before* the swap: the
+            # predicate is a pure function over the distances found, so the
+            # later atomic re-key holds the cache lock only for dict
+            # operations.
+            if self._cache is not None:
+                keep = _scoped_keep_predicate(
+                    new_graph,
+                    view.applied_inserts + view.applied_deletes,
+                    [key[:3] for key in self._cache.keys() if key[4] == old_fingerprint],
                 )
 
             self.set_graph(new_graph)
@@ -916,71 +1018,6 @@ class SPGEngine:
                 compacted=compacted,
                 noop=False,
             )
-
-    def _scoped_keep_predicate(
-        self,
-        new_graph: DiGraph,
-        inserted: Tuple[Edge, ...],
-        deleted: Tuple[Edge, ...],
-        old_fingerprint: str,
-    ):
-        """Build the k-ball keep-predicate for one delta's touched edges.
-
-        ``keep(key)`` is true when the entry's ``(s, t, k)`` ball provably
-        misses every touched edge: ``dist(s, nearest touched tail) + 1 +
-        dist(nearest touched head, t) > k`` in the union graph (new graph
-        plus just-deleted edges).  Distances are computed once per delta
-        with two depth-capped multi-source BFS passes — a reverse pass
-        from the touched tails and a forward pass from the touched heads —
-        capped at ``max cached k - 1``.  Entries with a larger ``k`` than
-        any seen at BFS time (a racing put from an in-flight old-epoch
-        batch) fail the test and are dropped: over-invalidation is always
-        safe.
-        """
-        assert self._cache is not None
-        k_values = [
-            key[2] for key in self._cache.keys() if key[4] == old_fingerprint
-        ]
-        if not k_values:
-            return lambda key: False
-        k_max = max(k_values)
-        touched_tails = {u for u, _ in inserted} | {u for u, _ in deleted}
-        touched_heads = {v for _, v in inserted} | {v for _, v in deleted}
-        # The union graph = new graph + deleted edges, overlaid without a
-        # rebuild: forward BFS gets the deleted edges as extra out-edges,
-        # reverse BFS as extra in-edges.
-        extra_forward: Dict[Vertex, List[Vertex]] = {}
-        extra_reverse: Dict[Vertex, List[Vertex]] = {}
-        for u, v in deleted:
-            extra_forward.setdefault(u, []).append(v)
-            extra_reverse.setdefault(v, []).append(u)
-        to_tails = bounded_multi_source_distances(
-            new_graph,
-            touched_tails,
-            max(0, k_max - 1),
-            reverse=True,
-            extra_adjacency=extra_reverse,
-        )
-        from_heads = bounded_multi_source_distances(
-            new_graph,
-            touched_heads,
-            max(0, k_max - 1),
-            extra_adjacency=extra_forward,
-        )
-
-        def keep(key: CacheKey) -> bool:
-            source, target, k = key[0], key[1], key[2]
-            if k > k_max:
-                return False
-            distance_to_tail = to_tails.get(source)
-            if distance_to_tail is None:
-                return True
-            distance_from_head = from_heads.get(target)
-            if distance_from_head is None:
-                return True
-            return distance_to_tail + 1 + distance_from_head > k
-
-        return keep
 
     # ------------------------------------------------------------------
     # Single queries

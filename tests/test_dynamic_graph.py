@@ -13,7 +13,9 @@ Four layers of guarantees, each with its own differential oracle:
 3. **Scoped invalidation** — over-invalidation is allowed, under-
    invalidation is a failure: after every delta, every *retained* cache
    entry is audited against a from-scratch oracle; a localized-mutation
-   workload must retain >= 50% of its entries (the acceptance bar).
+   workload must retain >= 50% of its entries (the acceptance bar); and
+   the engine's stopping search decides every cached key exactly like two
+   full-depth passes over the union of both epochs.
 4. **Concurrency** — interleaving ``apply_delta`` with live
    ``run_batch``/``astream`` traffic never yields a torn epoch: each
    individual answer matches one of the graph epochs alive during the
@@ -32,12 +34,12 @@ from itertools import accumulate, chain
 import pytest
 
 from repro.core.eve import EVE, EVEConfig
-from repro.core.distances import bounded_multi_source_distances
 from repro.exceptions import EdgeError, GraphError
 from repro.graph import DeltaOverlayView, DiGraph, GraphDelta, apply_delta
 from repro.graph.delta import _splice_csr
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.service import ResultCache, SPGEngine, make_cache_key
+from repro.service.engine import _scoped_keep_predicate
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +85,72 @@ def assert_same_outcomes(report, oracle_report):
         assert (got.source, got.target, got.k) == (want.source, want.target, want.k)
         assert (got.error is None) == (want.error is None), (got, want)
         assert got.edges == want.edges, (got.source, got.target, got.k)
+
+
+def bounded_multi_source_distances(graph, sources, max_depth, reverse=False, extra_adjacency=None):
+    """Depth-bounded multi-source BFS through ``graph`` plus extra edges.
+
+    Starts from every vertex in ``sources`` at distance 0 and returns a
+    ``{vertex: distance}`` dict for all vertices within ``max_depth``
+    hops; ``extra_adjacency`` adds out-edges (in-edges when ``reverse``).
+    One of the two full-depth passes of :func:`full_ball_keep`.
+    """
+    offsets, targets = graph.csr_reverse() if reverse else graph.csr()
+    n = graph.num_vertices
+    dist = {}
+    frontier = []
+    for source in sources:
+        if 0 <= source < n and source not in dist:
+            dist[source] = 0
+            frontier.append(source)
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
+        next_frontier = []
+        for u in frontier:
+            extra = extra_adjacency.get(u, ()) if extra_adjacency else ()
+            for v in chain(targets[offsets[u]:offsets[u + 1]], extra):
+                if v not in dist:
+                    dist[v] = depth
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return dist
+
+
+def full_ball_keep(graph, inserted, deleted, keys):
+    """The k-ball keep test computed with two full-depth passes.
+
+    Reverse from the touched tails and forward from the touched heads,
+    both to ``max k - 1`` over ``graph`` plus the deleted edges; a key is
+    kept when ``dist(s, tails) + 1 + dist(heads, t) > k``.  The oracle for
+    the engine's search that stops once every key is decided.
+    """
+    keys = list(keys)
+    if not keys:
+        return lambda key: False
+    k_max = max(key[2] for key in keys)
+    extra_forward, extra_reverse = {}, {}
+    for u, v in deleted:
+        extra_forward.setdefault(u, []).append(v)
+        extra_reverse.setdefault(v, []).append(u)
+    touched = inserted + deleted
+    depth = max(0, k_max - 1)
+    to_tails = bounded_multi_source_distances(
+        graph, {u for u, _ in touched}, depth, reverse=True, extra_adjacency=extra_reverse
+    )
+    from_heads = bounded_multi_source_distances(
+        graph, {v for _, v in touched}, depth, extra_adjacency=extra_forward
+    )
+
+    def keep(key):
+        source, target, k = key[0], key[1], key[2]
+        if k > k_max:
+            return False
+        if source not in to_tails or target not in from_heads:
+            return True
+        return to_tails[source] + 1 + from_heads[target] > k
+
+    return keep
 
 
 # ----------------------------------------------------------------------
@@ -251,22 +319,51 @@ class TestDeltaOverlayView:
                 array("q", chain.from_iterable(rows)),
             )
 
+        def random_row(rng, n, degree):
+            return sorted(rng.sample(range(n), rng.randrange(0, min(n, degree) + 1)))
+
+        # Which rows change, and to what.
+        def any_rows(rng, rows, degree):
+            n = len(rows)
+            picked = rng.sample(range(n), rng.randrange(0, n + 1))
+            return {u: random_row(rng, n, degree) for u in picked}
+
+        def emptied(rng, rows, degree):  # a net-negative shift
+            full = [u for u, row in enumerate(rows) if row]
+            return {u: [] for u in full[:1] + rng.sample(full, len(full) // 2)}
+
+        def ends(rng, rows, degree):
+            return {u: random_row(rng, len(rows), degree) for u in {0, len(rows) - 1}}
+
+        def every_row(rng, rows, degree):
+            return {u: random_row(rng, len(rows), degree) for u in range(len(rows))}
+
         rng = random.Random(13)
-        for trial in range(20):
-            n = rng.randrange(1, 12)
-            adjacency = [
-                sorted(rng.sample(range(n), rng.randrange(0, n))) for _ in range(n)
-            ]
-            base = flatten(adjacency)
-            changed = {}
-            for u in rng.sample(range(n), rng.randrange(0, n + 1)):
-                changed[u] = sorted(rng.sample(range(n), rng.randrange(0, n)))
-            merged = [changed.get(u, adjacency[u]) for u in range(n)]
-            assert _splice_csr(base, changed, n) == flatten(merged), trial
+        for change in (any_rows, emptied, ends, every_row):
+            for trial in range(24):
+                # Small graphs with rows up to every vertex, then a few
+                # thousand vertices at sparse-graph degree.
+                if trial < 20:
+                    n, degree = rng.randrange(1, 12), 12
+                else:
+                    n, degree = rng.randrange(2000, 4000), 6
+                adjacency = [random_row(rng, n, degree) for _ in range(n)]
+                adjacency[rng.randrange(n)] = list(range(min(n, degree)))
+                base = flatten(adjacency)
+                changed = change(rng, adjacency, degree)
+                expected = flatten([changed.get(u, adjacency[u]) for u in range(n)])
+                if change is emptied:
+                    assert len(expected[1]) < len(base[1])
+                # An owned base, and the same base as memoryviews (what a
+                # graph attached to a shared-memory block holds).
+                for source in (base, tuple(memoryview(part) for part in base)):
+                    spliced = _splice_csr(source, changed, n)
+                    assert spliced == expected, (change.__name__, trial)
+                    assert {type(part) for part in spliced} == {array}
 
 
 # ----------------------------------------------------------------------
-# Union-graph bounded multi-source BFS
+# The oracle's union-graph bounded multi-source BFS
 # ----------------------------------------------------------------------
 class TestBoundedMultiSourceDistances:
     def _oracle(self, edges, n, sources, depth):
@@ -325,6 +422,67 @@ class TestBoundedMultiSourceDistances:
 
 
 # ----------------------------------------------------------------------
+# The invalidation search against the two full-depth passes
+# ----------------------------------------------------------------------
+class TestScopedKeepPredicate:
+    TOPOLOGIES = {
+        "erdos": lambda seed: erdos_renyi(60, 2.5, seed=seed),
+        "power-law": lambda seed: power_law_cluster(60, 2, seed=seed),
+    }
+    #: ``(inserts, deletes)`` asked of :func:`random_delta`.
+    DELTAS = {"insert": (4, 0), "delete": (0, 4), "mixed": (3, 2)}
+
+    @staticmethod
+    def _keys(rng, n, count, ks=range(1, 9)):
+        keys = set()
+        while len(keys) < count:
+            s, t = rng.randrange(n), rng.randrange(n)
+            if s != t:
+                keys.add((s, t, rng.choice(ks)))
+        return sorted(keys)
+
+    @pytest.mark.parametrize("kind", sorted(DELTAS))
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_decides_every_key_like_the_full_passes(self, topology, kind):
+        rng = random.Random(f"{topology}:{kind}")
+        decisions = set()
+        for seed in range(6):
+            graph = self.TOPOLOGIES[topology](seed)
+            view = apply_delta(graph, random_delta(graph, rng, *self.DELTAS[kind]))
+            inserted, deleted = view.applied_inserts, view.applied_deletes
+            for count in (1, 8, 60, 400):
+                keys = self._keys(rng, 60, count)
+                keep = _scoped_keep_predicate(view, inserted + deleted, keys)
+                oracle = full_ball_keep(view, inserted, deleted, keys)
+                for key in keys:
+                    assert keep(key) == oracle(key), (seed, key, inserted, deleted)
+                    decisions.add(keep(key))
+                # A key put after the search stopped is kept only when the
+                # final radii prove what the full passes would.
+                for key in self._keys(rng, 60, 40, ks=range(1, max(k for *_, k in keys) + 1)):
+                    assert not keep(key) or oracle(key), (seed, key, inserted, deleted)
+        assert decisions == {True, False}
+
+    def test_empty_cache_drops_racing_puts(self):
+        graph = erdos_renyi(60, 2.5, seed=3)
+        view = apply_delta(graph, GraphDelta(deletes=sorted(graph.edge_set())[:2]))
+        keep = _scoped_keep_predicate(view, view.applied_deletes, [])
+        assert not keep((40, 41, 1))
+        assert not keep(make_cache_key(40, 41, 1, EVEConfig(), view.fingerprint()))
+
+    def test_racing_put_above_k_max_is_dropped(self):
+        graph = erdos_renyi(60, 2.5, seed=4)
+        view = apply_delta(graph, random_delta(graph, random.Random(4), 2, 2))
+        keys = self._keys(random.Random(5), 60, 30, ks=(1, 2, 3, 4))
+        keep = _scoped_keep_predicate(view, view.applied_inserts + view.applied_deletes, keys)
+        kept = [key for key in keys if keep(key)]
+        assert kept
+        for s, t, _ in kept:
+            assert not keep((s, t, 5))
+            assert not keep(make_cache_key(s, t, 5, EVEConfig(), "fp-old"))
+
+
+# ----------------------------------------------------------------------
 # ResultCache: rekey_fingerprint
 # ----------------------------------------------------------------------
 class TestCacheScopedInvalidation:
@@ -369,14 +527,6 @@ class TestCacheScopedInvalidation:
         # Retained entries answer under the new fingerprint without a miss.
         assert cache.get(make_cache_key(2, 3, 4, self.CONFIG, "fp-new")) is result
         assert cache.get(make_cache_key(0, 1, 4, self.CONFIG, "fp-old")) is None
-
-    def test_rekey_none_keep_drops_all(self, figure1_graph):
-        result = EVE(figure1_graph, self.CONFIG).query(0, 3, 4)
-        cache = ResultCache(64)
-        self._fill(cache, "fp-old", 4, result)
-        invalidated, retained = cache.rekey_fingerprint("fp-old", "fp-new", None)
-        assert (invalidated, retained) == (4, 0)
-        assert len(cache) == 0
 
     def test_concurrent_invalidation_with_traffic(self, figure1_graph):
         result = EVE(figure1_graph, self.CONFIG).query(0, 3, 4)
@@ -479,7 +629,7 @@ class TestDifferentialHarness:
     def test_delta_answers_match_rebuild(self, topology):
         build = dict(self.TOPOLOGIES)[topology]
         run_schedule(
-            lambda g: SPGEngine(g, executor_backend="serial", max_workers=2),
+            lambda g: SPGEngine(g, max_workers=2),
             build(),
             seed=hash(("serial", topology)) % (2**31),
         )
@@ -501,7 +651,7 @@ class TestDifferentialHarness:
         # gets its own query set against the same mutation sequence.
         rng = random.Random(31)
         graph = erdos_renyi(40, 2.5, seed=31)
-        with SPGEngine(graph, executor_backend="serial") as engine:
+        with SPGEngine(graph) as engine:
             current = graph
             for _ in range(3):
                 delta = random_delta(current, rng, 3, 2)
@@ -525,7 +675,7 @@ class TestDifferentialHarness:
 class TestEngineDeltaSemantics:
     def test_epoch_and_report_bookkeeping(self):
         graph = erdos_renyi(30, 2.0, seed=41)
-        with SPGEngine(graph, executor_backend="serial") as engine:
+        with SPGEngine(graph) as engine:
             assert engine.graph_epoch == 0
             report = engine.apply_delta(GraphDelta(inserts=[(0, 15)]))
             assert report.epoch == 1 and engine.graph_epoch == 1
@@ -541,7 +691,7 @@ class TestEngineDeltaSemantics:
 
     def test_noop_delta_keeps_cache_warm(self):
         graph = erdos_renyi(30, 2.0, seed=42)
-        with SPGEngine(graph, executor_backend="serial") as engine:
+        with SPGEngine(graph) as engine:
             queries = random_queries(random.Random(1), 30, 8)
             engine.run_batch(queries)
             engine.run_batch(queries)
@@ -553,9 +703,7 @@ class TestEngineDeltaSemantics:
 
     def test_compaction_threshold_triggers(self):
         graph = erdos_renyi(40, 2.0, seed=43)
-        with SPGEngine(
-            graph, executor_backend="serial", compact_threshold=4
-        ) as engine:
+        with SPGEngine(graph, compact_threshold=4) as engine:
             report = engine.apply_delta(
                 GraphDelta(inserts=[(0, 20), (1, 21), (2, 22)])
             )
@@ -583,22 +731,11 @@ class TestEngineDeltaSemantics:
 
     def test_out_of_range_delta_leaves_engine_untouched(self):
         graph = DiGraph(4, [(0, 1), (1, 2)])
-        with SPGEngine(graph, executor_backend="serial") as engine:
+        with SPGEngine(graph) as engine:
             with pytest.raises(EdgeError):
                 engine.apply_delta(GraphDelta(inserts=[(0, 99)]))
             assert engine.graph is graph
             assert engine.graph_epoch == 0
-
-    def test_unscoped_invalidation_flushes_old_epoch(self):
-        graph = erdos_renyi(30, 2.0, seed=44)
-        with SPGEngine(graph, executor_backend="serial") as engine:
-            queries = random_queries(random.Random(3), 30, 8)
-            engine.run_batch(queries)
-            report = engine.apply_delta(
-                GraphDelta(inserts=[(0, 15)]), scoped_invalidation=False
-            )
-            assert report.cache_retained == 0
-            assert report.cache_invalidated > 0
 
 
 # ----------------------------------------------------------------------
@@ -626,7 +763,7 @@ class TestScopedRetention:
 
     def test_localized_mutation_retains_majority(self):
         graph = self._two_cluster_graph()
-        with SPGEngine(graph, executor_backend="serial") as engine:
+        with SPGEngine(graph) as engine:
             rng = random.Random(52)
             queries = []
             while len(queries) < 20:
@@ -664,7 +801,7 @@ class TestScopedRetention:
 
     def test_mutation_inside_ball_invalidates(self):
         graph = self._two_cluster_graph()
-        with SPGEngine(graph, executor_backend="serial") as engine:
+        with SPGEngine(graph) as engine:
             engine.query(0, 5, 4)
             # Delete an edge adjacent to the cached source: its ball
             # certainly intersects, so the entry must die.
@@ -705,7 +842,7 @@ class TestConcurrentMutation:
         queries = random_queries(rng, 36, 12)
         oracle = self._oracle_answers(graphs, queries)
 
-        with SPGEngine(base, executor_backend="serial", max_workers=2) as engine:
+        with SPGEngine(base, max_workers=2) as engine:
             start = threading.Barrier(2)
             mutator_done = threading.Event()
 
@@ -754,7 +891,7 @@ class TestConcurrentMutation:
         oracle = self._oracle_answers([base, after], queries)
 
         async def drive():
-            with SPGEngine(base, executor_backend="serial", max_workers=2) as engine:
+            with SPGEngine(base, max_workers=2) as engine:
                 outcomes = []
                 stream = engine.astream(queries, batch_size=2)
                 loop = asyncio.get_running_loop()
@@ -777,7 +914,7 @@ class TestConcurrentMutation:
 
     def test_concurrent_mutators_serialize(self):
         base = erdos_renyi(30, 2.0, seed=9)
-        with SPGEngine(base, executor_backend="serial") as engine:
+        with SPGEngine(base) as engine:
             inserts = [(u, (u + 15) % 30) for u in range(12)]
             inserts = [e for e in inserts if e not in base.edge_set()]
 

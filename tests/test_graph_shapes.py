@@ -18,7 +18,8 @@ a graph and an answer:
    graph, answers and rejects queries identically, and its segment is
    unlinked exactly once.
 4. **Delta overlays** (:mod:`repro.graph.delta`): an overlay equals a
-   from-scratch rebuild of the mutated edge list.
+   from-scratch rebuild of the mutated edge list, and an overlay of a
+   graph attached to a shared-memory segment equals the owned graph's.
 5. **The engine** (:class:`~repro.service.SPGEngine`) on every executor
    backend: batches, cache revisits, streams, async batches, single
    queries, graph swaps and deltas answer exactly like cold
@@ -532,6 +533,25 @@ class TestDeltaOverlay:
         ):
             with pytest.raises(EdgeError, match="outside"):
                 apply_delta(graph, delta)
+
+    @requires_shared_memory
+    def test_overlay_of_shared_graph_matches_owned(self, graph):
+        delta = random_shape_delta(graph, seed=13)
+        owned = apply_delta(graph, delta)
+        with SharedGraphSegment(graph) as segment:
+            attached = attach_shared_graph(segment.descriptor)
+            shared = apply_delta(attached.graph, delta)
+            assert shared.csr() == owned.csr()
+            assert shared.csr_reverse() == owned.csr_reverse()
+            assert shared.fingerprint() == owned.fingerprint()
+            if not shared.is_noop:
+                # The splice copied out of the block: the overlay owns its
+                # arrays and outlives the attachment.
+                assert buffer_types(shared) == {array}
+                attached.close()
+                assert shared == owned
+            del shared
+            attached.close()
 
 
 # ----------------------------------------------------------------------
