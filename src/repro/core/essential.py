@@ -15,11 +15,12 @@ runs on the cached flat-array adjacency of
 list-of-list neighbour walks, and all per-vertex bookkeeping lives in flat
 arrays indexed by CSR vertex id instead of dicts:
 
-* **EV sets are sorted int tuples.**  An ``EV*_l`` set has at most ``l + 1``
+* **EV sets are int tuples.**  An ``EV*_l`` set has at most ``l + 1``
   elements (it is a subset of any single path of length ``<= l``), so each
-  stored set is a small sorted array of vertex ids.  Sorted storage makes
-  set equality a tuple compare and gives the labelling phase a canonical
-  order to build its intersection bitsets from (see
+  stored set is a small tuple of vertex ids, in the merge set's iteration
+  order.  Nothing reads that order: a vertex's new entry is a subset of
+  its previous one, so set equality is a length compare, and the
+  labelling phase tests intersections against frozensets (see
   :mod:`repro.core.labeling`).
 * **Per-vertex entries in flat lists.**  ``levels[v]`` / ``sets[v]`` are
   slots indexed by vertex id (the paper's "only store the first one"
@@ -39,6 +40,10 @@ arrays indexed by CSR vertex id instead of dicts:
   (O(previously reached), never the whole buffer), and each level returns
   its merge sets to a spare list once consumed, so a long-lived scratch
   holds one query's entries at most.
+* **One space record per direction.**  A :class:`~repro.core.space.SpaceMeter`
+  receives the items a propagation stored past the anchor's own entry as
+  one ``allocate`` when the pass ends.  Propagation never releases, so this
+  reaches the same peak as one ``allocate`` per stored entry.
 
 The previous dict/frozenset implementation is retained verbatim in
 :mod:`repro.core.essential_reference` as the property-test oracle and
@@ -94,7 +99,7 @@ __all__ = [
 class _EssentialSide:
     """Reusable flat buffers for one propagation direction.
 
-    ``levels[v]`` / ``sets[v]`` hold the recorded ``(level, sorted tuple)``
+    ``levels[v]`` / ``sets[v]`` hold the recorded ``(level, tuple)``
     entries of vertex ``v`` as tuples, exactly for the vertices in
     ``touched`` (the current query's vertices in first-recorded order), and
     ``None`` for every other vertex.  ``work[v]`` is ``v``'s merge set
@@ -175,8 +180,8 @@ class EssentialVertexIndex:
 
     Storage is borrowed from an :class:`_EssentialSide`: ``_levels[v]`` is
     the sorted tuple of recorded levels of vertex ``v`` (``None`` when ``v``
-    was not reached) and ``_sets[v]`` the parallel tuple of sorted int
-    tuples, coherent until the side serves its next query.  :meth:`get` /
+    was not reached) and ``_sets[v]`` the parallel tuple of int tuples
+    (unordered), coherent until the side serves its next query.  :meth:`get` /
     :meth:`latest` return frozensets for API compatibility with the
     retained reference implementation (and set-algebra-friendly test
     assertions); the hot labelling path reads the raw tuples through the
@@ -320,7 +325,8 @@ def _propagate(
     work = side.work
     work_stamp = side.work_stamp
     spare = side.spare
-    category = f"ev-{direction}"
+    # Items stored past the anchor's own entry: the space the meter records.
+    stored = 0
     frontier: List[Vertex] = [anchor]
     for level in range(1, k):
         side.work_epoch += 1
@@ -354,6 +360,9 @@ def _propagate(
                     merged.add(y)
         if not updated:
             break
+        # Vertices first reached at this level share one levels tuple: one
+        # object fewer per vertex for the garbage collector to count.
+        first_levels = (level,)
         next_frontier: List[Vertex] = []
         for y in updated:
             merged = work[y]
@@ -361,8 +370,8 @@ def _propagate(
             entry_levels = levels[y]
             if entry_levels is None:
                 touched.append(y)
-                frozen = tuple(sorted(merged))
-                levels[y] = (level,)
+                frozen = tuple(merged)
+                levels[y] = first_levels
                 sets[y] = (frozen,)
             else:
                 entry_sets = sets[y]
@@ -376,17 +385,18 @@ def _propagate(
                     merged.clear()
                     spare.append(merged)
                     continue
-                frozen = tuple(sorted(merged))
+                frozen = tuple(merged)
                 levels[y] = entry_levels + (level,)
                 sets[y] = entry_sets + (frozen,)
+            stored += len(frozen)
             merged.clear()
             spare.append(merged)
             next_frontier.append(y)
-            if space is not None:
-                space.allocate(len(frozen), category=category)
         frontier = next_frontier
         if not frontier:
             break
+    if space is not None:
+        space.allocate(stored, category=f"ev-{direction}")
     return index
 
 

@@ -23,12 +23,16 @@ the CSR out-edges** of the candidate space instead of a per-edge
 level-resolved intersection operands) are computed once per ``u`` and
 per-target values are memoised across the edges that share ``v``.
 
-Intersection tests use **small bitsets over the shared essential-vertex
-universe**: a vertex can witness ``EV_kf(s, u) ∩ EV_kb(v, t) != ∅`` only if
-it appears in some forward *and* some backward set, so each such vertex is
-assigned one bit (in sorted vertex-id order) and every stored EV set folds
-down to one int mask — the per-split emptiness test of Algorithm 2's inner
-loop becomes a single ``fmask & bmask`` machine op, exact by construction.
+The split loop of lines 5-8 runs only over the splits that can decide a
+label.  The ``k_f + k_b = k - 1`` pairing leaves an edge the splits ``k_f``
+from ``max(2, first forward level of u)`` to ``min(k - 3, k - 1 - first
+backward level of v)``; every other split has a missing set.  EV sets only
+shrink as their level grows, so of the splits that share ``u``'s forward
+set only the first, which pairs it with the smallest backward set, needs a
+test: one test per edge for a ``u`` holding a single entry, as most reached
+vertices do.  Each test is ``frozenset.isdisjoint`` of ``u``'s memoised
+forward set against ``v``'s stored tuple, exact because a shared vertex
+lies in both sets.
 
 The original per-edge implementation is retained in
 :mod:`repro.core.labeling_reference` as the property-test oracle and
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro._types import Edge, Vertex
 from repro.core.distances import ArrayDistanceMap, DistanceIndex
@@ -184,38 +188,25 @@ def label_edge(
 # ----------------------------------------------------------------------
 # Fused CSR labelling kernel
 # ----------------------------------------------------------------------
-def _entry_masks(
-    sets: Tuple[Tuple[Vertex, ...], ...], bit_of: Dict[Vertex, int]
-) -> List[int]:
-    """Fold each stored EV tuple into its shared-universe bitset."""
-    masks: List[int] = []
-    get = bit_of.get
-    for entry in sets:
-        acc = 0
-        for element in entry:
-            b = get(element)
-            if b is not None:
-                acc |= b
-        masks.append(acc)
-    return masks
+def _forward_splits(
+    levels: Tuple[int, ...], sets: Tuple[Tuple[Vertex, ...], ...], k: int
+) -> List[Tuple[int, FrozenSet[Vertex]]]:
+    """``(k_f, EV_kf(s, u))`` at each split where ``u``'s forward set changes.
 
-
-def _masks_at_levels(
-    entry_levels: Tuple[int, ...], masks: List[int], lo: int, hi: int
-) -> List[Optional[int]]:
-    """Resolve ``get(vertex, L)`` to a mask for every level ``L`` in [lo, hi).
-
-    One forward walk of the (short, sorted) entry-level list replaces a
-    bisect per ``(edge, split)`` query.
+    These are ``max(2, first level of u)`` and every later stored level up
+    to ``k - 3``; the module docstring says why no other split needs a test.
     """
-    resolved: List[Optional[int]] = []
-    index = -1
-    count = len(entry_levels)
-    for level in range(lo, hi):
-        while index + 1 < count and entry_levels[index + 1] <= level:
-            index += 1
-        resolved.append(masks[index] if index >= 0 else None)
-    return resolved
+    first = levels[0] if levels[0] > 2 else 2
+    if first > k - 3:
+        return []
+    position = bisect_right(levels, first) - 1
+    splits = [(first, frozenset(sets[position]))]
+    for position in range(position + 1, len(levels)):
+        level = levels[position]
+        if level > k - 3:
+            break
+        splits.append((level, frozenset(sets[position])))
+    return splits
 
 
 def _label_edges_flat(
@@ -247,28 +238,9 @@ def _label_edges_flat(
     else:
         to_target_get = to_target.get
 
-    # Bit assignment for the intersection tests: only vertices appearing in
-    # some forward AND some backward set can witness a non-empty
-    # intersection, so only they need bits (sorted for determinism).  The
-    # inner split loop only runs for k >= 5; skip the pass entirely below.
-    loop_len = max(0, k - 4)
-    bit_of: Dict[Vertex, int] = {}
-    if loop_len:
-        forward_elements: Set[Vertex] = set()
-        for vertex in forward._touched:
-            for entry in fsets[vertex]:
-                forward_elements.update(entry)
-        backward_elements: Set[Vertex] = set()
-        for vertex in backward._touched:
-            for entry in bsets[vertex]:
-                backward_elements.update(entry)
-        for position, vertex in enumerate(sorted(forward_elements & backward_elements)):
-            bit_of[vertex] = 1 << position
-    no_masks: List[Optional[int]] = [None] * loop_len
-
-    #: per-target memo: [exists(v, k-1), EV_1(v,t), EV_{k-2}(v,t), split masks]
-    #: (masks resolved lazily — ``None`` until an edge reaches the split loop)
-    v_cache: Dict[Vertex, list] = {}
+    #: per-target memo: (exists(v, k-1), EV_1(v,t), EV_{k-2}(v,t), the
+    #: largest k_f whose EV_{k-1-k_f}(v, t) exists, levels, sets)
+    v_cache: Dict[Vertex, tuple] = {}
 
     labels = upper.labels
     definite_edges = upper.definite_edges
@@ -315,8 +287,8 @@ def _label_edges_flat(
                 # Deferred per-source prelude: many candidate-ball vertices
                 # have no surviving out-edge at all.
                 u_ready = True
-                if flevels[u]:
-                    u_levels = flevels[u]
+                u_levels = flevels[u]
+                if u_levels:
                     u_first = u_levels[0]
                     u_sets = fsets[u]
                     u_exists_k1 = u_first <= k - 1
@@ -328,31 +300,33 @@ def _label_edges_flat(
                         if u_first <= k - 2
                         else None
                     )
-                    u_masks: Optional[List[Optional[int]]] = None  # lazy
+                    u_splits = None  # resolved on first use
                 else:
                     u_exists_k1 = False
                     ev_su_1 = None
                     ev_su_k2 = None
-                    u_masks = no_masks
+                    u_splits = ()
 
             cached = v_cache.get(v)
             if cached is None:
-                if blevels[v]:
-                    v_levels = blevels[v]
+                v_levels = blevels[v]
+                if v_levels:
                     v_first = v_levels[0]
                     v_sets = bsets[v]
-                    cached = [
+                    cached = (
                         v_first <= k - 1,
                         v_sets[bisect_right(v_levels, 1) - 1] if v_first <= 1 else None,
                         v_sets[bisect_right(v_levels, k - 2) - 1]
                         if v_first <= k - 2
                         else None,
-                        None,  # split masks, resolved on first use
-                    ]
+                        k - 1 - v_first,
+                        v_levels,
+                        v_sets,
+                    )
                 else:
-                    cached = [False, None, None, no_masks]
+                    cached = (False, None, None, -1, None, None)
                 v_cache[v] = cached
-            v_exists_k1, ev_vt_1, ev_vt_k2, v_masks = cached
+            v_exists_k1, ev_vt_1, ev_vt_k2, v_last, v_levels, v_sets = cached
 
             # Lines 1-2 (Lemma 4.4), lines 3-4 (Lemma 4.6) — see label_edge.
             if (
@@ -363,39 +337,31 @@ def _label_edges_flat(
             ):
                 label = DEFINITE
             else:
-                # Lines 5-8: the split loop over k_f in [2, k-3] as one
-                # bitset AND per split (vacuously FAILING for k <= 4, see
-                # label_edge).
+                # Lines 5-8 over the splits whose two sets exist, k_f from
+                # max(2, first level of u) to min(k - 3, v_last) (vacuously
+                # FAILING for k <= 4, see label_edge).
                 label = FAILING
-                if loop_len:
-                    if u_masks is None:
-                        u_masks = _masks_at_levels(
-                            u_levels, _entry_masks(u_sets, bit_of), 2, k - 2
-                        )
-                    if v_masks is None:
-                        v_masks = _masks_at_levels(
-                            blevels[v], _entry_masks(bsets[v], bit_of), 2, k - 2
-                        )
-                        cached[3] = v_masks
-                    last = loop_len - 1
-                    for i in range(loop_len):
-                        fmask = u_masks[i]
-                        if fmask is None:
-                            continue
-                        bmask = v_masks[last - i]
-                        if bmask is None:
-                            continue
-                        if not fmask & bmask:
-                            label = UNDETERMINED
-                            break
+                if u_splits is None:
+                    u_splits = _forward_splits(u_levels, u_sets, k)
+                for k_forward, ev_forward in u_splits:
+                    if k_forward > v_last:
+                        break
+                    if ev_forward.isdisjoint(
+                        v_sets[bisect_right(v_levels, k - 1 - k_forward) - 1]
+                    ):
+                        label = UNDETERMINED
+                        break
 
-            labels[(u, v)] = label
+            # The label map and the edge set share one tuple: fewer objects
+            # for the garbage collector to count.
+            edge = (u, v)
+            labels[edge] = label
             if label is FAILING:
                 continue
             if label is DEFINITE:
-                definite_edges.add((u, v))
+                definite_edges.add(edge)
             else:
-                undetermined_edges.add((u, v))
+                undetermined_edges.add(edge)
             out_list = out_adjacency.get(u)
             if out_list is None:
                 out_adjacency[u] = [v]

@@ -555,8 +555,8 @@ class PreparedVerification:
         the result always contains every definite edge, and each
         undetermined edge is added exactly when a valid path per
         Theorem 5.6 exists.  When ``stats`` is given the search fills its
-        work counters; like ``space``, passing ``None`` keeps the
-        accounting entirely off the hot path.
+        work counters.  ``space`` receives the searches' peak once, at the
+        end, as an ``allocate`` and a ``release`` of ``4 + deepest stack``.
         """
         upper = self.upper
         confirmed: Set[Edge] = set(upper.definite_edges)
@@ -595,6 +595,9 @@ class PreparedVerification:
         forward_budget = max_hops
 
         stack_epoch = scratch.stack_epoch
+        # The deepest edge stack of any search, reported to ``space`` once.
+        # The first undetermined edge is always searched, at depth 1.
+        deepest = 1
         for checked in sorted(upper.undetermined_edges):
             if checked in confirmed:
                 continue
@@ -610,9 +613,6 @@ class PreparedVerification:
                     # The checked edge plus the shortest possible forward and
                     # backward completions already blow the budget: the
                     # search must fail, skip it outright.
-                    if space is not None:
-                        space.allocate(5, category="verification-stack")
-                        space.release(5, category="verification-stack")
                     continue
                 forward_budget = max_hops - dep_dist[u]
             stack_epoch += 1
@@ -621,8 +621,6 @@ class PreparedVerification:
             mark[v] = epoch
             mark[source] = epoch
             mark[target] = epoch
-            if space is not None:
-                space.allocate(5, category="verification-stack")
             success = False
             u_departures = departures_get(u)
             arrival_list = arrivals_get(v)
@@ -652,12 +650,8 @@ class PreparedVerification:
                     confirmed.add(checked)
                     if stats is not None:
                         stats.edges_confirmed += 1
-                    if space is not None:
-                        space.release(5, category="verification-stack")
                     continue
                 if not can_scan:
-                    if space is not None:
-                        space.release(5, category="verification-stack")
                     continue
                 # Both root boundary checks are done: suspend the forward
                 # root (it resumes scanning v's out-slice if the backward
@@ -673,8 +667,6 @@ class PreparedVerification:
                 stop = in_end[u]
             else:
                 if not can_scan:
-                    if space is not None:
-                        space.release(5, category="verification-stack")
                     continue
                 top = 0
                 mode = _FORWARD_ROOT
@@ -723,8 +715,8 @@ class PreparedVerification:
                     if stats is not None:
                         stats.expansions += 1
                     mark[neighbor] = epoch
-                    if space is not None:
-                        space.allocate(1, category="verification-stack")
+                    if depth >= deepest:
+                        deepest = depth + 1
                     f_mode[top] = mode
                     f_vertex[top] = current
                     f_cursor[top] = cursor
@@ -820,8 +812,6 @@ class PreparedVerification:
                 if mode == _FORWARD or mode == _BACKWARD:
                     mark[current] = 0
                     depth -= 1
-                    if space is not None:
-                        space.release(1, category="verification-stack")
                 if top == 0:
                     break
                 top -= 1
@@ -838,11 +828,12 @@ class PreparedVerification:
                 confirmed.update(zip(e_tail[:depth], e_head[:depth]))
                 if stats is not None:
                     stats.edges_confirmed += len(confirmed) - before
-                if space is not None and depth > 1:
-                    space.release(depth - 1, category="verification-stack")
-            if space is not None:
-                space.release(5, category="verification-stack")
         scratch.stack_epoch = stack_epoch
+        if space is not None:
+            # A search at stack depth ``d`` holds the checked edge's 5 items
+            # (u, v, s, t and the edge) plus one per further stacked edge.
+            space.allocate(4 + deepest, category="verification-stack")
+            space.release(4 + deepest, category="verification-stack")
         return confirmed
 
 

@@ -202,11 +202,25 @@ class TestIndexBasics:
         index = propagate_forward(graph, 0, 1, 4, prune=False)
         assert index.get(2, 3) is None
 
-    def test_space_meter_records_allocations(self):
-        graph = erdos_renyi(20, 2.0, seed=1)
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_space_meter_records_allocations(self, k, prune):
+        """The meter holds every item a direction stored, once per direction.
+
+        The anchor's own entry ``(anchor,)`` is the query endpoint, not an
+        essential-vertex set, and is not counted.
+        """
+        graph = erdos_renyi(20, 2.5, seed=1)
+        distances = compute_distance_index(graph, 0, 19, k)
         meter = SpaceMeter()
-        propagate_forward(graph, 0, 19, 4, prune=False, space=meter)
-        assert meter.peak > 0
+        forward = propagate_forward(graph, 0, 19, k, distances, prune=prune, space=meter)
+        backward = propagate_backward(graph, 0, 19, k, distances, prune=prune, space=meter)
+        assert forward.stored_items() > 1 and backward.stored_items() > 1
+        assert meter.breakdown() == {
+            "ev-forward": forward.stored_items() - 1,
+            "ev-backward": backward.stored_items() - 1,
+        }
+        assert meter.peak == meter.current == sum(meter.breakdown().values())
 
     def test_repr_mentions_direction(self):
         graph = DiGraph(3, [(0, 1), (1, 2)])

@@ -189,3 +189,69 @@ class TestResultMetadata:
         assert set(subgraph.edges()) == result.edges
         upper_graph = result.upper_bound_graph(graph)
         assert set(upper_graph.edges()) == result.upper_bound_edges
+
+
+#: Categories of EVE's space report, in the order its phases record them.
+_SPACE_CATEGORIES = (
+    "distances",
+    "ev-forward",
+    "ev-backward",
+    "edge-labels",
+    "upper-bound-graph",
+    "boundaries",
+)
+
+
+def _breakdown(*counts, stack=None):
+    """A ``SpaceMeter.breakdown()``: one count per category, in order.
+
+    ``stack`` is the ``verification-stack`` entry, absent when no
+    undetermined edge was searched.
+    """
+    breakdown = dict(zip(_SPACE_CATEGORIES, counts))
+    if stack is not None:
+        breakdown["verification-stack"] = stack
+    return breakdown
+
+
+#: ``(config, s, t, k) -> (space.peak, space.breakdown())`` of EVE on
+#: ``erdos_renyi(60, 2.5, seed=5)``: the figures that recording every stored
+#: entry and every stack push and pop one at a time gives.  The searches
+#: reach stack depths 1 to 3, several below their cap of ``k - 4``.
+_PINNED_SPACE = {
+    ("default", 15, 24, 4): (62, _breakdown(19, 12, 12, 8, 7, 4)),
+    ("default", 15, 24, 5): (77, _breakdown(24, 12, 14, 10, 8, 4, stack=0)),
+    ("default", 15, 24, 6): (135, _breakdown(36, 26, 34, 16, 12, 5, stack=0)),
+    ("default", 15, 24, 7): (178, _breakdown(45, 36, 50, 19, 16, 5, stack=0)),
+    ("default", 15, 24, 8): (267, _breakdown(63, 77, 68, 31, 16, 5, stack=0)),
+    ("default", 13, 26, 4): (72, _breakdown(23, 12, 16, 9, 8, 4)),
+    ("default", 13, 26, 5): (90, _breakdown(31, 12, 23, 12, 8, 4)),
+    ("default", 13, 26, 6): (133, _breakdown(44, 19, 32, 16, 11, 5, stack=0)),
+    ("default", 13, 26, 7): (152, _breakdown(56, 26, 32, 16, 11, 5, stack=0)),
+    ("default", 13, 26, 8): (291, _breakdown(79, 48, 99, 43, 11, 5, stack=0)),
+    ("naive", 15, 24, 4): (167, _breakdown(56, 59, 33, 8, 7, 4)),
+    ("naive", 15, 24, 5): (333, _breakdown(82, 133, 91, 10, 8, 4, stack=0)),
+    ("naive", 15, 24, 6): (546, _breakdown(99, 221, 187, 16, 12, 5, stack=0)),
+    ("naive", 15, 24, 7): (750, _breakdown(104, 301, 298, 19, 16, 5, stack=0)),
+    ("naive", 15, 24, 8): (895, _breakdown(104, 330, 402, 31, 16, 5, stack=0)),
+    ("naive", 13, 26, 4): (167, _breakdown(69, 46, 31, 9, 8, 4)),
+    ("naive", 13, 26, 5): (275, _breakdown(91, 76, 84, 12, 8, 4)),
+    ("naive", 13, 26, 6): (451, _breakdown(101, 134, 178, 16, 11, 5, stack=0)),
+    ("naive", 13, 26, 7): (625, _breakdown(104, 202, 281, 16, 11, 5, stack=0)),
+    ("naive", 13, 26, 8): (817, _breakdown(104, 280, 368, 43, 11, 5, stack=0)),
+}
+
+
+class TestReportedSpace:
+    """EVE's space report (the paper's Figures 9 and 10(a)) is pinned.
+
+    Propagation and verification record their space once per phase, from
+    counts the kernels keep, and must report what per-item records give.
+    """
+
+    @pytest.mark.parametrize("key", sorted(_PINNED_SPACE))
+    def test_peak_and_breakdown_match_pinned_values(self, key):
+        name, source, target, k = key
+        config = EVEConfig() if name == "default" else EVEConfig.naive()
+        result = build_spg(erdos_renyi(60, 2.5, seed=5), source, target, k, config)
+        assert (result.space.peak, result.space.breakdown()) == _PINNED_SPACE[key]

@@ -222,6 +222,38 @@ class TestFlatMatchesReference:
         assert_uppers_match(uppers[1], uppers[0], (seed, s, t, k))
         assert list(uppers[1].labels) == list(uppers[0].labels)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", range(3, 10))
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_label_edge_spec_agrees_with_fused_pass(self, seed, k, prune):
+        """The fused pass labels every edge as the per-edge spec does.
+
+        The fused pass tests an edge only at the splits its two sets allow,
+        and of the splits sharing ``u``'s forward set only the first.  The
+        graphs are dense enough to reach both ends of an edge's split range
+        and the lookup of a vertex holding several entries; the coverage
+        asserts start at k = 5, the first k with a split.
+        """
+        graph = random_graph(seed, num_vertices=50, degree=4.0)
+        s, t = random_query(graph, seed)
+        index = distances.compute_distance_index(graph, s, t, k)
+        fwd = essential.propagate_forward(graph, s, t, k, distances=index, prune=prune)
+        bwd = essential.propagate_backward(graph, s, t, k, distances=index, prune=prune)
+        upper = labeling.compute_upper_bound(graph, s, t, k, index, fwd, bwd)
+        for (u, v), label in upper.labels.items():
+            assert labeling.label_edge(u, v, s, t, k, fwd, bwd) is label, (u, v)
+        if k >= 5:
+            # Some vertex on each side holds two or more entries.
+            assert fwd.stored_entries() > len(fwd.reached_vertices())
+            assert bwd.stored_entries() > len(bwd.reached_vertices())
+        if k >= 6:
+            # Edges that reached the split loop, with a range starting past
+            # k_f = 2 (u first reached beyond level 2) and one ending before
+            # k_f = k - 3 (v first reached beyond level 2).
+            split = [edge for edge, label in upper.labels.items() if label is not EdgeLabel.DEFINITE]
+            assert any((fwd.first_level(u) or 0) > 2 for u, _ in split)
+            assert any((bwd.first_level(v) or 0) > 2 for _, v in split)
+
 
 # ----------------------------------------------------------------------
 # Small-k labelling: the vacuous split loop, proven against enumeration
@@ -263,18 +295,6 @@ class TestSmallKLabeling:
         assert all(
             label is not EdgeLabel.UNDETERMINED for label in upper.labels.values()
         )
-
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_label_edge_spec_agrees_with_fused_pass(self, k):
-        """The per-edge specification and the fused kernel agree at small k."""
-        graph = random_graph(21, num_vertices=12, degree=2.6)
-        s, t = 0, 11
-        index = distances.compute_distance_index(graph, s, t, k)
-        fwd = essential.propagate_forward(graph, s, t, k, distances=index)
-        bwd = essential.propagate_backward(graph, s, t, k, distances=index)
-        upper = labeling.compute_upper_bound(graph, s, t, k, index, fwd, bwd)
-        for (u, v), label in upper.labels.items():
-            assert labeling.label_edge(u, v, s, t, k, fwd, bwd) is label
 
 
 # ----------------------------------------------------------------------
