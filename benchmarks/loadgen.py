@@ -11,8 +11,8 @@ closed-loop coordination-omission trap).
 The run table sweeps ``topology x scale x rate x repetitions`` with
 warm-up runs excluded from the record, and exports one row per run as CSV
 and/or JSON: offered vs achieved throughput, p50/p95/p99 latency, shed
-rate and error counts — the columns the ``serving.http`` trajectory
-entries and the ROADMAP's saturation question need.
+rate and error counts — the columns the ROADMAP's saturation question
+needs.
 
 ``python benchmarks/loadgen.py smoke`` is the CI leg: an ephemeral-port
 server with a deliberately tiny admission bound, one overload burst, then

@@ -12,14 +12,6 @@ drivers.
 
 from repro.bench.harness import AlgorithmRegistry, ExperimentScale, QueryRunner
 from repro.bench.report import render_series, render_table
-from repro.bench.trajectory import (
-    SCHEMA_VERSION,
-    collect_snapshot,
-    load_snapshot,
-    snapshot_filename,
-    validate_snapshot,
-    write_snapshot,
-)
 
 __all__ = [
     "AlgorithmRegistry",
@@ -27,10 +19,4 @@ __all__ = [
     "QueryRunner",
     "render_table",
     "render_series",
-    "SCHEMA_VERSION",
-    "collect_snapshot",
-    "load_snapshot",
-    "snapshot_filename",
-    "validate_snapshot",
-    "write_snapshot",
 ]

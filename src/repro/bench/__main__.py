@@ -1,73 +1,30 @@
 """Command-line entry point: ``python -m repro.bench <experiment> [options]``.
 
 Runs one (or all) of the experiment drivers and prints the resulting table.
-Two additional subcommands maintain the persisted performance trajectory
-(see :mod:`repro.bench.trajectory`):
-
-* ``python -m repro.bench snapshot --pr N [--out PATH]`` — measure and
-  write ``BENCH_N.json``;
-* ``python -m repro.bench check --pr N [--path PATH]`` — validate the
-  committed snapshot (non-zero exit when missing or schema-invalid; this
-  is the CI trajectory gate).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.harness import ExperimentScale
 from repro.bench.report import render_table
-from repro.bench.trajectory import (
-    collect_snapshot,
-    load_snapshot,
-    snapshot_filename,
-    write_snapshot,
-)
 
 __all__ = ["main"]
-
-#: Subcommands that maintain the BENCH_<pr>.json trajectory rather than
-#: running a paper experiment.
-_TRAJECTORY_COMMANDS = ("snapshot", "check")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description=(
-            "Regenerate the paper's tables and figures at a chosen scale, "
-            "or maintain the BENCH_<pr>.json performance trajectory."
-        ),
+        description="Regenerate the paper's tables and figures at a chosen scale.",
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"] + list(_TRAJECTORY_COMMANDS),
-        help=(
-            "experiment to run (paper table/figure id), 'all', or a "
-            "trajectory command ('snapshot' / 'check')"
-        ),
-    )
-    parser.add_argument(
-        "--pr",
-        type=int,
-        default=None,
-        help="PR number for the trajectory snapshot (snapshot/check only)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output path for 'snapshot' (default: BENCH_<pr>.json)",
-    )
-    parser.add_argument(
-        "--path",
-        default=None,
-        metavar="PATH",
-        help="snapshot path for 'check' (default: BENCH_<pr>.json)",
+        choices=sorted(EXPERIMENTS) + ["all"],
+        help="experiment to run (paper table/figure id) or 'all'",
     )
     parser.add_argument(
         "--scale",
@@ -104,43 +61,9 @@ def _resolve_scale(args: argparse.Namespace) -> ExperimentScale:
     return scale
 
 
-def _run_trajectory_command(args: argparse.Namespace) -> int:
-    """Handle the ``snapshot`` / ``check`` trajectory subcommands."""
-    if args.pr is None:
-        print(f"error: '{args.experiment}' requires --pr", file=sys.stderr)
-        return 2
-    if args.experiment == "snapshot":
-        path = args.out or snapshot_filename(args.pr)
-        data = collect_snapshot(args.pr, scale=args.scale if args.scale != "paper" else "small")
-        write_snapshot(data, path)
-        print(f"wrote {path} ({len(data['entries'])} entries)")
-        return 0
-    path = args.path or snapshot_filename(args.pr)
-    try:
-        data = load_snapshot(path)
-    except FileNotFoundError:
-        print(
-            f"error: trajectory snapshot {path} is missing — run "
-            f"'python -m repro.bench snapshot --pr {args.pr}' and commit it",
-            file=sys.stderr,
-        )
-        return 1
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: trajectory snapshot {path} is invalid: {exc}", file=sys.stderr)
-        return 1
-    kinds = sorted({entry["kind"] for entry in data["entries"]})
-    print(
-        f"{path} OK: pr={data['pr']} scale={data['scale']} "
-        f"entries={len(data['entries'])} kinds={','.join(kinds)}"
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the requested experiment(s) and print their tables."""
     args = _build_parser().parse_args(argv)
-    if args.experiment in _TRAJECTORY_COMMANDS:
-        return _run_trajectory_command(args)
     scale = _resolve_scale(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

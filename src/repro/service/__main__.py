@@ -27,13 +27,16 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.core.distances import DISTANCE_STRATEGIES
-from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import ReproError
-from repro.graph.io import load_graph
-from repro.service.engine import EngineConfig, QueryOutcome, SPGEngine
-from repro.service.executor import EXECUTOR_BACKENDS
-from repro.service.workload_io import read_queries, translate_queries, write_outcome
+from repro.service.engine import QueryOutcome, SPGEngine
+from repro.service.workload_io import (
+    add_engine_arguments,
+    engine_config_from_args,
+    load_graph_from_args,
+    read_queries,
+    translate_queries,
+    write_outcome,
+)
 from repro.telemetry import Tracer
 
 __all__ = ["build_parser", "main"]
@@ -44,68 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service",
         description="Answer a batch of <s, t, k> SPG queries as JSON lines.",
     )
-    graph_source = parser.add_mutually_exclusive_group(required=True)
-    graph_source.add_argument(
-        "--dataset",
-        choices=dataset_names(),
-        help="serve a Table 2 synthetic proxy (dense integer vertex ids)",
-    )
-    graph_source.add_argument(
-        "--edges",
-        metavar="PATH",
-        help="serve an edge-list file (queries use the file's vertex labels)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0, help="proxy scale factor (with --dataset)"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="proxy generator seed (with --dataset)"
-    )
+    add_engine_arguments(parser)
     parser.add_argument(
         "--queries",
         default="-",
         metavar="PATH",
         help="JSONL query file, or '-' for stdin (default)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="most query groups the backend runs at once (default: available CPUs)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=EXECUTOR_BACKENDS,
-        default=None,
-        help=(
-            "executor backend for the batch (default: $REPRO_EXECUTOR_BACKEND "
-            "or 'serial'; 'process' runs CPU-bound queries on multiple cores)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"
-    )
-    parser.add_argument(
-        "--min-group-size",
-        type=int,
-        default=2,
-        help="smallest (target, k) group that shares a backward pass",
-    )
-    parser.add_argument(
-        "--strategy",
-        "--distance-strategy",
-        dest="strategy",
-        choices=DISTANCE_STRATEGIES,
-        default="adaptive",
-        help=(
-            "distance-search strategy for served queries (the Figure 11 "
-            "ablation axis); shared-target groups still reuse one backward pass"
-        ),
-    )
-    parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the verification phase (upper bound only; exact for k <= 4)",
     )
     parser.add_argument(
         "--no-edges",
@@ -138,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args: argparse.Namespace):
-    """Return ``(graph, builder-or-None)`` for the selected graph source."""
-    if args.dataset is not None:
-        return load_dataset(args.dataset, scale=args.scale, seed=args.seed), None
-    return load_graph(args.edges)
-
-
 def _export_telemetry(args: argparse.Namespace, engine: SPGEngine) -> None:
     """Write ``--stats`` / ``--metrics-out`` / ``--trace-out`` outputs.
 
@@ -171,7 +111,7 @@ def _export_telemetry(args: argparse.Namespace, engine: SPGEngine) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        graph, builder = _load_graph(args)
+        graph, builder = load_graph_from_args(args)
     except (ReproError, OSError) as exc:
         print(f"error: could not load graph: {exc}", file=sys.stderr)
         return 2
@@ -187,15 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        config = EngineConfig(
-            strategy=args.strategy,
-            verify=not args.no_verify,
-            cache_size=args.cache_size,
-            max_workers=args.workers,
-            min_group_size=args.min_group_size,
-            executor_backend=args.backend,
-        )
-        engine = SPGEngine.from_config(graph, config)
+        engine = SPGEngine.from_config(graph, engine_config_from_args(args))
     except (ReproError, ValueError) as exc:
         print(f"error: invalid engine configuration: {exc}", file=sys.stderr)
         return 2

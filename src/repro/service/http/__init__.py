@@ -13,7 +13,7 @@ Layers, bottom to top:
   hand-rolled HTTP/1.1 server itself (``POST /query``, ``POST /batch``,
   ``GET /metrics``, ``GET /healthz``);
 * :mod:`~repro.service.http.client` — the minimal asyncio client the load
-  generator, the bench trajectory and the tests share.
+  generator and the tests share.
 
 ``python -m repro.service.http`` serves a graph from the command line with
 the same graph/engine flags as the offline ``python -m repro.service``.

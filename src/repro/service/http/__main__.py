@@ -36,14 +36,15 @@ import signal
 import sys
 from typing import List, Optional
 
-from repro.core.distances import DISTANCE_STRATEGIES
-from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import ReproError
-from repro.graph.io import load_graph
-from repro.service.engine import EngineConfig, SPGEngine
-from repro.service.executor import EXECUTOR_BACKENDS
+from repro.service.engine import SPGEngine
 from repro.service.http.config import HTTPConfig
 from repro.service.http.server import HTTPFrontend
+from repro.service.workload_io import (
+    add_engine_arguments,
+    engine_config_from_args,
+    load_graph_from_args,
+)
 from repro.telemetry import Tracer
 
 __all__ = ["build_parser", "main"]
@@ -54,23 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service.http",
         description="Serve <s, t, k> SPG queries over HTTP.",
     )
-    graph_source = parser.add_mutually_exclusive_group(required=True)
-    graph_source.add_argument(
-        "--dataset",
-        choices=dataset_names(),
-        help="serve a Table 2 synthetic proxy (dense integer vertex ids)",
-    )
-    graph_source.add_argument(
-        "--edges",
-        metavar="PATH",
-        help="serve an edge-list file (queries use the file's vertex labels)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0, help="proxy scale factor (with --dataset)"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="proxy generator seed (with --dataset)"
-    )
+    add_engine_arguments(parser)
     parser.add_argument("--host", default="127.0.0.1", help="listen address")
     parser.add_argument(
         "--port",
@@ -79,45 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 binds an ephemeral port, printed on startup)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="most query groups the backend runs at once (default: available CPUs)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=EXECUTOR_BACKENDS,
-        default=None,
-        help="executor backend (default: $REPRO_EXECUTOR_BACKEND or 'serial')",
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"
-    )
-    parser.add_argument(
-        "--min-group-size",
-        type=int,
-        default=2,
-        help="smallest (target, k) group that shares a backward pass",
-    )
-    parser.add_argument(
         "--compact-threshold",
         type=int,
         default=4096,
         metavar="EDGES",
         help="net delta-overlay size that triggers folding into a fresh base",
-    )
-    parser.add_argument(
-        "--strategy",
-        "--distance-strategy",
-        dest="strategy",
-        choices=DISTANCE_STRATEGIES,
-        default="adaptive",
-        help="distance-search strategy for served queries",
-    )
-    parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the verification phase (upper bound only; exact for k <= 4)",
     )
     parser.add_argument(
         "--coalesce-max-batch",
@@ -159,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args: argparse.Namespace):
-    if args.dataset is not None:
-        return load_dataset(args.dataset, scale=args.scale, seed=args.seed), None
-    return load_graph(args.edges)
-
-
 async def _serve(frontend: HTTPFrontend, drain_timeout: float) -> int:
     host, port = await frontend.start()
     print(f"serving on http://{host}:{port}", file=sys.stderr, flush=True)
@@ -191,21 +136,13 @@ async def _serve(frontend: HTTPFrontend, drain_timeout: float) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        graph, builder = _load_graph(args)
+        graph, builder = load_graph_from_args(args)
     except (ReproError, OSError) as exc:
         print(f"error: could not load graph: {exc}", file=sys.stderr)
         return 2
 
     try:
-        engine_config = EngineConfig(
-            strategy=args.strategy,
-            verify=not args.no_verify,
-            cache_size=args.cache_size,
-            max_workers=args.workers,
-            min_group_size=args.min_group_size,
-            executor_backend=args.backend,
-            compact_threshold=args.compact_threshold,
-        )
+        engine_config = engine_config_from_args(args, compact_threshold=args.compact_threshold)
         engine = SPGEngine.from_config(graph, engine_config)
         http_config = HTTPConfig(
             host=args.host,

@@ -1,7 +1,7 @@
 """A minimal asyncio HTTP/1.1 client for the front end's own tooling.
 
-The load generator (:mod:`benchmarks.loadgen`), the serving entries of the
-bench trajectory and the test suite all need to talk to
+The load generator (:mod:`benchmarks.loadgen`) and the test suite both
+need to talk to
 :class:`~repro.service.http.server.HTTPFrontend` without adding a client
 dependency, so this module hand-rolls the one slice of HTTP/1.1 the front
 end speaks: ``Content-Length`` and chunked response bodies over a

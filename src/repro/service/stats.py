@@ -15,6 +15,10 @@ query — results carry their phase breakdown across process boundaries, so
 the per-phase histograms are identical no matter which executor backend
 ran the query.
 
+Each stored counter and gauge is one row of :data:`METRICS`, from which
+:meth:`EngineStats.snapshot`, :meth:`EngineStats.to_prometheus` and
+:meth:`EngineStats.reset` are generated.
+
 :meth:`EngineStats.to_prometheus` renders everything as text-format 0.0.4
 exposition (see :mod:`repro.telemetry.prometheus`);
 :meth:`EngineStats.merge_counters` folds in the counter deltas that
@@ -30,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.result import PHASE_NAMES
 from repro.telemetry import render_counter, render_gauge, render_histogram
 
-__all__ = ["DEFAULT_LATENCY_BUCKETS", "LatencyWindow", "EngineStats"]
+__all__ = ["DEFAULT_LATENCY_BUCKETS", "METRICS", "LatencyWindow", "EngineStats"]
 
 #: Default histogram bucket upper bounds, in seconds.  Sub-millisecond
 #: resolution at the low end (cache hits, tiny queries) through tens of
@@ -177,6 +181,43 @@ class LatencyWindow:
         return len(self._samples)
 
 
+#: The stored metrics, one ``(attribute, kind, help)`` row each, in
+#: exposition order.  A row is all there is to a metric: it is an
+#: attribute of :class:`EngineStats` starting at 0, a key of
+#: :meth:`EngineStats.snapshot`, the Prometheus family
+#: ``repro_<attribute>`` (``repro_<attribute>_total`` for a counter) and
+#: is zeroed by :meth:`EngineStats.reset`.  Only the ``record_*`` methods
+#: name attributes, because each event updates its own.  The names
+#: perfbench scrapes from ``/metrics`` come from these rows, so renaming
+#: one is a breaking change.
+METRICS: Tuple[Tuple[str, str, str], ...] = (
+    ("queries_served", "counter", "Queries served."),
+    ("batches_served", "counter", "Batches served."),
+    ("cache_hits", "counter", "Queries answered from cache."),
+    ("cache_misses", "counter", "Queries computed by EVE."),
+    ("errors", "counter", "Queries that raised."),
+    ("shared_backward_reuses", "counter", "Queries that reused a shared (t, k) backward pass."),
+    ("scratch_allocations", "counter", "Query scratch bundles allocated."),
+    ("scratch_reuses", "counter", "Query scratch bundles reused from the pool."),
+    # HTTP front-end admission accounting (repro.service.http): one
+    # decision per request.
+    ("http_requests_admitted", "counter", "HTTP requests admitted past the bounded queue."),
+    ("http_requests_shed", "counter", "HTTP requests shed with 429 (bounded queue full)."),
+    ("http_quota_rejections", "counter", "HTTP requests rejected by a per-tenant quota (429)."),
+    ("http_drain_rejections", "counter", "HTTP requests rejected during graceful drain (503)."),
+    # Dynamic-graph mutation accounting (repro.graph.delta): one
+    # record_delta per apply_delta.
+    ("deltas_applied", "counter", "Graph deltas applied via apply_delta."),
+    ("delta_edges_inserted", "counter", "Edges effectively inserted by applied deltas."),
+    ("delta_edges_deleted", "counter", "Edges effectively deleted by applied deltas."),
+    ("delta_compactions", "counter", "Delta overlays folded into a fresh base graph."),
+    ("cache_entries_invalidated", "counter", "Result-cache entries killed by scoped invalidation."),
+    ("cache_entries_retained", "counter", "Result-cache entries retained across graph deltas."),
+    ("http_queue_depth", "gauge", "Admitted HTTP queries currently in flight."),
+    ("http_queue_depth_peak", "gauge", "Peak in-flight HTTP queries since start."),
+    ("graph_epoch", "gauge", "Current graph epoch (bumped by every applied delta)."),
+)
+
 #: Counter attributes a worker-side delta may add to (see
 #: :meth:`EngineStats.merge_counters`): the scratch-pool counters, which
 #: are the only stats recorded *inside* process-pool workers rather than
@@ -192,7 +233,8 @@ class EngineStats:
     ``hit_rate`` is the fraction of queries answered without running EVE.
     Computed queries additionally record their per-phase durations into one
     :class:`LatencyWindow` per EVE phase, keyed by
-    :data:`repro.core.result.PHASE_NAMES`.
+    :data:`repro.core.result.PHASE_NAMES`.  Each row of :data:`METRICS` is
+    a plain integer attribute.
     """
 
     def __init__(self, latency_window: int = 4096) -> None:
@@ -201,31 +243,7 @@ class EngineStats:
         self._phase_latencies: Dict[str, LatencyWindow] = {
             phase: LatencyWindow(latency_window) for phase in PHASE_NAMES
         }
-        self.queries_served = 0
-        self.batches_served = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.errors = 0
-        self.shared_backward_reuses = 0
-        self.scratch_allocations = 0
-        self.scratch_reuses = 0
-        # HTTP front-end admission accounting (repro.service.http): one
-        # decision per request, plus the bounded-queue depth gauge.
-        self.http_requests_admitted = 0
-        self.http_requests_shed = 0
-        self.http_quota_rejections = 0
-        self.http_drain_rejections = 0
-        self.http_queue_depth = 0
-        self.http_queue_depth_peak = 0
-        # Dynamic-graph mutation accounting (repro.graph.delta): one
-        # record_delta per apply_delta, plus the epoch gauge.
-        self.deltas_applied = 0
-        self.delta_edges_inserted = 0
-        self.delta_edges_deleted = 0
-        self.delta_compactions = 0
-        self.cache_entries_invalidated = 0
-        self.cache_entries_retained = 0
-        self.graph_epoch = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     def record_query(
@@ -241,10 +259,12 @@ class EngineStats:
 
         ``phases`` optionally carries the per-phase duration breakdown of a
         computed query (:meth:`repro.core.result.PhaseStats.by_phase`);
-        every key must be a canonical phase name.  Phase breakdowns travel
-        inside results, so the engine records them here in the parent for
-        every backend — including queries executed in pool workers.
+        every key must be a canonical phase name, or the call raises
+        ``KeyError`` and records nothing.  Phase breakdowns travel inside
+        results, so the engine records them here in the parent for every
+        backend — including queries executed in pool workers.
         """
+        timed = [(self._phase_latencies[phase], seconds) for phase, seconds in phases.items()] if phases else ()
         with self._lock:
             self.queries_served += 1
             if error:
@@ -256,10 +276,8 @@ class EngineStats:
             if reused_backward:
                 self.shared_backward_reuses += 1
             self._latencies.record(latency_seconds)
-            if phases is not None:
-                windows = self._phase_latencies
-                for phase, seconds in phases.items():
-                    windows[phase].record(seconds)
+            for window, seconds in timed:
+                window.record(seconds)
 
     def record_batch(self) -> None:
         """Record one served batch."""
@@ -374,12 +392,16 @@ class EngineStats:
                 setattr(self, name, getattr(self, name) + value)
 
     # ------------------------------------------------------------------
+    def _hit_rate(self) -> float:
+        """Fraction of queries answered from the cache; the caller holds the lock."""
+        total = self.cache_hits + self.cache_misses
+        return self.cache_hits / total if total else 0.0
+
     @property
     def hit_rate(self) -> float:
         """Fraction of queries answered from the cache (0.0 with no traffic)."""
         with self._lock:
-            total = self.cache_hits + self.cache_misses
-            return self.cache_hits / total if total else 0.0
+            return self._hit_rate()
 
     def percentile_seconds(self, q: float) -> float:
         """Latency quantile over the recent window, in seconds."""
@@ -399,34 +421,11 @@ class EngineStats:
     def snapshot(self) -> Dict[str, object]:
         """Return a point-in-time dictionary view (JSON friendly)."""
         with self._lock:
-            total = self.cache_hits + self.cache_misses
-            snap: Dict[str, object] = {
-                "queries_served": self.queries_served,
-                "batches_served": self.batches_served,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "hit_rate": self.cache_hits / total if total else 0.0,
-                "errors": self.errors,
-                "shared_backward_reuses": self.shared_backward_reuses,
-                "scratch_allocations": self.scratch_allocations,
-                "scratch_reuses": self.scratch_reuses,
-                "http_requests_admitted": self.http_requests_admitted,
-                "http_requests_shed": self.http_requests_shed,
-                "http_quota_rejections": self.http_quota_rejections,
-                "http_drain_rejections": self.http_drain_rejections,
-                "http_queue_depth": self.http_queue_depth,
-                "http_queue_depth_peak": self.http_queue_depth_peak,
-                "deltas_applied": self.deltas_applied,
-                "delta_edges_inserted": self.delta_edges_inserted,
-                "delta_edges_deleted": self.delta_edges_deleted,
-                "delta_compactions": self.delta_compactions,
-                "cache_entries_invalidated": self.cache_entries_invalidated,
-                "cache_entries_retained": self.cache_entries_retained,
-                "graph_epoch": self.graph_epoch,
-                "p50_ms": self._latencies.quantile(0.50) * 1000.0,
-                "p95_ms": self._latencies.quantile(0.95) * 1000.0,
-                "p99_ms": self._latencies.quantile(0.99) * 1000.0,
-            }
+            snap: Dict[str, object] = {attribute: getattr(self, attribute) for attribute, _, _ in METRICS}
+            snap["hit_rate"] = self._hit_rate()
+            snap["p50_ms"] = self._latencies.quantile(0.50) * 1000.0
+            snap["p95_ms"] = self._latencies.quantile(0.95) * 1000.0
+            snap["p99_ms"] = self._latencies.quantile(0.99) * 1000.0
             phases: Dict[str, Dict[str, float]] = {}
             for phase, window in self._phase_latencies.items():
                 if window.recorded:
@@ -442,169 +441,50 @@ class EngineStats:
     def to_prometheus(self) -> str:
         """Render every metric as Prometheus text-format 0.0.4 exposition.
 
-        Counters carry the conventional ``_total`` suffix; the overall and
-        per-phase latency distributions are histograms (the per-phase one
-        is a single family labelled ``phase="..."``).  The output parses
-        under :func:`repro.telemetry.parse_exposition` — a test holds it to
-        the grammar — and ends with a trailing newline as scrapers expect.
+        The counters of :data:`METRICS` come first, with the conventional
+        ``_total`` suffix, then the gauges, led by the derived cache hit
+        ratio.  The overall and per-phase latency distributions are
+        histograms (the per-phase one is a single family labelled
+        ``phase="..."``).  The output parses under
+        :func:`repro.telemetry.parse_exposition` — a test holds it to the
+        grammar — and ends with a trailing newline as scrapers expect.
         """
         with self._lock:
-            total = self.cache_hits + self.cache_misses
-            hit_rate = self.cache_hits / total if total else 0.0
             lines: List[str] = []
-            for name, help_text, value in (
-                ("repro_queries_served_total", "Queries served.", self.queries_served),
-                ("repro_batches_served_total", "Batches served.", self.batches_served),
-                ("repro_cache_hits_total", "Queries answered from cache.", self.cache_hits),
-                ("repro_cache_misses_total", "Queries computed by EVE.", self.cache_misses),
-                ("repro_errors_total", "Queries that raised.", self.errors),
-                (
-                    "repro_shared_backward_reuses_total",
-                    "Queries that reused a shared (t, k) backward pass.",
-                    self.shared_backward_reuses,
-                ),
-                (
-                    "repro_scratch_allocations_total",
-                    "Query scratch bundles allocated.",
-                    self.scratch_allocations,
-                ),
-                (
-                    "repro_scratch_reuses_total",
-                    "Query scratch bundles reused from the pool.",
-                    self.scratch_reuses,
-                ),
-                (
-                    "repro_http_requests_admitted_total",
-                    "HTTP requests admitted past the bounded queue.",
-                    self.http_requests_admitted,
-                ),
-                (
-                    "repro_http_requests_shed_total",
-                    "HTTP requests shed with 429 (bounded queue full).",
-                    self.http_requests_shed,
-                ),
-                (
-                    "repro_http_quota_rejections_total",
-                    "HTTP requests rejected by a per-tenant quota (429).",
-                    self.http_quota_rejections,
-                ),
-                (
-                    "repro_http_drain_rejections_total",
-                    "HTTP requests rejected during graceful drain (503).",
-                    self.http_drain_rejections,
-                ),
-                (
-                    "repro_deltas_applied_total",
-                    "Graph deltas applied via apply_delta.",
-                    self.deltas_applied,
-                ),
-                (
-                    "repro_delta_edges_inserted_total",
-                    "Edges effectively inserted by applied deltas.",
-                    self.delta_edges_inserted,
-                ),
-                (
-                    "repro_delta_edges_deleted_total",
-                    "Edges effectively deleted by applied deltas.",
-                    self.delta_edges_deleted,
-                ),
-                (
-                    "repro_delta_compactions_total",
-                    "Delta overlays folded into a fresh base graph.",
-                    self.delta_compactions,
-                ),
-                (
-                    "repro_cache_entries_invalidated_total",
-                    "Result-cache entries killed by scoped invalidation.",
-                    self.cache_entries_invalidated,
-                ),
-                (
-                    "repro_cache_entries_retained_total",
-                    "Result-cache entries retained across graph deltas.",
-                    self.cache_entries_retained,
-                ),
-            ):
-                lines.extend(render_counter(name, help_text, value))
-            lines.extend(
-                render_gauge(
-                    "repro_cache_hit_ratio",
-                    "Fraction of queries answered from cache.",
-                    hit_rate,
-                )
+            for attribute, kind, help_text in METRICS:
+                if kind == "counter":
+                    lines += render_counter(f"repro_{attribute}_total", help_text, getattr(self, attribute))
+            lines += render_gauge(
+                "repro_cache_hit_ratio",
+                "Fraction of queries answered from cache.",
+                self._hit_rate(),
             )
-            lines.extend(
-                render_gauge(
-                    "repro_http_queue_depth",
-                    "Admitted HTTP queries currently in flight.",
-                    self.http_queue_depth,
-                )
+            for attribute, kind, help_text in METRICS:
+                if kind == "gauge":
+                    lines += render_gauge(f"repro_{attribute}", help_text, getattr(self, attribute))
+            lines += render_histogram(
+                "repro_query_latency_seconds",
+                "End-to-end per-query latency.",
+                [(None, *self._latencies.histogram())],
             )
-            lines.extend(
-                render_gauge(
-                    "repro_http_queue_depth_peak",
-                    "Peak in-flight HTTP queries since start.",
-                    self.http_queue_depth_peak,
-                )
-            )
-            lines.extend(
-                render_gauge(
-                    "repro_graph_epoch",
-                    "Current graph epoch (bumped by every applied delta).",
-                    self.graph_epoch,
-                )
-            )
-            bounds, cumulative, sum_seconds, count = self._latencies.histogram()
-            lines.extend(
-                render_histogram(
-                    "repro_query_latency_seconds",
-                    "End-to-end per-query latency.",
-                    [(None, bounds, cumulative, sum_seconds, count)],
-                )
-            )
-            phase_series = []
-            for phase in PHASE_NAMES:
-                bounds, cumulative, sum_seconds, count = self._phase_latencies[
-                    phase
-                ].histogram()
-                phase_series.append(
-                    ({"phase": phase}, bounds, cumulative, sum_seconds, count)
-                )
-            lines.extend(
-                render_histogram(
-                    "repro_phase_latency_seconds",
-                    "Per-EVE-phase latency of computed queries.",
-                    phase_series,
-                )
+            lines += render_histogram(
+                "repro_phase_latency_seconds",
+                "Per-EVE-phase latency of computed queries.",
+                [
+                    ({"phase": phase}, *self._phase_latencies[phase].histogram())
+                    for phase in PHASE_NAMES
+                ],
             )
             return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
-        """Zero every counter and drop the latency windows."""
+        """Zero every metric and drop the latency windows."""
         with self._lock:
             self._latencies.reset()
             for window in self._phase_latencies.values():
                 window.reset()
-            self.queries_served = 0
-            self.batches_served = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.errors = 0
-            self.shared_backward_reuses = 0
-            self.scratch_allocations = 0
-            self.scratch_reuses = 0
-            self.http_requests_admitted = 0
-            self.http_requests_shed = 0
-            self.http_quota_rejections = 0
-            self.http_drain_rejections = 0
-            self.http_queue_depth = 0
-            self.http_queue_depth_peak = 0
-            self.deltas_applied = 0
-            self.delta_edges_inserted = 0
-            self.delta_edges_deleted = 0
-            self.delta_compactions = 0
-            self.cache_entries_invalidated = 0
-            self.cache_entries_retained = 0
-            self.graph_epoch = 0
+            for attribute, _, _ in METRICS:
+                setattr(self, attribute, 0)
 
     def __repr__(self) -> str:
         return (

@@ -1,4 +1,10 @@
-"""JSON-lines workload parsing and result serialisation for the service CLI.
+"""The service CLIs' shared flags, workload parsing and result serialisation.
+
+``python -m repro.service`` and ``python -m repro.service.http`` declare
+their graph-source and engine flags through :func:`add_engine_arguments`,
+load the graph with :func:`load_graph_from_args` and build their
+:class:`~repro.service.engine.EngineConfig` with
+:func:`engine_config_from_args`.
 
 Input format (one query per line, blank lines and ``#`` comments skipped):
 
@@ -11,12 +17,23 @@ answer edge set plus per-query serving metadata (cached, latency, error).
 
 from __future__ import annotations
 
+import argparse
 import json
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 
+from repro.core.distances import DISTANCE_STRATEGIES
+from repro.datasets.registry import dataset_names, load_dataset
 from repro.exceptions import QueryError, ReproError
+from repro.graph.builder import GraphBuilder
+from repro.graph.digraph import DiGraph
+from repro.graph.io import load_graph
+from repro.service.engine import EngineConfig
+from repro.service.executor import EXECUTOR_BACKENDS
 
 __all__ = [
+    "add_engine_arguments",
+    "load_graph_from_args",
+    "engine_config_from_args",
     "parse_query_line",
     "iter_query_lines",
     "read_queries",
@@ -27,6 +44,87 @@ __all__ = [
 ]
 
 RawQuery = Tuple[object, object, int]
+
+
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the graph-source and engine flags both service CLIs take."""
+    graph_source = parser.add_mutually_exclusive_group(required=True)
+    graph_source.add_argument(
+        "--dataset",
+        choices=dataset_names(),
+        help="serve a Table 2 synthetic proxy (dense integer vertex ids)",
+    )
+    graph_source.add_argument(
+        "--edges",
+        metavar="PATH",
+        help="serve an edge-list file (queries use the file's vertex labels)",
+    )
+    parser.add_argument(
+        "--scale", type=float, default=1.0, help="proxy scale factor (with --dataset)"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="proxy generator seed (with --dataset)"
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="most query groups the backend runs at once (default: available CPUs)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=EXECUTOR_BACKENDS,
+        default=None,
+        help=(
+            "executor backend (default: $REPRO_EXECUTOR_BACKEND or 'serial'; "
+            "'process' runs CPU-bound queries on multiple cores)"
+        ),
+    )
+    parser.add_argument(
+        "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"
+    )
+    parser.add_argument(
+        "--min-group-size",
+        type=int,
+        default=2,
+        help="smallest (target, k) group that shares a backward pass",
+    )
+    parser.add_argument(
+        "--strategy",
+        choices=DISTANCE_STRATEGIES,
+        default="adaptive",
+        help=(
+            "distance-search strategy for served queries (the Figure 11 "
+            "ablation axis); shared-target groups still reuse one backward pass"
+        ),
+    )
+    parser.add_argument(
+        "--no-verify",
+        action="store_true",
+        help="skip the verification phase (upper bound only; exact for k <= 4)",
+    )
+
+
+def load_graph_from_args(
+    args: argparse.Namespace,
+) -> Tuple[DiGraph, Optional[GraphBuilder]]:
+    """Return ``(graph, builder-or-None)`` for the selected graph source."""
+    if args.dataset is not None:
+        return load_dataset(args.dataset, scale=args.scale, seed=args.seed), None
+    return load_graph(args.edges)
+
+
+def engine_config_from_args(args: argparse.Namespace, **fields: object) -> EngineConfig:
+    """Build the engine configuration the shared flags select, plus ``fields``."""
+    return EngineConfig(
+        strategy=args.strategy,
+        verify=not args.no_verify,
+        cache_size=args.cache_size,
+        max_workers=args.workers,
+        min_group_size=args.min_group_size,
+        executor_backend=args.backend,
+        **fields,
+    )
 
 
 def parse_query_line(line: str) -> RawQuery:

@@ -167,7 +167,7 @@ def render_histogram(
 
 
 # ----------------------------------------------------------------------
-# Parsing (grammar validation for tests and the CI trajectory check)
+# Parsing (grammar validation for tests; loadgen and perfbench read /metrics with it)
 # ----------------------------------------------------------------------
 @dataclass
 class MetricSample:

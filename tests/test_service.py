@@ -9,6 +9,7 @@ streaming), the workload adapters, and a CLI round trip.
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 import subprocess
@@ -34,6 +35,7 @@ from repro.queries.workload import (
     workloads_to_batch,
 )
 from repro.service import (
+    EngineConfig,
     EngineStats,
     LatencyWindow,
     ResultCache,
@@ -537,6 +539,57 @@ class TestCLI:
             completed = self._run(["--dataset", "ps", "--backend", backend], "")
             assert completed.returncode == 2
             assert "--backend" in completed.stderr
+
+
+class TestSharedCLIFlags:
+    """``python -m repro.service`` and ``python -m repro.service.http``
+    declare their graph and engine flags once, in ``workload_io``."""
+
+    SHARED_ARGV = [
+        "--dataset", "ps", "--scale", "0.05", "--seed", "3", "--workers", "3",
+        "--backend", "serial", "--cache-size", "17", "--min-group-size", "4",
+        "--strategy", "single", "--no-verify",
+    ]
+
+    @staticmethod
+    def _config_built_by(main, argv, monkeypatch):
+        """Run a CLI's ``main`` up to its engine and return the config it built."""
+        built = []
+
+        def capture(graph, config):
+            built.append(config)
+            raise ValueError("stop before serving")
+
+        monkeypatch.setattr(SPGEngine, "from_config", capture)
+        assert main(argv) == 2
+        return built[0]
+
+    def test_both_clis_build_the_same_engine_config(self, tmp_path, monkeypatch):
+        from repro.service.__main__ import main as service_main
+        from repro.service.http.__main__ import main as http_main
+
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("", encoding="utf-8")
+        offline = self._config_built_by(
+            service_main, [*self.SHARED_ARGV, "--queries", str(queries)], monkeypatch
+        )
+        served = self._config_built_by(http_main, self.SHARED_ARGV, monkeypatch)
+        assert offline == served == EngineConfig(
+            strategy="single",
+            verify=False,
+            cache_size=17,
+            max_workers=3,
+            min_group_size=4,
+            executor_backend="serial",
+        )
+
+    @pytest.mark.parametrize("module", ["repro.service.__main__", "repro.service.http.__main__"])
+    def test_distance_strategy_alias_rejected(self, module, capsys):
+        parser = importlib.import_module(module).build_parser()
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(["--dataset", "ps", "--distance-strategy", "single"])
+        assert exited.value.code == 2
+        assert "--distance-strategy" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,13 @@ parser, the :class:`LatencyWindow` histogram/quantile mechanics,
 concurrent scrape-while-recording hammer), the EVE query spans, the
 cross-backend telemetry consistency contract (every executor backend
 reports identical phase counters, and phase spans cover >= 85% of
-recorded miss latency), and the BENCH_<pr>.json trajectory
-schema plus its CLI entry points.
+recorded miss latency), and the service CLI's telemetry exports.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import random
 import subprocess
 import sys
@@ -25,20 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.trajectory import (
-    SCHEMA_VERSION,
-    collect_snapshot,
-    load_snapshot,
-    snapshot_filename,
-    validate_snapshot,
-    write_snapshot,
-)
 from repro.core.eve import EVE
 from repro.core.result import PHASE_NAMES
 from repro.graph.generators import erdos_renyi
 from repro.service import EngineStats, LatencyWindow, SPGEngine
 from repro.service.executor import EXECUTOR_BACKENDS
-from repro.service.stats import DEFAULT_LATENCY_BUCKETS
+from repro.service.stats import DEFAULT_LATENCY_BUCKETS, METRICS
 from repro.telemetry import (
     NOOP_TRACER,
     NoopTracer,
@@ -52,7 +42,7 @@ from repro.telemetry import (
 from repro.telemetry.prometheus import samples_by_name
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-REPO_ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _event(name: str = "x", duration: float = 0.001, **attributes) -> TraceEvent:
@@ -345,6 +335,90 @@ class TestLatencyWindow:
 # ======================================================================
 # EngineStats: exposition + worker-counter merging
 # ======================================================================
+def _golden_stats() -> EngineStats:
+    """One EngineStats fed through every ``record_*`` method.
+
+    Latencies are powers of two, so every sum and quantile is exact.
+    """
+    stats = EngineStats()
+    stats.record_query(
+        2.0**-7,
+        cached=False,
+        reused_backward=True,
+        phases={
+            "distance": 2.0**-10,
+            "propagation": 2.0**-12,
+            "upper_bound": 2.0**-13,
+            "ordering": 0.0,
+            "verification": 2.0**-9,
+        },
+    )
+    stats.record_query(2.0**-13, cached=True)
+    stats.record_query(2.0**-4, cached=False, error=True)
+    stats.record_batch()
+    stats.record_scratch(reused=False)
+    stats.record_scratch(reused=True)
+    stats.merge_counters({"scratch_reuses": 2})
+    for decision in ("admitted", "admitted", "shed", "quota", "draining"):
+        stats.record_admission(decision)
+    stats.set_queue_depth(3)
+    stats.set_queue_depth(1)
+    stats.record_delta(inserted=3, deleted=1, invalidated=2, retained=5, compacted=True, epoch=4)
+    return stats
+
+
+#: ``_golden_stats().snapshot()``, recorded before the stats surfaces were
+#: generated from :data:`repro.service.stats.METRICS`; the matching
+#: exposition is ``data/engine_stats.prom``.
+GOLDEN_SNAPSHOT = {
+    "queries_served": 3,
+    "batches_served": 1,
+    "cache_hits": 1,
+    "cache_misses": 2,
+    "hit_rate": 1 / 3,
+    "errors": 1,
+    "shared_backward_reuses": 1,
+    "scratch_allocations": 1,
+    "scratch_reuses": 3,
+    "http_requests_admitted": 2,
+    "http_requests_shed": 1,
+    "http_quota_rejections": 1,
+    "http_drain_rejections": 1,
+    "http_queue_depth": 1,
+    "http_queue_depth_peak": 3,
+    "deltas_applied": 1,
+    "delta_edges_inserted": 3,
+    "delta_edges_deleted": 1,
+    "delta_compactions": 1,
+    "cache_entries_invalidated": 2,
+    "cache_entries_retained": 5,
+    "graph_epoch": 4,
+    "p50_ms": 7.8125,
+    "p95_ms": 62.5,
+    "p99_ms": 62.5,
+    "phases": {
+        "distance": {"samples": 1, "total_seconds": 2.0**-10, "p50_ms": 0.9765625, "p95_ms": 0.9765625},
+        "propagation": {"samples": 1, "total_seconds": 2.0**-12, "p50_ms": 0.244140625, "p95_ms": 0.244140625},
+        "upper_bound": {"samples": 1, "total_seconds": 2.0**-13, "p50_ms": 0.1220703125, "p95_ms": 0.1220703125},
+        "ordering": {"samples": 1, "total_seconds": 0.0, "p50_ms": 0.0, "p95_ms": 0.0},
+        "verification": {"samples": 1, "total_seconds": 2.0**-9, "p50_ms": 1.953125, "p95_ms": 1.953125},
+    },
+}
+
+#: Every family perfbench's http-mixed workload reads from ``/metrics``
+#: (``http_layers`` in ``perfbench/http_mixed.py``).
+PERFBENCH_SCRAPED = (
+    "repro_queries_served_total",
+    "repro_batches_served_total",
+    "repro_cache_hits_total",
+    "repro_cache_misses_total",
+    "repro_http_requests_shed_total",
+    "repro_http_quota_rejections_total",
+    "repro_http_queue_depth_peak",
+    "repro_delta_compactions_total",
+)
+
+
 class TestEngineStats:
     def _populated(self) -> EngineStats:
         stats = EngineStats()
@@ -370,7 +444,12 @@ class TestEngineStats:
     def test_record_query_rejects_unknown_phase(self):
         stats = EngineStats()
         with pytest.raises(KeyError):
-            stats.record_query(0.001, cached=False, phases={"warmup": 0.1})
+            stats.record_query(0.001, cached=False, phases={"distance": 0.001, "warmup": 0.1})
+        # A rejected call must not partially apply: no counter, no latency
+        # sample and no phase window moved.
+        fresh = EngineStats()
+        assert stats.to_prometheus() == fresh.to_prometheus()
+        assert stats.snapshot() == fresh.snapshot()
 
     def test_merge_counters_folds_worker_deltas(self):
         stats = EngineStats()
@@ -426,12 +505,34 @@ class TestEngineStats:
             series = [s for s in phase_buckets if s.labels["phase"] == phase]
             check_series(series, 1 if phase in ("distance", "verification") else 0)
 
+    def test_golden_exposition_and_snapshot(self):
+        stats = _golden_stats()
+        golden = (DATA_DIR / "engine_stats.prom").read_text(encoding="utf-8")
+        assert stats.to_prometheus() == golden
+        assert stats.snapshot() == GOLDEN_SNAPSHOT
+
+    @pytest.mark.parametrize("attribute, kind, help_text", METRICS, ids=[row[0] for row in METRICS])
+    def test_metric_row_is_one_family(self, attribute, kind, help_text):
+        """A row of METRICS is exposed as ``repro_<attribute>`` (plus
+        ``_total`` for a counter) with its HELP text and its snapshot value."""
+        stats = _golden_stats()
+        exposition = stats.to_prometheus()
+        family = f"repro_{attribute}_total" if kind == "counter" else f"repro_{attribute}"
+        assert f"# HELP {family} {help_text}\n# TYPE {family} {kind}\n" in exposition
+        grouped = samples_by_name(parse_exposition(exposition))
+        assert grouped[family][0].value == stats.snapshot()[attribute] == getattr(stats, attribute)
+
+    @pytest.mark.parametrize("family", PERFBENCH_SCRAPED)
+    def test_perfbench_scraped_family_present(self, family):
+        grouped = samples_by_name(parse_exposition(_golden_stats().to_prometheus()))
+        assert len(grouped[family]) == 1
+
     def test_reset_zeroes_exposition(self):
-        stats = self._populated()
+        stats = _golden_stats()
         stats.reset()
-        grouped = samples_by_name(parse_exposition(stats.to_prometheus()))
-        assert grouped["repro_queries_served_total"][0].value == 0
-        assert grouped["repro_query_latency_seconds_count"][0].value == 0
+        fresh = EngineStats()
+        assert stats.to_prometheus() == fresh.to_prometheus()
+        assert stats.snapshot() == fresh.snapshot()
         assert stats.phase_recorded("distance") == 0
 
     def test_concurrent_scrape_while_recording(self):
@@ -680,132 +781,6 @@ class TestEngineTracerAttachment:
             assert engine.tracer is live
             engine.tracer = NoopTracer()
             assert engine.tracer is None
-
-
-# ======================================================================
-# Trajectory snapshots (BENCH_<pr>.json)
-# ======================================================================
-def _valid_snapshot(pr: int = 99) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "pr": pr,
-        "scale": "tiny",
-        "created": "2026-01-01T00:00:00Z",
-        "workload": {"num_vertices": 10, "num_queries": 2, "seed": 1, "repeats": 1},
-        "entries": [
-            {"name": "kernel.distance_index.best_ms_per_query", "kind": "kernel", "value": 0.5, "unit": "ms"},
-            {"name": "phase.distance.p50_ms", "kind": "phase", "value": 0.1, "unit": "ms"},
-            {"name": "serving.throughput_qps", "kind": "serving", "value": 1000.0, "unit": "qps"},
-        ],
-    }
-
-
-class TestTrajectorySchema:
-    def test_valid_snapshot_passes(self):
-        validate_snapshot(_valid_snapshot())
-
-    def test_snapshot_filename(self):
-        assert snapshot_filename(6) == "BENCH_6.json"
-
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda d: d.__setitem__("schema_version", 0), "schema_version"),
-            (lambda d: d.__setitem__("pr", "six"), "'pr'"),
-            (lambda d: d.__setitem__("pr", True), "'pr'"),
-            (lambda d: d.__setitem__("scale", 3), "'scale'"),
-            (lambda d: d.__setitem__("entries", []), "non-empty"),
-            (lambda d: d["entries"].append(dict(d["entries"][0])), "duplicate"),
-            (lambda d: d["entries"][0].pop("unit"), "missing fields"),
-            (lambda d: d["entries"][0].__setitem__("kind", "vibes"), "not in"),
-            (lambda d: d["entries"][0].__setitem__("value", float("nan")), "finite"),
-            (lambda d: d["entries"][0].__setitem__("value", float("inf")), "finite"),
-            (lambda d: d["entries"][0].__setitem__("value", True), "number"),
-            (lambda d: d["entries"][0].__setitem__("name", ""), "non-empty string"),
-            (lambda d: d["entries"].pop(0), "no 'kernel' entries"),
-            (lambda d: d["entries"].pop(1), "no 'phase' entries"),
-        ],
-    )
-    def test_invalid_snapshots_rejected(self, mutate, message):
-        data = _valid_snapshot()
-        mutate(data)
-        with pytest.raises(ValueError, match=message):
-            validate_snapshot(data)
-
-    def test_write_load_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_99.json"
-        write_snapshot(_valid_snapshot(), str(path))
-        text = path.read_text(encoding="utf-8")
-        assert text.endswith("\n")
-        assert load_snapshot(str(path)) == _valid_snapshot()
-
-    def test_write_refuses_invalid(self, tmp_path):
-        bad = _valid_snapshot()
-        bad["entries"] = []
-        with pytest.raises(ValueError):
-            write_snapshot(bad, str(tmp_path / "nope.json"))
-        assert not (tmp_path / "nope.json").exists()
-
-    def test_collect_snapshot_measures_all_kinds(self):
-        data = collect_snapshot(7, num_vertices=150, num_queries=12, repeats=1)
-        validate_snapshot(data)
-        assert data["pr"] == 7
-        names = {entry["name"] for entry in data["entries"]}
-        assert "kernel.distance_index.best_ms_per_query" in names
-        assert "kernel.backward_bfs.best_ms_per_pass" in names
-        assert "serving.throughput_qps" in names
-        assert "serving.dynamic.apply_ms" in names
-        assert "serving.dynamic.overlay_vs_rebuild_speedup" in names
-        assert "serving.dynamic.cache_retention_ratio" in names
-        assert any(name.startswith("phase.") for name in names)
-        kinds = {entry["kind"] for entry in data["entries"]}
-        assert kinds == {"kernel", "phase", "serving"}
-        assert all(
-            entry["value"] >= 0 and math.isfinite(entry["value"])
-            for entry in data["entries"]
-        )
-
-    def test_committed_pr_snapshot_is_valid(self):
-        """BENCH_6.json at the repo root must load under the schema — the
-        same gate CI runs via ``python -m repro.bench check --pr 6``."""
-        data = load_snapshot(str(REPO_ROOT / "BENCH_6.json"))
-        assert data["pr"] == 6
-
-
-class TestTrajectoryCLI:
-    def _run(self, *args, timeout=120):
-        return subprocess.run(
-            [sys.executable, "-m", "repro.bench", *args],
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-            env={"PYTHONPATH": str(SRC_DIR)},
-        )
-
-    def test_check_passes_on_valid_snapshot(self, tmp_path):
-        path = tmp_path / "BENCH_99.json"
-        write_snapshot(_valid_snapshot(), str(path))
-        completed = self._run("check", "--pr", "99", "--path", str(path))
-        assert completed.returncode == 0, completed.stderr
-        assert "OK" in completed.stdout
-        assert "kernel" in completed.stdout and "phase" in completed.stdout
-
-    def test_check_fails_on_missing_snapshot(self, tmp_path):
-        completed = self._run("check", "--pr", "99", "--path", str(tmp_path / "no.json"))
-        assert completed.returncode == 1
-        assert "snapshot" in completed.stderr and "commit" in completed.stderr
-
-    def test_check_fails_on_invalid_snapshot(self, tmp_path):
-        path = tmp_path / "BENCH_99.json"
-        path.write_text('{"schema_version": 0}\n', encoding="utf-8")
-        completed = self._run("check", "--pr", "99", "--path", str(path))
-        assert completed.returncode == 1
-        assert "invalid" in completed.stderr
-
-    def test_trajectory_commands_require_pr(self):
-        completed = self._run("check")
-        assert completed.returncode == 2
-        assert "--pr" in completed.stderr
 
 
 # ======================================================================
