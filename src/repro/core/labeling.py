@@ -19,7 +19,7 @@ Execution backend
 Since the flat-buffer refactor of :mod:`repro.core.essential`,
 :func:`compute_upper_bound` runs Algorithm 2 as a **single fused pass over
 the CSR out-edges** of the candidate space instead of a per-edge
-:func:`label_edge` call: per-source values (the Lemma 4.4/4.6 sets, the
+``label_edge`` call: per-source values (the Lemma 4.4/4.6 sets, the
 level-resolved intersection operands) are computed once per ``u`` and
 per-target values are memoised across the edges that share ``v``.
 
@@ -34,11 +34,11 @@ vertices do.  Each test is ``frozenset.isdisjoint`` of ``u``'s memoised
 forward set against ``v``'s stored tuple, exact because a shared vertex
 lies in both sets.
 
-The original per-edge implementation is retained in
-:mod:`repro.core.labeling_reference` as the property-test oracle and
-benchmark baseline; ``tests/test_flat_propagation.py`` holds the two
-answer-identical (labels, edge partition, adjacency, boundaries) on
-randomized graphs.
+The per-edge specification (``label_edge``) and its driver loop live in
+:mod:`repro.core.labeling_reference`, the property-test oracle and
+benchmark baseline; ``tests/test_flat_propagation.py`` holds the fused pass
+to ``label_edge`` edge by edge, and the two pipelines answer-identical
+(labels, edge partition, adjacency, boundaries) on randomized graphs.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.core.result import EdgeLabel
 from repro.core.space import SpaceMeter
 from repro.graph.digraph import DiGraph
 
-__all__ = ["UpperBoundGraph", "label_edge", "compute_upper_bound", "collect_boundaries"]
+__all__ = ["UpperBoundGraph", "compute_upper_bound", "collect_boundaries"]
 
 
 @dataclass
@@ -125,64 +125,6 @@ class UpperBoundGraph:
             found.add(u)
             found.add(v)
         return found
-
-
-def label_edge(
-    u: Vertex,
-    v: Vertex,
-    source: Vertex,
-    target: Vertex,
-    k: int,
-    forward,
-    backward,
-) -> EdgeLabel:
-    """Label a single edge ``e(u, v)`` (Algorithm 2).
-
-    ``forward`` holds ``EV*_l(s, ·)`` and ``backward`` holds ``EV*_l(·, t)``
-    (any index exposing ``get`` / ``exists`` — flat or reference).  This is
-    the specification the fused pass of :func:`compute_upper_bound` is held
-    to; it is also the path taken for index types the fused kernel does not
-    recognise.
-    """
-    # Lines 1-2: first-hop edges from s / last-hop edges into t (Lemma 4.4).
-    if u == source and backward.exists(v, k - 1):
-        return EdgeLabel.DEFINITE
-    if v == target and forward.exists(u, k - 1):
-        return EdgeLabel.DEFINITE
-
-    # Lines 3-4: second-hop edges (Lemma 4.6) — definite when the one-hop
-    # prefix/suffix exists and the far endpoint avoids the near one.
-    ev_su_1 = forward.get(u, 1)
-    ev_vt_k2 = backward.get(v, k - 2)
-    if ev_su_1 is not None and ev_vt_k2 is not None and u not in ev_vt_k2:
-        return EdgeLabel.DEFINITE
-    ev_vt_1 = backward.get(v, 1)
-    ev_su_k2 = forward.get(u, k - 2)
-    if ev_vt_1 is not None and ev_su_k2 is not None and v not in ev_su_k2:
-        return EdgeLabel.DEFINITE
-
-    # Lines 5-8: iterate k_f, pairing with k_b = k - k_f - 1 (Theorem 4.3
-    # shows smaller k_b need not be checked separately).  For k <= 4 this
-    # range is empty *and vacuously complete*: every split of k - 1 hops
-    # with k_f >= 2 and k_b >= 2 needs k >= 5, and the k_f <= 1 / k_b <= 1
-    # splits are each settled conclusively above — either DEFINITE, or
-    # impossible because the one-hop prefix/suffix does not exist (the
-    # Lemma set is None) or the far endpoint is essential on the other
-    # side (`u in EV_{k-2}(v, t)` means every short suffix repeats u).
-    # FAILING is therefore exact for k <= 4, which is Theorem 4.8; the
-    # enumeration cross-check in tests/test_flat_propagation.py keeps this
-    # argument honest.
-    for k_forward in range(2, k - 2):
-        k_backward = k - k_forward - 1
-        ev_forward = forward.get(u, k_forward)
-        if ev_forward is None:
-            continue
-        ev_backward = backward.get(v, k_backward)
-        if ev_backward is None:
-            continue
-        if not (ev_forward & ev_backward):
-            return EdgeLabel.UNDETERMINED
-    return EdgeLabel.FAILING
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +270,8 @@ def _label_edges_flat(
                 v_cache[v] = cached
             v_exists_k1, ev_vt_1, ev_vt_k2, v_last, v_levels, v_sets = cached
 
-            # Lines 1-2 (Lemma 4.4), lines 3-4 (Lemma 4.6) — see label_edge.
+            # Lines 1-2 (Lemma 4.4), lines 3-4 (Lemma 4.6) — see
+            # labeling_reference.label_edge.
             if (
                 (u == source and v_exists_k1)
                 or (v == target and u_exists_k1)
@@ -339,7 +282,7 @@ def _label_edges_flat(
             else:
                 # Lines 5-8 over the splits whose two sets exist, k_f from
                 # max(2, first level of u) to min(k - 3, v_last) (vacuously
-                # FAILING for k <= 4, see label_edge).
+                # FAILING for k <= 4, see labeling_reference.label_edge).
                 label = FAILING
                 if u_splits is None:
                     u_splits = _forward_splits(u_levels, u_sets, k)
@@ -374,62 +317,27 @@ def _label_edges_flat(
                 in_list.append(u)
 
 
-def _label_edges_generic(
-    graph: DiGraph,
-    upper: UpperBoundGraph,
-    distances: DistanceIndex,
-    forward,
-    backward,
-) -> None:
-    """Per-edge fallback for index types the fused kernel cannot read."""
-    source, target, k = upper.source, upper.target, upper.k
-    to_target_get = distances.to_target.get
-    for u, dist_su in distances.from_source.items():
-        if dist_su + 1 > k:
-            continue
-        for v in graph.out_neighbors(u):
-            dist_vt = to_target_get(v)
-            if dist_vt is None or dist_su + 1 + dist_vt > k:
-                continue
-            label = label_edge(u, v, source, target, k, forward, backward)
-            upper.labels[(u, v)] = label
-            if label is EdgeLabel.FAILING:
-                continue
-            if label is EdgeLabel.DEFINITE:
-                upper.definite_edges.add((u, v))
-            else:
-                upper.undetermined_edges.add((u, v))
-            upper.out_adjacency.setdefault(u, []).append(v)
-            upper.in_adjacency.setdefault(v, []).append(u)
-
-
 def compute_upper_bound(
     graph: DiGraph,
     source: Vertex,
     target: Vertex,
     k: int,
     distances: DistanceIndex,
-    forward,
-    backward,
+    forward: EssentialVertexIndex,
+    backward: EssentialVertexIndex,
     space: SpaceMeter | None = None,
 ) -> UpperBoundGraph:
     """Run Algorithm 2 over the candidate space and build ``SPGu_k(s, t)``.
 
     Only edges whose endpoints satisfy ``dist(s, u) + 1 + dist(v, t) <= k``
     are examined; edges outside that space cannot lie on any k-hop s-t path
-    (Section 4.1) and are implicitly failing.  With flat-buffer indexes from
-    :mod:`repro.core.essential` the labelling runs as the fused CSR pass;
-    any other index pair (e.g. the retained reference implementation) takes
-    the per-edge :func:`label_edge` path — both produce identical upper
-    bounds.
+    (Section 4.1) and are implicitly failing.  ``forward`` and ``backward``
+    are the flat-buffer indexes of :mod:`repro.core.essential`; the
+    reference indexes of :mod:`repro.core.essential_reference` go to
+    :func:`repro.core.labeling_reference.compute_upper_bound`.
     """
     upper = UpperBoundGraph(source=source, target=target, k=k)
-    if isinstance(forward, EssentialVertexIndex) and isinstance(
-        backward, EssentialVertexIndex
-    ):
-        _label_edges_flat(graph, upper, distances, forward, backward)
-    else:
-        _label_edges_generic(graph, upper, distances, forward, backward)
+    _label_edges_flat(graph, upper, distances, forward, backward)
     if space is not None:
         space.allocate(len(upper.labels), category="edge-labels")
         space.allocate(upper.num_edges, category="upper-bound-graph")

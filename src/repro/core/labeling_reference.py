@@ -53,7 +53,10 @@ def label_edge(
 ) -> EdgeLabel:
     """Label a single edge ``e(u, v)`` (Algorithm 2).
 
-    ``forward`` holds ``EV*_l(s, ·)`` and ``backward`` holds ``EV*_l(·, t)``.
+    ``forward`` holds ``EV*_l(s, ·)`` and ``backward`` holds ``EV*_l(·, t)``
+    (any index exposing ``get`` / ``exists`` — flat or reference).  This is
+    the specification the fused pass of
+    :func:`repro.core.labeling.compute_upper_bound` is held to.
     """
     # Lines 1-2: first-hop edges from s / last-hop edges into t (Lemma 4.4).
     if u == source and backward.exists(v, k - 1):
@@ -73,7 +76,16 @@ def label_edge(
         return EdgeLabel.DEFINITE
 
     # Lines 5-8: iterate k_f, pairing with k_b = k - k_f - 1 (Theorem 4.3
-    # shows smaller k_b need not be checked separately).
+    # shows smaller k_b need not be checked separately).  For k <= 4 this
+    # range is empty *and vacuously complete*: every split of k - 1 hops
+    # with k_f >= 2 and k_b >= 2 needs k >= 5, and the k_f <= 1 / k_b <= 1
+    # splits are each settled conclusively above — either DEFINITE, or
+    # impossible because the one-hop prefix/suffix does not exist (the
+    # Lemma set is None) or the far endpoint is essential on the other
+    # side (`u in EV_{k-2}(v, t)` means every short suffix repeats u).
+    # FAILING is therefore exact for k <= 4, which is Theorem 4.8; the
+    # enumeration cross-check in tests/test_flat_propagation.py keeps this
+    # argument honest.
     for k_forward in range(2, k - 2):
         k_backward = k - k_forward - 1
         ev_forward = forward.get(u, k_forward)

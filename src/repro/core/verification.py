@@ -52,17 +52,16 @@ The previous dict/recursive implementation is retained in
 :mod:`repro.core.verification_reference` as the property-test oracle and
 benchmark baseline; ``tests/test_flat_verification.py`` holds the two
 confirmed-edge-set identical on randomized graphs across ``k``, strategies
-and every executor backend.  The dict-level helpers
-:func:`multi_source_bfs` and :func:`order_adjacency` remain available for
-callers that order the adjacency dicts directly (the flat kernel then
-inherits that order when built without its own ordering pass).
+and every executor backend.  The dict-level ordering
+(:func:`~repro.core.verification_reference.order_adjacency_reference`)
+lives there too; the flat kernel inherits the adjacency order it is given
+when built without its own ordering pass.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro._types import Edge, Vertex
 from repro.core.labeling import UpperBoundGraph
@@ -74,8 +73,6 @@ __all__ = [
     "PreparedVerification",
     "prepare_verification",
     "verify_undetermined_edges",
-    "order_adjacency",
-    "multi_source_bfs",
 ]
 
 
@@ -114,70 +111,6 @@ class VerificationStats:
             "edges_confirmed": self.edges_confirmed,
             "expansions": self.expansions,
         }
-
-
-def multi_source_bfs(
-    adjacency: Dict[Vertex, List[Vertex]], sources: Iterable[Vertex]
-) -> Dict[Vertex, int]:
-    """BFS distance from the nearest of ``sources`` over ``adjacency``.
-
-    Equivalent to the paper's "virtual vertex r connected to all departures"
-    trick: one BFS gives every vertex its distance from the closest source.
-    """
-    distances: Dict[Vertex, int] = {}
-    queue: deque = deque()
-    for source in sources:
-        if source not in distances:
-            distances[source] = 0
-            queue.append(source)
-    while queue:
-        vertex = queue.popleft()
-        depth = distances[vertex] + 1
-        for neighbor in adjacency.get(vertex, ()):
-            if neighbor not in distances:
-                distances[neighbor] = depth
-                queue.append(neighbor)
-    return distances
-
-
-def order_adjacency(upper: UpperBoundGraph) -> None:
-    """Re-order the upper-bound adjacency lists per Section 5.3 (in place).
-
-    Out-neighbours are sorted by ascending distance to the closest arrival;
-    among arrivals themselves (distance 0) larger ``|Out_A|`` comes first.
-    In-neighbours are sorted by ascending distance from the closest
-    departure; among departures larger ``|In_D|`` comes first.  Remaining
-    ties break on the vertex id, so the order is a pure function of the
-    upper-bound graph — deterministic whatever order the adjacency lists
-    arrive in.  Each neighbour's key is computed once up front, not per
-    comparison.
-
-    This is the dict-level form of the ordering; the EVE hot path applies
-    the same keys to the flat slices via
-    :meth:`PreparedVerification.apply_search_ordering` instead.
-    """
-    infinity = float("inf")
-    # Distance *to* the closest arrival along forward edges equals a BFS from
-    # all arrivals over reversed (in-)adjacency.
-    to_arrival = multi_source_bfs(upper.in_adjacency, upper.arrivals.keys())
-    from_departure = multi_source_bfs(upper.out_adjacency, upper.departures.keys())
-
-    arrivals = upper.arrivals
-    departures = upper.departures
-    out_key: Dict[Vertex, Tuple[float, int, Vertex]] = {}
-    in_key: Dict[Vertex, Tuple[float, int, Vertex]] = {}
-    for vertex in set(upper.out_adjacency) | set(upper.in_adjacency):
-        distance = to_arrival.get(vertex, infinity)
-        tie_break = -len(arrivals.get(vertex, ())) if distance == 0 else 0
-        out_key[vertex] = (distance, tie_break, vertex)
-        distance = from_departure.get(vertex, infinity)
-        tie_break = -len(departures.get(vertex, ())) if distance == 0 else 0
-        in_key[vertex] = (distance, tie_break, vertex)
-
-    for neighbors in upper.out_adjacency.values():
-        neighbors.sort(key=out_key.__getitem__)
-    for neighbors in upper.in_adjacency.values():
-        neighbors.sort(key=in_key.__getitem__)
 
 
 # Frame modes of the explicit search stack.  Root frames (the seed of each
@@ -460,10 +393,12 @@ class PreparedVerification:
     def apply_search_ordering(self) -> None:
         """Sort the slices per Section 5.3 with one precomputed key per vertex.
 
-        Same keys as :func:`order_adjacency` (ascending distance to the
-        closest arrival / from the closest departure, boundary-set size and
-        vertex id as tie-breaks), computed once per vertex from a
-        multi-source BFS over the flat slices — never per comparison.
+        Same keys as
+        :func:`~repro.core.verification_reference.order_adjacency_reference`
+        (ascending distance to the closest arrival / from the closest
+        departure, boundary-set size and vertex id as tie-breaks), computed
+        once per vertex from a multi-source BFS over the flat slices — never
+        per comparison.
         No-op when there is nothing to verify, and likewise for ``k == 5``
         (the search never scans adjacency, so no slices were materialised
         and no ordering could matter).

@@ -6,6 +6,9 @@ are shared between hits), so the cache hands out the stored object directly
 (:func:`repro.graph.digraph.DiGraph.fingerprint`) makes invalidation
 automatic: after a graph swap or rebuild, old entries can never match and
 simply age out of the LRU.
+
+The cache counts only its own size and evictions: hits and misses are
+counted once, per served query, by :class:`repro.service.stats.EngineStats`.
 """
 
 from __future__ import annotations
@@ -49,28 +52,15 @@ class ResultCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, SimplePathGraphResult]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------
-    def get(
-        self, key: CacheKey, *, count_miss: bool = True
-    ) -> Optional[SimplePathGraphResult]:
-        """Return the cached result for ``key`` or ``None`` (counts hit/miss).
-
-        ``count_miss=False`` leaves a miss uncounted, for a caller that
-        hands the key on to a second lookup which counts it.
-        """
+    def get(self, key: CacheKey) -> Optional[SimplePathGraphResult]:
+        """Return the cached result for ``key`` or ``None``."""
         with self._lock:
             result = self._entries.get(key)
-            if result is None:
-                if count_miss:
-                    self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if result is not None:
+                self._entries.move_to_end(key)
             return result
 
     def put(self, key: CacheKey, result: SimplePathGraphResult) -> None:
@@ -84,7 +74,7 @@ class ResultCache:
                 self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry (the eviction count is kept)."""
         with self._lock:
             self._entries.clear()
 
@@ -102,14 +92,13 @@ class ResultCache:
         For every entry keyed on ``old_fingerprint``: if ``keep(key)`` is
         true the entry is re-inserted under ``new_fingerprint`` (its result
         is still exact on the successor graph — the caller proved its
-        k-ball misses the touched region); otherwise it is dropped and
-        counted in ``invalidations``.  Returns ``(invalidated, retained)``.
+        k-ball misses the touched region); otherwise it is dropped.
+        Returns ``(invalidated, retained)``.
 
         Runs atomically under the lock, so a concurrent ``get`` sees either
         the old key or the new one, never a half-migrated table.  ``keep``
         runs with the lock held, so it must be pure and must not call back
-        into the cache.  Hit/miss counters are untouched: invalidation is
-        not a lookup.  Retained entries keep their stored result
+        into the cache.  Retained entries keep their stored result
         object and are refreshed to most-recently-used (they just survived
         a mutation — demonstrably still hot).
         """
@@ -125,7 +114,6 @@ class ResultCache:
                     retained += 1
                 else:
                     invalidated += 1
-            self.invalidations += invalidated
         return invalidated, retained
 
     def keys(self) -> List[CacheKey]:
@@ -136,39 +124,21 @@ class ResultCache:
     def items(self) -> List[Tuple[CacheKey, SimplePathGraphResult]]:
         """Return a point-in-time list of ``(key, result)`` pairs.
 
-        Unlike :meth:`get` this does not touch hit/miss counters or LRU
-        order; it exists for invariant checks (the dynamic-graph harness
+        Unlike :meth:`get` this does not touch the LRU order; it exists for
+        invariant checks (the dynamic-graph harness
         audits every retained entry against a from-scratch oracle).
         """
         with self._lock:
             return list(self._entries.items())
 
     # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (0.0 before any lookup).
-
-        Reads both counters under the lock, like :meth:`stats` — two
-        unsynchronised reads could see a hit counted by a concurrent
-        ``get`` whose miss sibling it misses (torn ratio) when batches
-        overlap.
-        """
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
     def stats(self) -> Dict[str, object]:
-        """Return a point-in-time dictionary view of the counters."""
+        """Return a point-in-time dictionary of the size and evictions."""
         with self._lock:
-            total = self.hits + self.misses
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "hit_rate": self.hits / total if total else 0.0,
             }
 
     def __len__(self) -> int:
@@ -180,13 +150,8 @@ class ResultCache:
             return key in self._entries
 
     def __repr__(self) -> str:
-        # One consistent snapshot under the lock (``len(self)`` re-acquires
-        # it, so the values are read directly here).
-        with self._lock:
-            entries = len(self._entries)
-            hits = self.hits
-            misses = self.misses
+        # ``len(self)`` takes the lock.
         return (
-            f"ResultCache(entries={entries}/{self.max_entries}, "
-            f"hits={hits}, misses={misses})"
+            f"ResultCache(entries={len(self)}/{self.max_entries}, "
+            f"evictions={self.evictions})"
         )

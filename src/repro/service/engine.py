@@ -21,7 +21,7 @@ cache state, planning, backend or parallelism:
   ``tests/test_executor_backends.py`` enforces this).
 
 Process-backend mechanics: the engine builds its pool with an initializer
-that installs the (pickled or fork-shared) graph, the config, and one
+that installs the (pickled or shared-memory) graph, the config, and one
 worker-local :class:`~repro.core.eve.ScratchPool` of
 :class:`~repro.core.eve.QueryScratch` bundles per worker; each
 planned group then crosses the boundary as a small picklable payload, and
@@ -98,6 +98,14 @@ GroupResult = List[
     Tuple[int, Optional[SimplePathGraphResult], Optional[BaseException], float, bool]
 ]
 
+#: Net overlay size (insert + delete edges relative to the last compacted
+#: base) at which :meth:`SPGEngine.apply_delta` folds the
+#: :class:`~repro.graph.delta.DeltaOverlayView` into a fresh base graph.
+#: Compaction is O(1) (the merged storage already exists) and keeps the
+#: lineage fingerprint, so caches and warm pools survive it; the threshold
+#: only bounds overlay bookkeeping and per-delta fingerprint hashing.
+COMPACT_THRESHOLD = 4096
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -116,7 +124,7 @@ class EngineConfig:
     ``serial`` the most planned groups that run at once.  Note that
     process workers only ever receive the graph plus the
     :meth:`eve_config` slice of this config — the serving-layer knobs
-    (cache, planner, pool sizing) live exclusively in the parent.
+    (cache, pool sizing) live exclusively in the parent.
 
     ``shared_memory`` controls whether the workers of the engine's one
     process pool receive the graph through a
@@ -131,11 +139,8 @@ class EngineConfig:
     verify: bool = True
     cache_size: int = 1024
     max_workers: Optional[int] = None
-    min_group_size: int = 2
-    latency_window: int = 4096
     executor_backend: Optional[str] = None
     shared_memory: Optional[bool] = None
-    compact_threshold: int = 4096
 
     def eve_config(self) -> EVEConfig:
         """The :class:`~repro.core.eve.EVEConfig` slice of this config."""
@@ -155,11 +160,8 @@ class EngineConfig:
         return {
             "cache_size": self.cache_size,
             "max_workers": self.max_workers,
-            "min_group_size": self.min_group_size,
-            "latency_window": self.latency_window,
             "executor_backend": self.executor_backend,
             "shared_memory": self.shared_memory,
-            "compact_threshold": self.compact_threshold,
         }
 
 
@@ -358,11 +360,11 @@ _worker_cleanup_registered = False
 def _init_process_worker(graph: DiGraph, config: EVEConfig) -> None:
     """Pool initializer: install the graph, config and scratch in this worker.
 
-    Runs exactly once per worker process — the one-time pickling (or
-    ``fork`` copy-on-write share) of the graph that replaces any per-task
-    graph shipping.  The fingerprint is warmed eagerly so the first served
-    group does not pay the O(m) hash.  The scratch lives in
-    a worker-local *standalone* :class:`~repro.core.eve.ScratchPool`
+    Runs exactly once per worker process — the one-time pickling of the
+    graph that replaces any per-task graph shipping.  The fingerprint is
+    warmed eagerly so the first served group does not pay the O(m) hash.
+    The scratch lives in a worker-local *standalone*
+    :class:`~repro.core.eve.ScratchPool`
     (it records its own counters), so each task can report the pool-counter
     delta it caused back to the parent.
     """
@@ -612,15 +614,13 @@ class SPGEngine:
     config:
         EVE tuning switches shared by every query this engine answers.
     cache_size:
-        Maximum LRU entries; ``0`` disables the result cache entirely.
+        Maximum LRU entries (>= 0); ``0`` disables the result cache
+        entirely.
     max_workers:
         How many planned groups run at once across overlapping batches:
         the process pool size, or the serial backend's in-flight bound
-        (``None`` = available CPUs, capped).  Each running group holds one
-        pooled scratch bundle.
-    min_group_size:
-        Smallest ``(target, k)`` group that precomputes a shared backward
-        pass (must be >= 2).
+        (>= 1; ``None`` = available CPUs, capped).  Each running group
+        holds one pooled scratch bundle.
     executor_backend:
         One of :data:`repro.service.executor.EXECUTOR_BACKENDS`.  ``None``
         defers to ``$REPRO_EXECUTOR_BACKEND``, then ``"serial"``, which
@@ -640,14 +640,6 @@ class SPGEngine:
         initializer.  ``True`` requires the segment (the batch that builds
         the pool raises when shared memory is unavailable); ``False``
         always pickles.  Irrelevant for the serial backend.
-    compact_threshold:
-        Net overlay size (insert + delete edges relative to the last
-        compacted base) at which :meth:`apply_delta` folds the
-        :class:`~repro.graph.delta.DeltaOverlayView` into a fresh base
-        graph.  Compaction is O(1) (the merged storage already exists) and
-        keeps the lineage fingerprint, so caches and warm pools survive it;
-        the threshold only bounds overlay bookkeeping and per-delta
-        fingerprint hashing.
     tracer:
         Optional :class:`repro.telemetry.Tracer`.  When set, every cache
         miss records its per-phase spans into it — in-process queries
@@ -665,31 +657,26 @@ class SPGEngine:
         *,
         cache_size: int = 1024,
         max_workers: Optional[int] = None,
-        min_group_size: int = 2,
-        latency_window: int = 4096,
         executor_backend: Optional[str] = None,
         shared_memory: Optional[bool] = None,
-        compact_threshold: int = 4096,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if compact_threshold < 1:
-            raise ValueError(
-                f"compact_threshold must be >= 1, got {compact_threshold}"
-            )
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._graph = graph
         self._config = config or EVEConfig()
         self._cache = ResultCache(cache_size) if cache_size > 0 else None
-        self._stats = EngineStats(latency_window)
+        self._stats = EngineStats()
         self._scratch = ScratchPool(self._stats)
         self._tracer = _active_tracer(tracer)
         self._max_workers = max_workers
-        self._min_group_size = min_group_size
         self._swap_lock = Lock()
         # Serializes apply_delta callers (mutations are read-modify-write
         # on the served graph); queries never take it.
         self._delta_lock = Lock()
         self._graph_epoch = 0
-        self._compact_threshold = compact_threshold
         # Fail fast on bad names instead of at first batch.
         self._backend_name = resolve_backend_name(executor_backend)
         self._shared_memory = shared_memory
@@ -698,8 +685,6 @@ class SPGEngine:
         self._backend_finalizer: Optional[weakref.finalize] = None
         self._backend_lock = Lock()
         self._segment: Optional[SharedGraphSegment] = None
-        # Validate eagerly so a bad value fails at construction time.
-        plan_batch([], min_group_size=min_group_size)
         self._warm_graph(graph)
 
     @staticmethod
@@ -914,7 +899,7 @@ class SPGEngine:
         The successor graph is built as a :class:`~repro.graph.delta`
         overlay of the current epoch (spliced CSR, lineage fingerprint) —
         or folded into a fresh base via ``compact()`` once the net overlay
-        outgrows ``compact_threshold`` — and swapped in through
+        reaches :data:`COMPACT_THRESHOLD` edges — and swapped in through
         :meth:`set_graph`.  The epoch semantics fall out of the
         existing immutability machinery:
 
@@ -974,7 +959,7 @@ class SPGEngine:
                 )
                 return report
 
-            compacted = view.overlay_size >= self._compact_threshold
+            compacted = view.overlay_size >= COMPACT_THRESHOLD
             new_graph: DiGraph = view.compact() if compacted else view
             old_fingerprint = old_graph.fingerprint()
 
@@ -1070,11 +1055,11 @@ class SPGEngine:
         an event loop can call it inline.  A malformed query is a miss; the
         batch it is sent on to reports it.
 
-        Counting rule: every query is one cache lookup and one served query,
-        whichever path answers it.  A hit here counts as a cache hit and as
-        one served cached query, with no batch.  A miss counts nowhere: the
-        caller sends the query on to :meth:`run_batch`, whose own lookup
-        counts it.
+        Counting rule: every query is one served query in
+        :class:`~repro.service.stats.EngineStats`, whichever path answers
+        it.  A hit here counts as a cache hit and as one served cached
+        query, with no batch.  A miss counts nowhere: the caller sends the
+        query on to :meth:`run_batch`, which counts it.
         """
         if self._cache is None:
             return None
@@ -1082,9 +1067,7 @@ class SPGEngine:
             normalized = self._normalize(query)
         except QueryError:
             return None
-        _, outcome = self._lookup(
-            normalized, self._graph.fingerprint(), True, count_miss=False
-        )
+        _, outcome = self._lookup(normalized, self._graph.fingerprint(), True)
         if outcome is not None:
             self._stats.record_query(0.0, cached=True)
         return outcome
@@ -1233,10 +1216,7 @@ class SPGEngine:
         primaries: List[Tuple[CacheKey, int]] = [
             (key, indices[0]) for key, indices in pending.items()
         ]
-        plan = plan_batch(
-            [normalized[index] for _, index in primaries],
-            min_group_size=self._min_group_size,
-        )
+        plan = plan_batch([normalized[index] for _, index in primaries])
         return _PreparedBatch(
             graph=graph,
             fingerprint=fingerprint,
@@ -1253,15 +1233,13 @@ class SPGEngine:
         query: Tuple[Vertex, Vertex, int],
         fingerprint: str,
         use_cache: bool,
-        *,
-        count_miss: bool = True,
     ) -> Tuple[CacheKey, Optional[QueryOutcome]]:
         """Key one normalised query on ``fingerprint``; return the key and
         its cached outcome, or ``None`` on a miss (or with the cache off)."""
         source, target, k = query
         key = make_cache_key(source, target, k, self._config, fingerprint)
         if use_cache and self._cache is not None:
-            hit = self._cache.get(key, count_miss=count_miss)
+            hit = self._cache.get(key)
             if hit is not None:
                 return key, QueryOutcome(
                     source=source, target=target, k=k, result=hit, cached=True

@@ -24,10 +24,9 @@ Two backends are provided, selected by name (:data:`EXECUTOR_BACKENDS`):
     (use :class:`Call` with a module-level function; closures and bound
     methods will not cross the process boundary).  Per-worker state (the
     graph, reusable scratch buffers) is installed once via the pool
-    ``initializer`` — a one-time pickle per worker under the default
+    ``initializer`` — a one-time pickle per worker under the
     ``forkserver`` start method (chosen because forking from a
-    multi-threaded parent risks deadlock), a copy-on-write share under an
-    explicit ``fork`` override.
+    multi-threaded parent risks deadlock).
 
 Backends are synchronous; an event loop awaits a whole batch on a helper
 thread instead (see :meth:`repro.service.engine.SPGEngine.run_batch_async`).
@@ -208,14 +207,11 @@ class ProcessBackend(ExecutorBackend):
         Installed per worker at spawn time — the one-time cost that replaces
         per-task shipping of heavyweight shared state (for SPG serving: the
         graph, whose flat CSR arrays pickle compactly, plus a per-worker
-        ``DistanceScratch``).  With an explicit ``fork`` start method the
-        state is shared copy-on-write instead of pickled.
-    start_method:
-        Optional :mod:`multiprocessing` start method override (``"fork"`` /
-        ``"spawn"`` / ``"forkserver"``).  ``None`` prefers ``forkserver``
-        (workers fork from a clean single-threaded server, immune to locks
-        held by the parent's threads) and otherwise uses the platform
-        default.
+        ``DistanceScratch``).
+
+    Workers start by ``forkserver`` where the platform has it (they fork
+    from a clean single-threaded server, immune to locks held by the
+    parent's threads), and by the platform default elsewhere.
 
     A pool whose worker died mid-task is marked :attr:`broken`; the engine
     reacts by closing and lazily rebuilding the backend.
@@ -230,12 +226,10 @@ class ProcessBackend(ExecutorBackend):
         *,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
-        start_method: Optional[str] = None,
     ) -> None:
         self._workers = default_worker_count() if max_workers is None else max(1, max_workers)
         self._initializer = initializer
         self._initargs = initargs
-        self._start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_guard = threading.Lock()
         self._broken = False
@@ -250,19 +244,15 @@ class ProcessBackend(ExecutorBackend):
             if self._pool is None:
                 import multiprocessing
 
-                method = self._start_method
-                if method is None:
-                    # fork from a multi-threaded parent (thread pools,
-                    # asyncio's default executor, overlapping batches) can
-                    # deadlock the child on an inherited lock.  forkserver
-                    # forks workers from a clean single-threaded server and
-                    # keeps one-time per-worker initialisation; fall back to
-                    # the platform default where it is unavailable.
-                    if "forkserver" in multiprocessing.get_all_start_methods():
-                        method = "forkserver"
+                # fork from a multi-threaded parent (thread pools, asyncio's
+                # default executor, overlapping batches) can deadlock the
+                # child on an inherited lock.  forkserver forks workers from
+                # a clean single-threaded server and keeps one-time
+                # per-worker initialisation; fall back to the platform
+                # default where it is unavailable.
                 context = (
-                    multiprocessing.get_context(method)
-                    if method is not None
+                    multiprocessing.get_context("forkserver")
+                    if "forkserver" in multiprocessing.get_all_start_methods()
                     else None
                 )
                 self._pool = ProcessPoolExecutor(
@@ -322,22 +312,16 @@ def create_backend(
     *,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple[Any, ...] = (),
-    start_method: Optional[str] = None,
 ) -> ExecutorBackend:
     """Build an :class:`ExecutorBackend` by name.
 
     ``name=None`` resolves through :func:`resolve_backend_name` (environment
     override, then ``"serial"``).  ``max_workers`` is the pool size of the
     process backend and the in-flight bound of the serial one.
-    ``initializer``/``initargs``/``start_method`` only apply to the process
-    backend; the serial backend already shares the caller's state.
+    ``initializer``/``initargs`` only apply to the process backend; the
+    serial backend already shares the caller's state.
     """
     resolved = resolve_backend_name(name)
     if resolved == "serial":
         return SerialBackend(max_workers)
-    return ProcessBackend(
-        max_workers,
-        initializer=initializer,
-        initargs=initargs,
-        start_method=start_method,
-    )
+    return ProcessBackend(max_workers, initializer=initializer, initargs=initargs)

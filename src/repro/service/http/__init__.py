@@ -2,8 +2,8 @@
 
 Layers, bottom to top:
 
-* :mod:`~repro.service.http.config` — :class:`HTTPConfig`, every knob as
-  one frozen dataclass;
+* :mod:`~repro.service.http.config` — :class:`HTTPConfig`, the listen
+  address and admission knobs as one frozen dataclass;
 * :mod:`~repro.service.http.admission` — bounded queue, per-tenant token
   buckets, graceful drain;
 * :mod:`~repro.service.http.coalescer` — answers cache hits on the event

@@ -6,8 +6,7 @@ through :class:`~repro.service.http.server.HTTPFrontend` until SIGINT or
 SIGTERM, at which point the server drains gracefully: new requests get
 503 while admitted queries finish.  A ``/query`` the result cache can
 answer is answered on the event loop; the rest are batched by group
-commit, with no coalescing window (``--coalesce-max-batch`` bounds a
-batch).
+commit, with no coalescing window.
 
 Examples
 --------
@@ -62,19 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8080,
         help="listen port (0 binds an ephemeral port, printed on startup)",
-    )
-    parser.add_argument(
-        "--compact-threshold",
-        type=int,
-        default=4096,
-        metavar="EDGES",
-        help="net delta-overlay size that triggers folding into a fresh base",
-    )
-    parser.add_argument(
-        "--coalesce-max-batch",
-        type=int,
-        default=64,
-        help="most queued single queries one coalescer batch runs at once",
     )
     parser.add_argument(
         "--max-queue-depth",
@@ -142,16 +128,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        engine_config = engine_config_from_args(args, compact_threshold=args.compact_threshold)
-        engine = SPGEngine.from_config(graph, engine_config)
+        if args.drain_timeout < 0:
+            raise ValueError(f"--drain-timeout must be >= 0, got {args.drain_timeout}")
+        engine = SPGEngine.from_config(graph, engine_config_from_args(args))
         http_config = HTTPConfig(
             host=args.host,
             port=args.port,
-            coalesce_max_batch=args.coalesce_max_batch,
             max_queue_depth=args.max_queue_depth,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
-            drain_timeout=args.drain_timeout,
         )
     except (ReproError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

@@ -6,9 +6,9 @@ trip — only materialise on *batches*.  The :class:`QueryCoalescer` runs
 at most one batch at a time: a query that finds the coalescer idle is
 dispatched on the next event-loop iteration (together with anything else
 that arrived in the same tick), and queries that arrive while a batch is
-in flight queue up and form the next batch, up to ``max_batch`` at a time.
-An idle server therefore adds no wait, and a busy one batches across
-connections as deeply as its load makes it queue.
+in flight queue up and form the next batch, up to :data:`MAX_BATCH` at a
+time.  An idle server therefore adds no wait, and a busy one batches
+across connections as deeply as its load makes it queue.
 
 A query the engine can answer from its result cache never queues: it is
 answered on the event loop by
@@ -28,6 +28,10 @@ from repro.service.engine import QueryOutcome, SPGEngine
 
 __all__ = ["QueryCoalescer"]
 
+#: The most queries one batch hands to the planner; a longer queue is
+#: worked off in several consecutive batches.
+MAX_BATCH = 64
+
 #: One pending entry: the normalised query, the future its HTTP request
 #: handler awaits, and when it was enqueued (``time.perf_counter``).
 _Pending = Tuple[Tuple[int, int, int], "asyncio.Future[QueryOutcome]", float]
@@ -41,16 +45,10 @@ class QueryCoalescer:
     engine:
         The engine queries are answered by (``cached_outcome`` on the
         loop, ``run_batch_async`` for batches).
-    max_batch:
-        The most queries one batch hands to the planner; a longer queue
-        is worked off in several consecutive batches.
     """
 
-    def __init__(self, engine: SPGEngine, *, max_batch: int = 64) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, engine: SPGEngine) -> None:
         self._engine = engine
-        self._max_batch = max_batch
         self._pending: List[_Pending] = []
         # The one task that runs batches while queries are pending; the
         # strong reference also keeps it alive (the loop holds tasks weakly).
@@ -91,8 +89,8 @@ class QueryCoalescer:
         batch: List[_Pending] = []
         try:
             while self._pending:
-                batch = self._pending[: self._max_batch]
-                del self._pending[: self._max_batch]
+                batch = self._pending[:MAX_BATCH]
+                del self._pending[:MAX_BATCH]
                 await self._run_batch(batch)
         except asyncio.CancelledError:
             # Nobody else will answer these futures: fail every waiter,
@@ -143,7 +141,6 @@ class QueryCoalescer:
 
     def __repr__(self) -> str:
         return (
-            f"QueryCoalescer(max_batch={self._max_batch}, "
-            f"in_flight={self._runner is not None}, pending={len(self._pending)}, "
-            f"flushed={self.batches_flushed})"
+            f"QueryCoalescer(in_flight={self._runner is not None}, "
+            f"pending={len(self._pending)}, flushed={self.batches_flushed})"
         )

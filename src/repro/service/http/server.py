@@ -28,13 +28,14 @@ dependency — requests are parsed straight off ``asyncio`` streams:
 
 Overload sheds with 429 (queue full or tenant quota) and shutdown drains
 gracefully: new requests get 503 while admitted queries finish, bounded
-by the configured drain timeout.  Any other failure of a request answers
-500 with a JSON ``error`` naming the exception and closes the connection;
-a ``/batch`` stream whose head already went out can only close.  When the
-engine carries a :class:`~repro.telemetry.Tracer`, every request records
-an ``http.request`` span (method, path, status, tenant) into the same
-buffer as the engine's phase spans, and every coalescer batch an
-``http.batch`` span; a failed request's span says 500.
+by the drain timeout :meth:`HTTPFrontend.shutdown` is given.  Any other
+failure of a request answers 500 with a JSON ``error`` naming the
+exception and closes the connection; a ``/batch`` stream whose head
+already went out can only close.  When the engine carries a
+:class:`~repro.telemetry.Tracer`, every request records an
+``http.request`` span (method, path, status, tenant) into the same buffer
+as the engine's phase spans, and every coalescer batch an ``http.batch``
+span; a failed request's span says 500.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ from repro.service.workload_io import (
 __all__ = ["HTTPError", "Request", "HTTPFrontend"]
 
 _LOG = logging.getLogger(__name__)
+
+#: Request framing limits: a body over ``MAX_BODY_BYTES`` answers 413, and
+#: header lines adding up to over ``MAX_HEADER_BYTES`` answer 431.  One line
+#: longer than the stream reader's 64 KiB limit also answers 431.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+MAX_HEADER_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -120,9 +127,7 @@ class Request:
         return token != "close"
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, config: HTTPConfig
-) -> Optional[Request]:
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on clean EOF.
 
     Framing violations raise :class:`HTTPError` (400/413/431/501); the
@@ -153,7 +158,7 @@ async def _read_request(
         if not line:
             raise HTTPError(400, "connection closed mid-headers")
         header_bytes += len(line)
-        if header_bytes > config.max_header_bytes:
+        if header_bytes > MAX_HEADER_BYTES:
             raise HTTPError(431, "request headers too large")
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
@@ -171,8 +176,8 @@ async def _read_request(
             raise HTTPError(400, f"bad Content-Length {length_text!r}") from exc
         if length < 0:
             raise HTTPError(400, f"bad Content-Length {length}")
-        if length > config.max_body_bytes:
-            raise HTTPError(413, f"request body exceeds {config.max_body_bytes} bytes")
+        if length > MAX_BODY_BYTES:
+            raise HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
@@ -249,9 +254,7 @@ class HTTPFrontend:
             tenant_rate=self._config.tenant_rate,
             tenant_burst=self._config.resolved_tenant_burst(),
         )
-        self._coalescer = QueryCoalescer(
-            engine, max_batch=self._config.coalesce_max_batch
-        )
+        self._coalescer = QueryCoalescer(engine)
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
         # Mutations get one thread of their own; they serialize on the
@@ -303,20 +306,16 @@ class HTTPFrontend:
             await self.start()
         await self._server.serve_forever()
 
-    async def shutdown(self, drain_timeout: Optional[float] = None) -> bool:
+    async def shutdown(self, drain_timeout: float) -> bool:
         """Gracefully drain and stop; returns whether the drain completed.
 
         New requests are answered 503 while every already-admitted query
-        finishes (bounded by ``drain_timeout``, default from the config);
-        then the coalescer answers what is still queued and the listener
-        closes.  No admitted in-flight query is dropped by a completed
-        drain.
+        finishes (bounded by ``drain_timeout`` seconds); then the coalescer
+        answers what is still queued and the listener closes.  No admitted
+        in-flight query is dropped by a completed drain.
         """
-        timeout = (
-            self._config.drain_timeout if drain_timeout is None else drain_timeout
-        )
         self._admission.begin_drain()
-        drained = await self._admission.wait_drained(timeout)
+        drained = await self._admission.wait_drained(drain_timeout)
         await self._coalescer.aclose()
         self._mutator.shutdown(wait=False)
         if self._server is not None:
@@ -332,7 +331,7 @@ class HTTPFrontend:
         try:
             while True:
                 try:
-                    request = await _read_request(reader, self._config)
+                    request = await _read_request(reader)
                 except HTTPError as exc:
                     _write_response(
                         writer,
@@ -534,9 +533,7 @@ class HTTPFrontend:
                     ("Connection", "keep-alive" if keep_alive else "close"),
                 ),
             )
-            stream = self._engine.astream(
-                translated, batch_size=self._config.stream_batch_size
-            )
+            stream = self._engine.astream(translated)
             try:
                 for index, (raw_source, raw_target, k) in enumerate(raw_queries):
                     if index in failures:

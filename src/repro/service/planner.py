@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro._types import Vertex
-from repro.exceptions import QueryError
 
 __all__ = ["PlannedQuery", "QueryGroup", "BatchPlan", "plan_batch"]
 
@@ -38,8 +37,8 @@ class PlannedQuery:
 class QueryGroup:
     """Queries sharing one ``(target, k)`` pair.
 
-    ``shared`` marks groups large enough that precomputing the backward
-    pass pays for itself; singleton groups run the normal per-query
+    ``shared`` marks groups of two or more queries, which precompute the
+    backward pass once; singleton groups run the normal per-query
     strategy (a full backward BFS could cost *more* than the adaptive
     bi-directional search for a single query).
     """
@@ -74,17 +73,11 @@ class BatchPlan:
         return sum(group.size - 1 for group in self.groups if group.shared)
 
 
-def plan_batch(
-    queries: Sequence[Tuple[Vertex, Vertex, int]],
-    min_group_size: int = 2,
-) -> BatchPlan:
+def plan_batch(queries: Sequence[Tuple[Vertex, Vertex, int]]) -> BatchPlan:
     """Group ``(source, target, k)`` tuples by shared ``(target, k)``.
 
-    ``min_group_size`` controls when a group is worth a shared backward
-    pass; it must be at least 2 (a singleton can never reuse anything).
+    Every group of two or more queries shares one backward pass.
     """
-    if min_group_size < 2:
-        raise QueryError(f"min_group_size must be >= 2, got {min_group_size}")
     buckets: Dict[Tuple[Vertex, int], List[PlannedQuery]] = {}
     for index, (source, target, k) in enumerate(queries):
         buckets.setdefault((target, k), []).append(
@@ -96,7 +89,7 @@ def plan_batch(
             QueryGroup(
                 target=target,
                 k=k,
-                shared=len(planned) >= min_group_size,
+                shared=len(planned) > 1,
                 queries=planned,
             )
         )

@@ -228,20 +228,21 @@ _MERGEABLE_COUNTERS = frozenset({"scratch_allocations", "scratch_reuses"})
 class EngineStats:
     """Thread-safe counters, latency quantiles and histograms for one engine.
 
-    Every served query records exactly one observation; cache hits count
-    into ``cache_hits`` and computed queries into ``cache_misses`` so
-    ``hit_rate`` is the fraction of queries answered without running EVE.
+    Every served query records exactly one observation; cache hits and
+    in-batch duplicates count into ``cache_hits`` and computed queries into
+    ``cache_misses``, so ``hit_rate`` is the fraction of queries answered
+    without running EVE.  These are the engine's only hit and miss counts.
     Computed queries additionally record their per-phase durations into one
     :class:`LatencyWindow` per EVE phase, keyed by
     :data:`repro.core.result.PHASE_NAMES`.  Each row of :data:`METRICS` is
     a plain integer attribute.
     """
 
-    def __init__(self, latency_window: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latencies = LatencyWindow(latency_window)
+        self._latencies = LatencyWindow()
         self._phase_latencies: Dict[str, LatencyWindow] = {
-            phase: LatencyWindow(latency_window) for phase in PHASE_NAMES
+            phase: LatencyWindow() for phase in PHASE_NAMES
         }
         self.reset()
 

@@ -84,12 +84,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-size", type=int, default=1024, help="LRU entries (0 disables caching)"
     )
     parser.add_argument(
-        "--min-group-size",
-        type=int,
-        default=2,
-        help="smallest (target, k) group that shares a backward pass",
-    )
-    parser.add_argument(
         "--strategy",
         choices=DISTANCE_STRATEGIES,
         default="adaptive",
@@ -114,16 +108,14 @@ def load_graph_from_args(
     return load_graph(args.edges)
 
 
-def engine_config_from_args(args: argparse.Namespace, **fields: object) -> EngineConfig:
-    """Build the engine configuration the shared flags select, plus ``fields``."""
+def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
+    """Build the engine configuration the shared flags select."""
     return EngineConfig(
         strategy=args.strategy,
         verify=not args.no_verify,
         cache_size=args.cache_size,
         max_workers=args.workers,
-        min_group_size=args.min_group_size,
         executor_backend=args.backend,
-        **fields,
     )
 
 

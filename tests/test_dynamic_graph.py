@@ -492,26 +492,25 @@ class TestCacheScopedInvalidation:
         for index in range(count):
             cache.put(make_cache_key(index, index + 1, 4, self.CONFIG, fingerprint), result)
 
-    def test_hit_rate_counters_consistent_across_partial_invalidation(self, figure1_graph):
-        result = EVE(figure1_graph, self.CONFIG).query(0, 3, 4)
-        cache = ResultCache(64)
-        self._fill(cache, "fp-a", 8, result)
-        for index in range(8):
-            assert cache.get(make_cache_key(index, index + 1, 4, self.CONFIG, "fp-a"))
-        before = cache.stats()
-        assert before["hits"] == 8 and before["misses"] == 0
-        cache.rekey_fingerprint("fp-a", "fp-b", keep=lambda key: key[0] >= 4)
-        # Invalidation itself is not a lookup: hit/miss untouched.
-        mid = cache.stats()
-        assert mid["hits"] == 8 and mid["misses"] == 0
-        # Removed entries now miss; retained entries still hit.
-        for index in range(8):
-            hit = cache.get(make_cache_key(index, index + 1, 4, self.CONFIG, "fp-b"))
-            assert (hit is not None) == (index >= 4)
-        after = cache.stats()
-        assert after["hits"] == 12 and after["misses"] == 4
-        assert after["hits"] + after["misses"] == 16
-        assert after["hit_rate"] == pytest.approx(12 / 16)
+    def test_engine_counts_across_partial_invalidation(self):
+        """EngineStats alone counts hits, misses and invalidated entries.
+
+        After a delta, every distinct cached query is either retained (a
+        hit on the next batch) or invalidated (recomputed).
+        """
+        graph = erdos_renyi(40, 2.0, seed=44)
+        queries = list(dict.fromkeys(random_queries(random.Random(3), 40, 24)))
+        with SPGEngine(graph) as engine:
+            assert all(outcome.ok for outcome in engine.run_batch(queries))
+            report = engine.apply_delta(GraphDelta(inserts=[(0, 1), (2, 3)]))
+            assert report.cache_invalidated > 0 and report.cache_retained > 0
+            assert report.cache_invalidated + report.cache_retained == len(queries)
+            again = engine.run_batch(queries)
+            stats = engine.stats
+        assert again.cache_hits == report.cache_retained
+        assert stats.cache_entries_invalidated == report.cache_invalidated
+        assert stats.cache_entries_retained == report.cache_retained
+        assert stats.cache_misses == len(queries) + report.cache_invalidated
 
     def test_rekey_fingerprint_migrates_and_drops(self, figure1_graph):
         result = EVE(figure1_graph, self.CONFIG).query(0, 3, 4)
@@ -561,8 +560,8 @@ class TestCacheScopedInvalidation:
         for thread in threads:
             thread.join()
         assert not errors
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] > 0
+        assert {key[4] for key in cache.keys()} <= {"fp"}
+        assert cache.stats()["entries"] <= 64
 
 
 # ----------------------------------------------------------------------
@@ -701,9 +700,10 @@ class TestEngineDeltaSemantics:
             outcomes = engine.run_batch(queries)
             assert all(outcome.cached for outcome in outcomes)
 
-    def test_compaction_threshold_triggers(self):
+    def test_compaction_threshold_triggers(self, monkeypatch):
+        monkeypatch.setattr("repro.service.engine.COMPACT_THRESHOLD", 4)
         graph = erdos_renyi(40, 2.0, seed=43)
-        with SPGEngine(graph, compact_threshold=4) as engine:
+        with SPGEngine(graph) as engine:
             report = engine.apply_delta(
                 GraphDelta(inserts=[(0, 20), (1, 21), (2, 22)])
             )
@@ -723,11 +723,6 @@ class TestEngineDeltaSemantics:
                 assert_same_outcomes(
                     engine.run_batch(queries), oracle.run_batch(queries)
                 )
-
-    def test_bad_threshold_rejected(self):
-        graph = DiGraph(3, [(0, 1)])
-        with pytest.raises(ValueError, match="compact_threshold"):
-            SPGEngine(graph, compact_threshold=0)
 
     def test_out_of_range_delta_leaves_engine_untouched(self):
         graph = DiGraph(4, [(0, 1), (1, 2)])

@@ -41,6 +41,7 @@ from repro.service.http import (
     TokenBucket,
     request,
 )
+from repro.service.http.server import MAX_BODY_BYTES, MAX_HEADER_BYTES
 from repro.service.stats import EngineStats
 from repro.telemetry import Tracer
 from repro.telemetry.prometheus import parse_exposition
@@ -203,7 +204,7 @@ class TestQueryCoalescer:
     def test_same_tick_arrivals_share_one_batch(self):
         async def scenario():
             engine = _FakeEngine()
-            coalescer = QueryCoalescer(engine, max_batch=64)
+            coalescer = QueryCoalescer(engine)
             outcomes = await asyncio.gather(
                 *(coalescer.submit((i, i + 1, 3)) for i in range(5))
             )
@@ -230,11 +231,13 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
-    def test_queued_queries_form_capped_batches_in_order(self):
+    def test_queued_queries_form_capped_batches_in_order(self, monkeypatch):
+        monkeypatch.setattr("repro.service.http.coalescer.MAX_BATCH", 2)
+
         async def scenario():
             engine = _FakeEngine()
             engine.gate.clear()
-            coalescer = QueryCoalescer(engine, max_batch=2)
+            coalescer = QueryCoalescer(engine)
             first = asyncio.create_task(coalescer.submit((0, 1, 3)))
             assert await _until(lambda: len(engine.batches) == 1)
             queued = [
@@ -256,9 +259,28 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
+    def test_default_bound_caps_a_long_queue_at_64(self):
+        async def scenario():
+            engine = _FakeEngine()
+            engine.gate.clear()
+            coalescer = QueryCoalescer(engine)
+            first = asyncio.create_task(coalescer.submit((0, 1, 3)))
+            assert await _until(lambda: len(engine.batches) == 1)
+            queued = [
+                asyncio.create_task(coalescer.submit((i, i + 1, 3)))
+                for i in range(1, 71)
+            ]
+            assert await _until(lambda: coalescer.pending == 70)
+            engine.gate.set()
+            await asyncio.wait_for(asyncio.gather(first, *queued), 5.0)
+            await coalescer.aclose()
+            return [len(batch) for batch in engine.batches]
+
+        assert asyncio.run(scenario()) == [1, 64, 6]
+
     def test_engine_failure_fans_out_to_every_future(self):
         async def scenario():
-            coalescer = QueryCoalescer(_FakeEngine(fail=True), max_batch=64)
+            coalescer = QueryCoalescer(_FakeEngine(fail=True))
             results = await asyncio.gather(
                 *(coalescer.submit((i, i + 1, 3)) for i in range(3)),
                 return_exceptions=True,
@@ -268,11 +290,13 @@ class TestQueryCoalescer:
 
         asyncio.run(scenario())
 
-    def test_cancelled_runner_cancels_every_waiter(self):
+    def test_cancelled_runner_cancels_every_waiter(self, monkeypatch):
+        monkeypatch.setattr("repro.service.http.coalescer.MAX_BATCH", 1)
+
         async def scenario():
             engine = _FakeEngine()
             engine.gate.clear()
-            coalescer = QueryCoalescer(engine, max_batch=1)
+            coalescer = QueryCoalescer(engine)
             waiters = [
                 asyncio.create_task(coalescer.submit((i, i + 1, 3))) for i in range(3)
             ]
@@ -320,11 +344,13 @@ class TestQueryCoalescer:
         assert spans[1].attributes["wait_ms"] >= held_ms
         assert spans[0].duration * 1000.0 >= held_ms
 
-    def test_aclose_answers_queued_queries(self):
+    def test_aclose_answers_queued_queries(self, monkeypatch):
+        monkeypatch.setattr("repro.service.http.coalescer.MAX_BATCH", 2)
+
         async def scenario():
             engine = _FakeEngine()
             engine.gate.clear()
-            coalescer = QueryCoalescer(engine, max_batch=2)
+            coalescer = QueryCoalescer(engine)
             waiters = [
                 asyncio.create_task(coalescer.submit((i, i + 1, 3))) for i in range(5)
             ]
@@ -363,6 +389,26 @@ async def _booted(engine, builder=None, **config_kwargs):
     )
     await frontend.start()
     return frontend
+
+
+async def _raw_exchange(address, head: bytes):
+    """Send raw request bytes; return the status and JSON body of the answer.
+
+    The server answers a framing violation and closes, so the response is
+    read to EOF.  Callers send nothing past the byte that breaks the limit:
+    unread bytes left in the server's socket would turn its close into a
+    reset that can overtake the answer.
+    """
+    reader, writer = await asyncio.open_connection(*address)
+    try:
+        writer.write(head)
+        await writer.drain()
+        raw = await reader.read()
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    status_line, _, rest = raw.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
 
 
 async def _post_query(frontend, query):
@@ -639,7 +685,7 @@ class TestHTTPFrontend:
     def test_error_statuses(self, small_dense_graph):
         async def scenario():
             with _engine(small_dense_graph) as engine:
-                frontend = await _booted(engine, max_body_bytes=64)
+                frontend = await _booted(engine)
                 try:
                     address = frontend.address
                     assert (await request(address, path="/nope")).status == 404
@@ -652,14 +698,48 @@ class TestHTTPFrontend:
                         address, None, "POST", "/query", body=b'{"source": 0}'
                     )
                     assert malformed.status == 400
-                    oversized = await request(
-                        address, None, "POST", "/batch", body=b"0 1 2\n" * 64
+                    # The server answers from the claimed length, before
+                    # reading any of the body.
+                    status, body = await _raw_exchange(
+                        address,
+                        b"POST /batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                        % (MAX_BODY_BYTES + 1),
                     )
-                    assert oversized.status == 413
+                    assert status == 413
+                    assert body == {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
                 finally:
                     assert await frontend.shutdown(5.0)
 
         asyncio.run(scenario())
+
+    def test_oversized_request_heads_answer_431(self, small_dense_graph):
+        request_line = b"POST /query HTTP/1.1\r\n"
+        # One header line past the 64 KiB stream limit, cut off at its
+        # first byte over it.
+        long_line = b"X-Pad: " + b"a" * (MAX_HEADER_BYTES + 1 - len(b"X-Pad: "))
+        # Short lines of 64 bytes each, one past MAX_HEADER_BYTES in all.
+        short_lines = b"".join(
+            b"X-Pad-%04d: %s\r\n" % (index, b"a" * 50)
+            for index in range(MAX_HEADER_BYTES // 64 + 1)
+        )
+        assert len(short_lines) == MAX_HEADER_BYTES + 64
+
+        async def scenario():
+            with _engine(small_dense_graph) as engine:
+                frontend = await _booted(engine)
+                try:
+                    address = frontend.address
+                    one_line = await _raw_exchange(address, request_line + long_line)
+                    many_lines = await _raw_exchange(address, request_line + short_lines)
+                    # The server keeps serving other connections.
+                    assert (await request(address, path="/healthz")).status == 200
+                finally:
+                    assert await frontend.shutdown(5.0)
+            return one_line, many_lines
+
+        one_line, many_lines = asyncio.run(scenario())
+        assert one_line == (431, {"error": "header line too long"})
+        assert many_lines == (431, {"error": "request headers too large"})
 
     def test_unexpected_failure_answers_500(self, small_dense_graph, monkeypatch, caplog):
         # A failure that is not a client error must get an explicit answer,
@@ -837,13 +917,15 @@ class TestLoopCacheHits:
                     )
                 finally:
                     assert await frontend.shutdown(5.0)
-                return engine.stats, engine.cache
+                return engine.stats
 
-        stats, cache = asyncio.run(scenario())
+        stats = asyncio.run(scenario())
         served = len(sequential) + len(concurrent)
         assert stats.queries_served == served
-        assert stats.cache_hits + stats.cache_misses == served
-        assert cache.hits + cache.misses == served
+        # Each distinct query is computed once; every repeat is a hit,
+        # whether answered on the loop or deduplicated inside a batch.
+        assert stats.cache_misses == len(set(sequential) | set(concurrent)) == 4
+        assert stats.cache_hits == served - 4
 
     def test_mutation_rekeys_what_the_loop_serves(self, small_dense_graph):
         changed, kept = (0, 7, 4), (3, 1, 4)
@@ -892,12 +974,9 @@ class TestHTTPConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"coalesce_max_batch": 0},
             {"max_queue_depth": 0},
             {"tenant_rate": 0.0},
             {"tenant_burst": -1.0},
-            {"stream_batch_size": 0},
-            {"drain_timeout": -1.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -7,7 +7,8 @@ import pytest
 from repro.analysis.validate import brute_force_spg
 from repro.core.distances import compute_distance_index
 from repro.core.essential import propagate_backward, propagate_forward
-from repro.core.labeling import compute_upper_bound, label_edge
+from repro.core.labeling import compute_upper_bound
+from repro.core.labeling_reference import label_edge
 from repro.core.result import EdgeLabel
 from repro.graph.generators import erdos_renyi
 

@@ -141,13 +141,13 @@ class TestResultCache:
     def _key(self, i: int):
         return make_cache_key(i, i + 1, 3, EVEConfig(), "fp")
 
-    def test_hit_miss_counters(self):
+    def test_get_put_and_size_stats(self):
         cache = ResultCache(max_entries=4)
         assert cache.get(self._key(0)) is None
         cache.put(self._key(0), "r0")
         assert cache.get(self._key(0)) == "r0"
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
+        # Hits and misses are EngineStats' to count, not the cache's.
+        assert cache.stats() == {"entries": 1, "max_entries": 4, "evictions": 0}
 
     def test_lru_eviction_order(self):
         cache = ResultCache(max_entries=2)
@@ -209,12 +209,6 @@ class TestPlanner:
         assert [(g.target, g.k) for g in first.groups] == [
             (g.target, g.k) for g in second.groups
         ]
-
-    def test_min_group_size(self):
-        plan = plan_batch([(0, 9, 4), (1, 9, 4)], min_group_size=3)
-        assert plan.num_shared_groups == 0
-        with pytest.raises(QueryError):
-            plan_batch([], min_group_size=1)
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +361,31 @@ class TestSPGEngine:
         assert [outcome.ok for outcome in report] == [False, False]
         assert report.cache_hits == 0
         assert engine.stats_snapshot()["hit_rate"] == 0.0
+
+    def test_snapshot_reports_one_hit_count(self):
+        """Regression: the cache's own lookup count disagreed with EngineStats.
+
+        The in-batch duplicate is a hit for the engine (computed once), but
+        the cache saw three misses, so one snapshot reported hit rates of
+        1/3 and 0.
+        """
+        engine = SPGEngine(erdos_renyi(200, 4.0, seed=1))
+        engine.run_batch([(0, 5, 4), (0, 5, 4), (1, 5, 4)])
+        snapshot = engine.stats_snapshot()
+        assert (snapshot["cache_hits"], snapshot["cache_misses"]) == (1, 2)
+        assert snapshot["hit_rate"] == pytest.approx(1 / 3)
+        assert snapshot["cache"] == {"entries": 2, "max_entries": 1024, "evictions": 0}
+
+    @pytest.mark.parametrize(
+        "name, value", [("cache_size", -7), ("cache_size", -1), ("max_workers", 0), ("max_workers", -2)]
+    )
+    def test_out_of_range_sizes_rejected(self, diamond_graph, name, value):
+        """Regression: a negative cache size used to turn the cache off, and
+        the backends clamped a worker count below 1 to 1."""
+        with pytest.raises(ValueError, match=name):
+            SPGEngine(diamond_graph, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            SPGEngine.from_config(diamond_graph, EngineConfig(**{name: value}))
 
 
 # ----------------------------------------------------------------------
@@ -547,8 +566,8 @@ class TestSharedCLIFlags:
 
     SHARED_ARGV = [
         "--dataset", "ps", "--scale", "0.05", "--seed", "3", "--workers", "3",
-        "--backend", "serial", "--cache-size", "17", "--min-group-size", "4",
-        "--strategy", "single", "--no-verify",
+        "--backend", "serial", "--cache-size", "17", "--strategy", "single",
+        "--no-verify",
     ]
 
     @staticmethod
@@ -579,17 +598,110 @@ class TestSharedCLIFlags:
             verify=False,
             cache_size=17,
             max_workers=3,
-            min_group_size=4,
             executor_backend="serial",
         )
 
     @pytest.mark.parametrize("module", ["repro.service.__main__", "repro.service.http.__main__"])
-    def test_distance_strategy_alias_rejected(self, module, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--distance-strategy", "single"),
+            ("--min-group-size", "4"),
+            ("--compact-threshold", "4"),
+            ("--coalesce-max-batch", "4"),
+        ],
+    )
+    def test_removed_flags_rejected(self, module, flag, value, capsys):
         parser = importlib.import_module(module).build_parser()
         with pytest.raises(SystemExit) as exited:
-            parser.parse_args(["--dataset", "ps", "--distance-strategy", "single"])
+            parser.parse_args(["--dataset", "ps", flag, value])
         assert exited.value.code == 2
-        assert "--distance-strategy" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module, flag, value, error",
+        [
+            ("repro.service.__main__", "--cache-size", "-1", "invalid engine configuration"),
+            ("repro.service.__main__", "--workers", "0", "invalid engine configuration"),
+            ("repro.service.http.__main__", "--cache-size", "-1", "invalid configuration"),
+            ("repro.service.http.__main__", "--workers", "0", "invalid configuration"),
+            ("repro.service.http.__main__", "--drain-timeout", "-1", "invalid configuration"),
+        ],
+    )
+    def test_out_of_range_values_exit_2(
+        self, module, flag, value, error, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: both CLIs used to serve with the size values."""
+        argv = ["--dataset", "ps", "--scale", "0.05", flag, value]
+        if module == "repro.service.__main__":
+            queries = tmp_path / "queries.jsonl"
+            queries.write_text("0 5 4\n", encoding="utf-8")
+            argv += ["--queries", str(queries)]
+        assert self._main(module, monkeypatch)(argv) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+
+    @staticmethod
+    def _main(module, monkeypatch):
+        """A CLI's ``main``; the HTTP one returns 0 where it would serve."""
+        cli = importlib.import_module(module)
+        if hasattr(cli, "_serve"):
+            async def serve_nothing(frontend, drain_timeout):
+                return 0
+
+            monkeypatch.setattr(cli, "_serve", serve_nothing)
+        return cli.main
+
+
+class TestConfigurationSurface:
+    """Every setting the engine, the HTTP front end and the two CLIs take.
+
+    Adding or removing a setting means editing this list.
+    """
+
+    def test_engine_and_http_settings(self):
+        import dataclasses
+        import inspect
+
+        from repro.service.http import HTTPConfig
+
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "strategy", "forward_looking", "search_ordering", "verify",
+            "cache_size", "max_workers", "executor_backend", "shared_memory",
+        ]
+        assert list(inspect.signature(SPGEngine).parameters) == [
+            "graph", "config",
+            "cache_size", "max_workers", "executor_backend", "shared_memory", "tracer",
+        ]
+        assert [field.name for field in dataclasses.fields(HTTPConfig)] == [
+            "host", "port", "max_queue_depth",
+            "tenant_rate", "tenant_burst", "tenant_header", "default_tenant",
+        ]
+
+    SHARED_FLAGS = [
+        "--dataset", "--edges", "--scale", "--seed", "--workers", "--backend",
+        "--cache-size", "--strategy", "--no-verify",
+    ]
+
+    OWN_FLAGS = {
+        "repro.service.__main__": [
+            "--queries", "--no-edges", "--stats", "--metrics-out", "--trace-out",
+        ],
+        "repro.service.http.__main__": [
+            "--host", "--port", "--max-queue-depth", "--tenant-rate", "--tenant-burst",
+            "--drain-timeout", "--trace",
+        ],
+    }
+
+    @pytest.mark.parametrize("module", sorted(OWN_FLAGS))
+    def test_cli_flags(self, module):
+        parser = importlib.import_module(module).build_parser()
+        flags = [
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        assert flags == self.SHARED_FLAGS + self.OWN_FLAGS[module]
 
 
 # ----------------------------------------------------------------------

@@ -537,8 +537,9 @@ class TestEngineStats:
 
     def test_concurrent_scrape_while_recording(self):
         """Scrapes taken mid-hammer always parse and end totals are exact."""
-        stats = EngineStats(latency_window=64)
-        per_thread, threads = 300, 4
+        stats = EngineStats()
+        # 4,400 samples: enough to wrap the 4,096-sample latency ring.
+        per_thread, threads = 1100, 4
         stop = threading.Event()
         failures: list = []
 

@@ -9,7 +9,11 @@ from repro.core.distances import compute_distance_index
 from repro.core.essential import propagate_backward, propagate_forward
 from repro.core.labeling import compute_upper_bound
 from repro.core.space import SpaceMeter
-from repro.core.verification import multi_source_bfs, order_adjacency, verify_undetermined_edges
+from repro.core.verification import verify_undetermined_edges
+from repro.core.verification_reference import (
+    multi_source_bfs_reference,
+    order_adjacency_reference,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi, power_law_cluster
 
@@ -24,14 +28,14 @@ def build_upper(graph, source, target, k):
 class TestMultiSourceBFS:
     def test_distances_from_nearest_source(self):
         adjacency = {0: [1], 1: [2], 2: [3], 5: [3]}
-        distances = multi_source_bfs(adjacency, [0, 5])
+        distances = multi_source_bfs_reference(adjacency, [0, 5])
         assert distances[0] == 0
         assert distances[5] == 0
         assert distances[1] == 1
         assert distances[3] == 1  # closer through 5
 
     def test_empty_sources(self):
-        assert multi_source_bfs({0: [1]}, []) == {}
+        assert multi_source_bfs_reference({0: [1]}, []) == {}
 
 
 class TestOrderAdjacency:
@@ -39,8 +43,8 @@ class TestOrderAdjacency:
         graph, builder = figure1
         s, t = builder.vertex_id("s"), builder.vertex_id("t")
         upper = build_upper(graph, s, t, 7)
-        order_adjacency(upper)
-        to_arrival = multi_source_bfs(upper.in_adjacency, upper.arrivals.keys())
+        order_adjacency_reference(upper)
+        to_arrival = multi_source_bfs_reference(upper.in_adjacency, upper.arrivals.keys())
         for vertex, neighbors in upper.out_adjacency.items():
             keys = [to_arrival.get(n, float("inf")) for n in neighbors]
             assert keys == sorted(keys)
@@ -49,8 +53,8 @@ class TestOrderAdjacency:
         graph, builder = figure1
         s, t = builder.vertex_id("s"), builder.vertex_id("t")
         upper = build_upper(graph, s, t, 7)
-        order_adjacency(upper)
-        from_departure = multi_source_bfs(upper.out_adjacency, upper.departures.keys())
+        order_adjacency_reference(upper)
+        from_departure = multi_source_bfs_reference(upper.out_adjacency, upper.departures.keys())
         for vertex, neighbors in upper.in_adjacency.items():
             keys = [from_departure.get(n, float("inf")) for n in neighbors]
             assert keys == sorted(keys)
@@ -92,7 +96,7 @@ class TestVerification:
         for k in (5, 6, 7):
             plain = build_upper(graph, source, target, k)
             ordered = build_upper(graph, source, target, k)
-            order_adjacency(ordered)
+            order_adjacency_reference(ordered)
             assert verify_undetermined_edges(plain) == verify_undetermined_edges(ordered)
 
     def test_small_k_returns_definite_edges_only(self):
