@@ -34,6 +34,7 @@ import argparse
 import asyncio
 import csv
 import json
+import os
 import random
 import signal
 import subprocess
@@ -485,7 +486,7 @@ async def _spawn_http_server(
         ],
         stderr=subprocess.PIPE,
         text=True,
-        env={"PYTHONPATH": str(src_dir)},
+        env={**os.environ, "PYTHONPATH": str(src_dir)},
     )
     loop = asyncio.get_running_loop()
     line = await asyncio.wait_for(

@@ -36,7 +36,7 @@ from repro.exceptions import (
 from repro.graph.builder import GraphBuilder, build_graph
 from repro.graph.digraph import DiGraph
 from repro.khsq.khsq import k_hop_subgraph
-from repro.service.engine import BatchReport, QueryOutcome, SPGEngine
+from repro.service.engine import BatchReport, QueryOutcome, SPGAnswer, SPGEngine
 
 __version__ = "1.0.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "k_hop_subgraph",
     # the serving layer
     "SPGEngine",
+    "SPGAnswer",
     "QueryOutcome",
     "BatchReport",
     # errors

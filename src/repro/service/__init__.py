@@ -28,7 +28,9 @@ serving layer exploits.  This subsystem layers four things on top of
   (``scratch_allocations`` / ``scratch_reuses``); each process worker
   keeps a pool of its own and ships its counter deltas home.
 
-:class:`SPGEngine` ties them together and keeps :class:`EngineStats`
+:class:`SPGEngine` ties them together.  It answers with :class:`SPGAnswer`
+objects (the query, ``exact`` and the answer's sorted edge pairs, packed
+into one immutable buffer) and keeps :class:`EngineStats`
 (hit rate, latency quantiles and histograms — overall and per EVE phase —
 queries served, scratch reuse), exposable as Prometheus text-format
 exposition via :meth:`EngineStats.to_prometheus` (the CLI's
@@ -52,6 +54,7 @@ from repro.service.engine import (
     EngineConfig,
     GroupExecution,
     QueryOutcome,
+    SPGAnswer,
     SPGEngine,
 )
 from repro.service.executor import (
@@ -73,6 +76,7 @@ __all__ = [
     "SPGEngine",
     "EngineConfig",
     "ScratchPool",
+    "SPGAnswer",
     "QueryOutcome",
     "BatchReport",
     "DeltaReport",

@@ -1,8 +1,10 @@
 """LRU result cache keyed on query, config and graph fingerprint.
 
-Results are immutable-by-convention (:class:`SimplePathGraphResult` objects
-are shared between hits), so the cache hands out the stored object directly
-— callers must not mutate it.  Including the graph fingerprint in the key
+Values are :class:`~repro.service.engine.SPGAnswer` objects: the packed,
+sorted edge pairs of one answer plus its query and ``exact`` flag.  Every
+hit hands out the stored object; it is immutable (read-only attributes, a
+``bytes`` buffer, a fresh ``frozenset`` per ``edges`` access), so no caller
+can change what later hits see.  Including the graph fingerprint in the key
 (:func:`repro.graph.digraph.DiGraph.fingerprint`) makes invalidation
 automatic: after a graph swap or rebuild, old entries can never match and
 simply age out of the LRU.
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro._types import Vertex
 from repro.core.eve import EVEConfig
-from repro.core.result import SimplePathGraphResult
+
+if TYPE_CHECKING:
+    from repro.service.engine import SPGAnswer
 
 __all__ = ["CacheKey", "make_cache_key", "ResultCache"]
 
@@ -44,18 +48,18 @@ def make_cache_key(
 
 
 class ResultCache:
-    """A thread-safe LRU cache of :class:`SimplePathGraphResult` objects."""
+    """A thread-safe LRU cache of :class:`~repro.service.engine.SPGAnswer` objects."""
 
     def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, SimplePathGraphResult]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, SPGAnswer]" = OrderedDict()
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey) -> Optional[SimplePathGraphResult]:
+    def get(self, key: CacheKey) -> Optional[SPGAnswer]:
         """Return the cached result for ``key`` or ``None``."""
         with self._lock:
             result = self._entries.get(key)
@@ -63,7 +67,7 @@ class ResultCache:
                 self._entries.move_to_end(key)
             return result
 
-    def put(self, key: CacheKey, result: SimplePathGraphResult) -> None:
+    def put(self, key: CacheKey, result: SPGAnswer) -> None:
         """Insert (or refresh) ``key``, evicting the least recently used."""
         with self._lock:
             if key in self._entries:
@@ -121,7 +125,7 @@ class ResultCache:
         with self._lock:
             return list(self._entries.keys())
 
-    def items(self) -> List[Tuple[CacheKey, SimplePathGraphResult]]:
+    def items(self) -> List[Tuple[CacheKey, SPGAnswer]]:
         """Return a point-in-time list of ``(key, result)`` pairs.
 
         Unlike :meth:`get` this does not touch the LRU order; it exists for

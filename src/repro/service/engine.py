@@ -9,8 +9,10 @@ on a pluggable :class:`~repro.service.executor.ExecutorBackend` (``serial``
 or ``process``); four guarantees hold regardless of
 cache state, planning, backend or parallelism:
 
-* **identical answers** — every result equals what a cold per-query
-  :func:`repro.core.eve.build_spg` on the same graph/config returns;
+* **identical answers** — every :class:`SPGAnswer` carries the edges and
+  ``exact`` flag a cold per-query :func:`repro.core.eve.build_spg` on the
+  same graph/config returns (the labels, upper bound, phase times and
+  space meter of that full result stay with ``build_spg``/``EVE.query``);
 * **deterministic ordering** — ``run_batch`` returns outcomes in input
   order, whatever the pool does;
 * **error isolation** — one bad query (unknown vertex, ``s == t``, ...)
@@ -40,12 +42,15 @@ import asyncio
 import atexit
 import time
 import weakref
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from threading import Lock
 from typing import (
     AsyncIterator,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -84,6 +89,7 @@ from repro.telemetry import TraceEvent, Tracer
 
 __all__ = [
     "EngineConfig",
+    "SPGAnswer",
     "QueryOutcome",
     "BatchReport",
     "DeltaReport",
@@ -93,9 +99,11 @@ __all__ = [
 
 QueryLike = object  # (s, t, k) tuple/list, Query, or {"source", "target", "k"} mapping
 
-#: ``(plan position, result, exception, latency seconds, reused backward)``
+#: ``(plan position, answer, phase seconds, exception, latency seconds,
+#: reused backward)``; the phase seconds are
+#: :meth:`~repro.core.result.PhaseStats.by_phase` of the computed result.
 GroupResult = List[
-    Tuple[int, Optional[SimplePathGraphResult], Optional[BaseException], float, bool]
+    Tuple[int, Optional["SPGAnswer"], Optional[Dict[str, float]], Optional[BaseException], float, bool]
 ]
 
 #: Net overlay size (insert + delete edges relative to the last compacted
@@ -202,19 +210,114 @@ class DeltaReport:
         }
 
 
+class SPGAnswer:
+    """The engine's answer to one ``<s, t, k>`` query: the edges of SPG_k(s, t).
+
+    Holds the query, ``exact`` and the answer's edge pairs, sorted and
+    packed as signed 64-bit ints ``u0, v0, u1, v1, ...`` in one immutable
+    ``bytes`` buffer (:attr:`packed`, 16 bytes an edge).  ``edges`` (a
+    fresh ``frozenset``), :attr:`edge_pairs`, :attr:`vertices`,
+    :attr:`num_edges` and :attr:`is_empty` are computed from the buffer on
+    access.  Every cache hit hands out the same object, so it cannot be
+    changed: attributes are read-only and the buffer is ``bytes``.
+
+    The full :class:`~repro.core.result.SimplePathGraphResult` — upper
+    bound, Algorithm 2 labels, phase times, space meter — is EVE's working
+    record; :func:`repro.core.eve.build_spg` and
+    :meth:`repro.core.eve.EVE.query` return it.  The engine packs each one
+    as soon as it is computed (:meth:`from_result`) and keeps only this.
+    """
+
+    __slots__ = ("source", "target", "k", "exact", "packed")
+
+    source: Vertex
+    target: Vertex
+    k: int
+    exact: bool
+    packed: bytes
+
+    def __init__(
+        self, source: Vertex, target: Vertex, k: int, exact: bool, packed: bytes
+    ) -> None:
+        for name, value in zip(self.__slots__, (source, target, k, exact, bytes(packed))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_result(cls, result: SimplePathGraphResult) -> "SPGAnswer":
+        """Pack the answer edges of one full EVE result."""
+        flat = array("q", chain.from_iterable(sorted(result.edges)))
+        return cls(result.source, result.target, result.k, result.exact, flat.tobytes())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> Tuple[Vertex, Vertex, int, bool, bytes]:
+        return (self.source, self.target, self.k, self.exact, self.packed)
+
+    def __reduce__(self):
+        return (SPGAnswer, self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SPGAnswer):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    @property
+    def edge_pairs(self) -> List[Edge]:
+        """The answer edges as ``(u, v)`` tuples, in sorted order."""
+        flat = memoryview(self.packed).cast("q")
+        return list(zip(flat[0::2], flat[1::2]))
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        """The answer edge set, built fresh on every access."""
+        return frozenset(self.edge_pairs)
+
+    @property
+    def vertices(self) -> FrozenSet[Vertex]:
+        """Vertices incident to at least one answer edge."""
+        return frozenset(memoryview(self.packed).cast("q"))
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.packed) // 16
+
+    @property
+    def is_empty(self) -> bool:
+        """True when no k-hop-constrained s-t simple path exists."""
+        return not self.packed
+
+    def __repr__(self) -> str:
+        return (
+            f"SPGAnswer(s={self.source}, t={self.target}, k={self.k}, "
+            f"edges={self.num_edges}, exact={self.exact})"
+        )
+
+
+def _compact(result: SimplePathGraphResult) -> Tuple[SPGAnswer, Dict[str, float]]:
+    """Pack one full EVE result; keep only its five phase times beside it."""
+    return SPGAnswer.from_result(result), result.phases.by_phase()
+
+
 @dataclass
 class QueryOutcome:
     """The outcome of one query inside a batch.
 
-    Exactly one of ``result`` / ``error`` is set.  ``cached`` covers both
-    engine-cache hits and in-batch deduplication (the same query appearing
-    twice in one batch is computed once).
+    Exactly one of ``result`` (an :class:`SPGAnswer`) / ``error`` is set.
+    ``cached`` covers both engine-cache hits and in-batch deduplication
+    (the same query appearing twice in one batch is computed once).
     """
 
     source: Vertex
     target: Vertex
     k: int
-    result: Optional[SimplePathGraphResult] = None
+    result: Optional[SPGAnswer] = None
     error: Optional[str] = None
     cached: bool = False
     reused_backward: bool = False
@@ -225,9 +328,9 @@ class QueryOutcome:
         return self.error is None
 
     @property
-    def edges(self) -> Set[Edge]:
+    def edges(self) -> FrozenSet[Edge]:
         """The answer edge set (empty for errored queries)."""
-        return self.result.edges if self.result is not None else set()
+        return self.result.edges if self.result is not None else frozenset()
 
 
 @dataclass
@@ -248,8 +351,8 @@ class BatchReport:
     def __iter__(self) -> Iterator[QueryOutcome]:
         return iter(self.outcomes)
 
-    def results(self) -> List[Optional[SimplePathGraphResult]]:
-        """Per-query results in input order (``None`` for errored queries)."""
+    def results(self) -> List[Optional[SPGAnswer]]:
+        """Per-query answers in input order (``None`` for errored queries)."""
         return [outcome.result for outcome in self.outcomes]
 
     @property
@@ -261,15 +364,14 @@ class BatchReport:
 class GroupExecution:
     """Picklable result of one worker-side task group: entries + telemetry.
 
-    ``entries`` is the usual :data:`GroupResult`; ``counters`` is the stats
-    delta the worker measured while running the group (its scratch
-    checkouts — the keys
+    ``entries`` is the usual :data:`GroupResult`: each computed query's
+    :class:`SPGAnswer` with its five phase times beside it, which the
+    parent records in the phase *histograms* and then drops.  ``counters``
+    is the stats delta the worker measured while running the group (its
+    scratch checkouts — the keys
     :meth:`repro.service.stats.EngineStats.merge_counters` accepts), and
     ``events`` carries the worker tracer's drained spans when the parent
-    requested tracing.  Results already ship their
-    :class:`~repro.core.result.PhaseStats` breakdown, so phase *histograms*
-    need no worker-side transport — only the counters recorded inside the
-    worker do.
+    requested tracing.
     """
 
     entries: GroupResult
@@ -306,8 +408,10 @@ def _execute_group(
     :class:`~repro.core.eve.QueryScratch` for one query (the engine's pool
     in-process, a worker-local scratch across the process boundary), which
     :meth:`EVE.query` consumes for both its distance and its propagation
-    buffers.  Returns
-    ``(plan position, result, exception, latency, reused)`` tuples.  The
+    buffers.  Returns the :data:`GroupResult` entries: each full result is
+    packed into an :class:`SPGAnswer` as soon as ``EVE.query`` returns,
+    with only its phase times kept beside it, so a group never holds more
+    than one full result.  The
     shared backward pass (:func:`repro.core.distances.backward_distance_map`)
     is computed once for groups the planner marked ``shared``.  When that
     precomputation itself fails (e.g. the common target is not a vertex),
@@ -328,21 +432,23 @@ def _execute_group(
         query_started = time.perf_counter()
         try:
             with borrow_scratch() as scratch:
-                result = engine.query(
-                    planned.source,
-                    planned.target,
-                    planned.k,
-                    shared_backward=shared,
-                    scratch=scratch,
-                    tracer=tracer,
+                answer, phases = _compact(
+                    engine.query(
+                        planned.source,
+                        planned.target,
+                        planned.k,
+                        shared_backward=shared,
+                        scratch=scratch,
+                        tracer=tracer,
+                    )
                 )
         except Exception as exc:  # noqa: BLE001 - per-query isolation
             out.append(
-                (planned.index, None, exc, time.perf_counter() - query_started, reused)
+                (planned.index, None, None, exc, time.perf_counter() - query_started, reused)
             )
         else:
             out.append(
-                (planned.index, result, None, time.perf_counter() - query_started, reused)
+                (planned.index, answer, phases, None, time.perf_counter() - query_started, reused)
             )
     return out
 
@@ -1014,8 +1120,13 @@ class SPGEngine:
         k: int,
         *,
         use_cache: bool = True,
-    ) -> SimplePathGraphResult:
-        """Answer one query through the cache; exceptions propagate."""
+    ) -> SPGAnswer:
+        """Answer one query through the cache; exceptions propagate.
+
+        The full EVE result — labels, upper bound, space — is for
+        :func:`repro.core.eve.build_spg` and :meth:`EVE.query` callers; the
+        engine records its phase times and returns the packed answer.
+        """
         graph = self._graph
         key = None
         if use_cache and self._cache is not None:
@@ -1029,8 +1140,10 @@ class SPGEngine:
         started = time.perf_counter()
         try:
             with self._scratch.borrow() as scratch:
-                result = EVE(graph, self._config).query(
-                    source, target, k, scratch=scratch, tracer=self._tracer
+                answer, phases = _compact(
+                    EVE(graph, self._config).query(
+                        source, target, k, scratch=scratch, tracer=self._tracer
+                    )
                 )
         except Exception:
             self._stats.record_query(
@@ -1038,13 +1151,11 @@ class SPGEngine:
             )
             raise
         self._stats.record_query(
-            time.perf_counter() - started,
-            cached=False,
-            phases=result.phases.by_phase(),
+            time.perf_counter() - started, cached=False, phases=phases
         )
         if key is not None:
-            self._cache.put(key, result)
-        return result
+            self._cache.put(key, answer)
+        return answer
 
     def cached_outcome(self, query: QueryLike) -> Optional[QueryOutcome]:
         """Answer one query from the result cache alone; ``None`` on a miss.
@@ -1271,12 +1382,18 @@ class SPGEngine:
         group_results: List[object],
         started: float,
     ) -> BatchReport:
-        """Slot group results back into input order and assemble the report."""
+        """Slot group results back into input order and assemble the report.
+
+        The phase times of each computed query are recorded in
+        :class:`~repro.service.stats.EngineStats` here, the same site for
+        every backend, and then dropped: outcomes carry only answers.
+        """
         normalized = prepared.normalized
         outcomes = prepared.outcomes
         pending = prepared.pending
         primaries = prepared.primaries
         use_cache = prepared.use_cache
+        phase_times: List[Optional[Dict[str, float]]] = [None] * len(outcomes)
 
         tracer = self._tracer
         for group, group_result in zip(prepared.plan.groups, group_results):
@@ -1294,10 +1411,10 @@ class SPGEngine:
                 # an unpicklable payload) — blame every query of the group
                 # rather than dropping the batch.
                 group_result = [
-                    (planned.index, None, group_result.error, 0.0, False)
+                    (planned.index, None, None, group_result.error, 0.0, False)
                     for planned in group.queries
                 ]
-            for position, result, exc, latency, reused in group_result:
+            for position, answer, phases, exc, latency, reused in group_result:
                 key, outcome_index = primaries[position]
                 source, target, k = normalized[outcome_index]
                 if exc is not None:
@@ -1314,12 +1431,13 @@ class SPGEngine:
                         source=source,
                         target=target,
                         k=k,
-                        result=result,
+                        result=answer,
                         reused_backward=reused,
                         latency_seconds=latency,
                     )
+                    phase_times[outcome_index] = phases
                     if use_cache and self._cache is not None:
-                        self._cache.put(key, result)
+                        self._cache.put(key, answer)
                 outcomes[outcome_index] = outcome
                 for duplicate_index in pending[key][1:]:
                     # Duplicates of a successful primary are served without
@@ -1329,30 +1447,28 @@ class SPGEngine:
                         source=source,
                         target=target,
                         k=k,
-                        result=result,
+                        result=answer,
                         error=outcome.error,
                         cached=outcome.error is None,
                         reused_backward=reused,
                     )
 
         report = BatchReport(
-            outcomes=[outcome for outcome in outcomes if outcome is not None],
             wall_seconds=time.perf_counter() - started,
             planned_groups=len(prepared.plan.groups),
             shared_groups=prepared.plan.num_shared_groups,
             reused_backward_passes=prepared.plan.reused_backward_passes,
         )
-        for outcome in report.outcomes:
-            # Phase breakdowns ride inside results, so computed queries
-            # record their per-phase histograms here in the parent — the
-            # same site for every backend, in-process or pooled.
-            computed = not outcome.cached and outcome.result is not None
+        for outcome, phases in zip(outcomes, phase_times):
+            if outcome is None:
+                continue
+            report.outcomes.append(outcome)
             self._stats.record_query(
                 outcome.latency_seconds,
                 cached=outcome.cached,
                 error=not outcome.ok,
                 reused_backward=outcome.reused_backward,
-                phases=outcome.result.phases.by_phase() if computed else None,
+                phases=phases,
             )
             if outcome.cached:
                 report.cache_hits += 1

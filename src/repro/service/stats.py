@@ -11,9 +11,9 @@ do *not* forget overwritten samples).
 Beyond the overall query-latency window, :class:`EngineStats` keeps one
 window per EVE phase (:data:`repro.core.result.PHASE_NAMES`) fed from the
 :class:`~repro.core.result.PhaseStats` of every computed (cache-miss)
-query — results carry their phase breakdown across process boundaries, so
-the per-phase histograms are identical no matter which executor backend
-ran the query.
+query — each answer's five phase times cross process boundaries beside
+it, so the per-phase histograms are identical no matter which executor
+backend ran the query.
 
 Each stored counter and gauge is one row of :data:`METRICS`, from which
 :meth:`EngineStats.snapshot`, :meth:`EngineStats.to_prometheus` and
@@ -261,9 +261,10 @@ class EngineStats:
         ``phases`` optionally carries the per-phase duration breakdown of a
         computed query (:meth:`repro.core.result.PhaseStats.by_phase`);
         every key must be a canonical phase name, or the call raises
-        ``KeyError`` and records nothing.  Phase breakdowns travel inside
-        results, so the engine records them here in the parent for every
-        backend — including queries executed in pool workers.
+        ``KeyError`` and records nothing.  Phase breakdowns travel beside
+        each computed answer in the group entries, so the engine records
+        them here in the parent for every backend — including queries
+        executed in pool workers — and then drops them.
         """
         timed = [(self._phase_latencies[phase], seconds) for phase, seconds in phases.items()] if phases else ()
         with self._lock:

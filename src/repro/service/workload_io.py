@@ -218,7 +218,10 @@ def outcome_record(
 
     ``relabel`` optionally maps dense vertex ids back to the caller's own
     labels (e.g. :meth:`repro.graph.builder.GraphBuilder.vertex_label`);
-    it is applied to the endpoints and every reported edge.
+    it is applied to the endpoints and every reported edge, and the edges
+    are sorted by those labels.  Without it the answer's stored pairs are
+    written as they are, already sorted, and ``num_edges`` is read from the
+    buffer length: no edge set is built per response.
     """
     name = relabel if relabel is not None else (lambda vertex: vertex)
     record: Dict[str, object] = {
@@ -231,11 +234,13 @@ def outcome_record(
         "latency_ms": round(outcome.latency_seconds * 1000.0, 3),
     }
     if outcome.ok:
-        record["num_edges"] = len(outcome.result.edges)
-        record["exact"] = outcome.result.exact
+        answer = outcome.result
+        record["num_edges"] = answer.num_edges
+        record["exact"] = answer.exact
         if include_edges:
-            record["edges"] = sorted(
-                (name(u), name(v)) for u, v in outcome.result.edges
+            pairs = answer.edge_pairs
+            record["edges"] = (
+                pairs if relabel is None else sorted((name(u), name(v)) for u, v in pairs)
             )
     else:
         record["error"] = outcome.error

@@ -7,7 +7,10 @@ by outcome, error by error, whatever the scheduling.  The ``backend``
 fixture parametrises the whole harness over both backends so any new
 backend is automatically held to the same contract; the differential tests
 then compare each backend's canonicalised report against the serial
-reference.
+reference.  Outcomes carry only packed answers, so the labels and upper
+bounds the backends must also agree on are compared through
+:func:`kernel_records`, which runs ``EVE.query`` where each backend
+computes.
 
 Also covered here: concurrency stress (thread hammering, overlapping async
 batches, the in-flight bound ``max_workers`` sets, event-loop
@@ -20,6 +23,8 @@ CSR views, configs, outcomes), and the affinity-aware
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
 import os
 import pickle
 import random
@@ -31,7 +36,6 @@ import pytest
 
 from repro import DiGraph, EVEConfig, SPGEngine, build_spg
 from repro.core.eve import EVE
-from repro.core.result import SimplePathGraphResult
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.queries.workload import random_reachable_queries
 from repro.service import (
@@ -41,6 +45,7 @@ from repro.service import (
     EngineConfig,
     ProcessBackend,
     ScratchPool,
+    SPGAnswer,
     TaskError,
     create_backend,
     default_worker_count,
@@ -102,11 +107,58 @@ def canonical_outcome(outcome) -> tuple:
         outcome.error,
         outcome.cached,
         outcome.reused_backward,
-        sorted(outcome.edges),
-        sorted(outcome.result.upper_bound_edges) if outcome.result else None,
-        sorted(outcome.result.labels.items()) if outcome.result else None,
+        outcome.result.packed if outcome.result else None,
         outcome.result.exact if outcome.result else None,
     )
+
+
+def _kernel_records(queries, graph=None, config=None) -> list:
+    """``EVE(graph, config).query`` of each query: the answer, the upper
+    bound, the labels and ``exact``, or the error text.
+
+    ``graph`` and ``config`` default to the ones a process worker was
+    initialised with, so a :class:`Call` of this function reads EVE's full
+    record where that worker computes its answers.
+    """
+    from repro.service import engine as engine_module
+
+    graph = engine_module._worker_graph if graph is None else graph
+    config = engine_module._worker_config if config is None else config
+    eve = EVE(graph, config)
+    records = []
+    for query in queries:
+        try:
+            result = eve.query(*query)
+        except Exception as exc:  # noqa: BLE001 - the engine isolates these too
+            records.append(f"{type(exc).__name__}: {exc}")
+        else:
+            records.append((
+                sorted(result.edges),
+                sorted(result.upper_bound_edges),
+                sorted(result.labels.items()),
+                result.exact,
+            ))
+    return records
+
+
+def kernel_records(engine: SPGEngine, queries) -> list:
+    """EVE's full records for ``queries``, computed where ``engine`` computes.
+
+    Engine outcomes carry only the packed answer, so the labels and upper
+    bounds the backends must agree on are read from ``EVE.query`` on the
+    graph and :class:`EVEConfig` the engine's backend runs with: inside a
+    process worker, or in-process on the serial backend.
+    """
+    triples = [query for query in queries if isinstance(query, tuple) and len(query) == 3]
+    graph = engine.graph
+    backend = engine._ensure_backend(graph)
+    if backend.requires_picklable_tasks:
+        call = Call(_kernel_records, (triples,))
+    else:
+        call = Call(_kernel_records, (triples, graph, engine.config))
+    [records] = backend.run([call])
+    assert not isinstance(records, TaskError), records
+    return records
 
 
 def canonical_report(report) -> dict:
@@ -334,12 +386,14 @@ class TestDifferentialBatches:
             graph, queries = random_workload(seed)
             with make_engine(graph, "serial") as reference_engine:
                 reference = canonical_report(reference_engine.run_batch(queries))
+                reference_records = kernel_records(reference_engine, queries)
             with make_engine(graph, backend) as engine:
                 assert engine.executor_backend == backend
                 first = engine.run_batch(queries)
                 # Second pass: same workload again, now through the cache —
                 # hit accounting must match across backends too.
                 second = engine.run_batch(queries)
+                assert kernel_records(engine, queries) == reference_records
             assert canonical_report(first) == reference
             with make_engine(graph, "serial") as reference_engine:
                 reference_engine.run_batch(queries)
@@ -350,11 +404,12 @@ class TestDifferentialBatches:
         graph, queries = random_workload(4)
         with make_engine(graph, backend) as engine:
             report = engine.run_batch(queries)
-        for outcome, query in zip(report, queries):
+            records = kernel_records(engine, queries)
+        for outcome, record, query in zip(report, records, queries):
             if outcome.ok:
                 reference = build_spg(graph, *query)
                 assert outcome.edges == reference.edges
-                assert outcome.result.upper_bound_edges == reference.upper_bound_edges
+                assert record[1] == sorted(reference.upper_bound_edges)
 
     def test_injected_errors_surface_at_right_index(self, backend):
         graph = erdos_renyi(30, 2.5, seed=9)
@@ -386,23 +441,100 @@ class TestDifferentialBatches:
                 canonical_outcome(outcome)
                 for outcome in reference_engine.run_stream(iter(queries), batch_size=5)
             ]
+            reference_records = kernel_records(reference_engine, queries)
         with make_engine(graph, backend) as engine:
             outcomes = [
                 canonical_outcome(outcome)
                 for outcome in engine.run_stream(iter(queries), batch_size=5)
             ]
+            assert kernel_records(engine, queries) == reference_records
         assert outcomes == reference
 
     def test_async_batches_identical_across_backends(self, backend):
         graph, queries = random_workload(6)
         with make_engine(graph, "serial") as reference_engine:
             reference = canonical_report(reference_engine.run_batch(queries))
+            reference_records = kernel_records(reference_engine, queries)
 
         async def serve():
             with make_engine(graph, backend) as engine:
-                return await engine.run_batch_async(queries)
+                report = await engine.run_batch_async(queries)
+                return report, kernel_records(engine, queries)
 
-        assert canonical_report(asyncio.run(serve())) == reference
+        report, records = asyncio.run(serve())
+        assert canonical_report(report) == reference
+        assert records == reference_records
+
+
+# ----------------------------------------------------------------------
+# Compact answers: what the engine hands out and keeps
+# ----------------------------------------------------------------------
+def _try_to_clear(edges) -> None:
+    """Empty a returned edge set, as a careless caller might."""
+    with contextlib.suppress(AttributeError):  # a frozenset refuses
+        edges.clear()
+
+
+def referent_types(root) -> set:
+    """The types of every object reachable from ``root`` (classes excluded)."""
+    seen, types, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        types.add(type(obj))
+        stack.extend(gc.get_referents(obj))
+    return types
+
+
+class TestCompactAnswers:
+    QUERY = (0, 3, 4)
+
+    @pytest.mark.parametrize("path", ["run_batch", "query", "cached_outcome"])
+    def test_editing_a_returned_answer_leaves_the_cache_alone(self, backend, path):
+        """Regression: every hit used to hand out the cached edge set itself,
+        so clearing one returned answer emptied every later hit."""
+        graph = erdos_renyi(200, 4.0, seed=1)
+        expected = build_spg(graph, *self.QUERY).edges
+        assert len(expected) == 7
+        with make_engine(graph, backend) as engine:
+            if path == "run_batch":
+                returned = engine.run_batch([self.QUERY]).outcomes[0].result
+            elif path == "query":
+                returned = engine.query(*self.QUERY)
+            else:
+                engine.run_batch([self.QUERY])
+                returned = engine.cached_outcome(self.QUERY).result
+            _try_to_clear(returned.edges)
+            with pytest.raises(AttributeError):
+                returned.k = 5
+            assert memoryview(returned.packed).readonly
+            hit = engine.run_batch([self.QUERY]).outcomes[0]
+            assert hit.cached
+            assert hit.edges == expected
+            assert engine.query(*self.QUERY).edges == expected
+            assert engine.cached_outcome(self.QUERY).edges == expected
+            assert engine.stats.cache_misses == 1
+
+    def test_cached_answers_hold_only_packed_pairs(self, backend):
+        graph, queries = random_workload(3)
+        with make_engine(graph, backend) as engine:
+            engine.run_batch(queries)
+            items = engine.cache.items()
+        assert items
+        edges = 0
+        for key, answer in items:
+            assert referent_types(answer) <= {SPGAnswer, int, bool, bytes}
+            answer_edges = build_spg(graph, *key[:3]).edges
+            assert len(answer.packed) == 16 * len(answer_edges)
+            assert answer.edge_pairs == sorted(answer_edges)
+            assert answer.num_edges == len(answer_edges)
+            assert answer.vertices == {vertex for edge in answer_edges for vertex in edge}
+            assert answer.is_empty == (not answer_edges)
+            assert len(pickle.dumps(answer)) <= len(answer.packed) + 100
+            edges += len(answer_edges)
+        assert edges > 0
 
 
 # ----------------------------------------------------------------------
@@ -431,11 +563,13 @@ class TestBackendLifecycle:
         graph, queries = random_workload(8)
         engine = make_engine(graph, backend)
         first = canonical_report(engine.run_batch(queries))
+        first_records = kernel_records(engine, queries)
         engine.close()
         engine.close()
         # The engine lazily rebuilds its backend after close().
         engine.clear_cache()
         assert canonical_report(engine.run_batch(queries)) == first
+        assert kernel_records(engine, queries) == first_records
         engine.close()
 
     def test_graph_swap_rebuilds_process_pool(self):
@@ -484,9 +618,11 @@ class TestBackendLifecycle:
         queries = random_reachable_queries(graph, 3, 3, seed=13).as_batch()
         with make_engine(graph, "process") as engine:
             first = canonical_report(engine.run_batch(queries))
+            first_records = kernel_records(engine, queries)
             engine._backend._broken = True  # simulate a worker death
             engine.clear_cache()
             assert canonical_report(engine.run_batch(queries)) == first
+            assert kernel_records(engine, queries) == first_records
 
     def test_stream_chunks_share_one_backend(self, backend):
         # Every chunk of a stream must run on the engine's one backend, not
@@ -840,8 +976,11 @@ class TestPickling:
         ok_clone = pickle.loads(pickle.dumps(outcome[0]))
         assert ok_clone.ok
         assert ok_clone.edges == outcome[0].edges
-        assert isinstance(ok_clone.result, SimplePathGraphResult)
-        assert ok_clone.result.labels == outcome[0].result.labels
+        assert isinstance(ok_clone.result, SPGAnswer)
+        assert ok_clone.result == outcome[0].result
+        # The full EVE result, labels and all, still survives a pickle.
+        full = EVE(diamond_graph).query(0, 3, 2)
+        assert pickle.loads(pickle.dumps(full)).labels == full.labels
         err_clone = pickle.loads(pickle.dumps(outcome[1]))
         assert not err_clone.ok
         assert err_clone.error == outcome[1].error

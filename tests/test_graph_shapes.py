@@ -45,7 +45,7 @@ from collections import Counter, deque
 
 import pytest
 
-from test_executor_backends import canonical_outcome, canonical_report
+from test_executor_backends import canonical_outcome, canonical_report, kernel_records
 from test_shared_memory import buffer_types
 
 from repro import DiGraph, SPGEngine, build_spg
@@ -585,8 +585,10 @@ class TestEngineAcrossShapes:
                 canonical_outcome(outcome)
                 for outcome in reference_engine.run_stream(iter(queries), batch_size=4)
             ]
+            reference_records = kernel_records(reference_engine, queries)
         with make_engine(graph, backend) as engine:
             outcomes = list(engine.run_stream(iter(queries), batch_size=4))
+            assert kernel_records(engine, queries) == reference_records
         assert [canonical_outcome(outcome) for outcome in outcomes] == reference
         assert_matches_cold_queries(graph, queries, outcomes)
 
@@ -594,13 +596,16 @@ class TestEngineAcrossShapes:
         queries = shape_queries(graph, seed=4)
         with make_engine(graph, "serial") as reference_engine:
             reference = canonical_report(reference_engine.run_batch(queries))
+            reference_records = kernel_records(reference_engine, queries)
 
         async def serve():
             with make_engine(graph, backend) as engine:
-                return await engine.run_batch_async(queries)
+                report = await engine.run_batch_async(queries)
+                return report, kernel_records(engine, queries)
 
-        report = asyncio.run(serve())
+        report, records = asyncio.run(serve())
         assert canonical_report(report) == reference
+        assert records == reference_records
         assert_matches_cold_queries(graph, queries, report)
 
     def test_single_queries_match_and_fill_cache(self, graph, backend):

@@ -6,8 +6,9 @@ server itself (routing, error statuses, framing limits, keep-alive),
 parity between ``POST /batch`` and the offline CLI on the same workload,
 overload behaviour (shed with 429, never 5xx, bounded queue depth),
 per-tenant quotas, cross-connection coalescing, cache hits answered on
-the event loop (counters, epochs), graceful drain, and the ``/metrics``
-exposition.
+the event loop (counters, epochs), graceful drain, the ``/metrics``
+exposition, and the bytes ``/query``, ``/batch`` and the service CLI
+write for one recorded workload (``tests/data/outcome_golden.json``).
 
 No pytest-asyncio here: async tests run their coroutine with
 ``asyncio.run`` from a sync test function.
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
 import subprocess
 import sys
 import threading
@@ -489,7 +492,7 @@ class TestHTTPFrontend:
             capture_output=True,
             text=True,
             timeout=300,
-            env={"PYTHONPATH": str(SRC_DIR)},
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         )
         assert completed.returncode == 0, completed.stderr
         cli_records = [
@@ -1265,3 +1268,113 @@ class TestMutateEndpoint:
                     assert await frontend.shutdown(5.0)
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Golden output: /query, /batch and the service CLI, byte for byte
+# ----------------------------------------------------------------------
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "outcome_golden.json"
+GOLDEN_DATASET = ("tw", "0.05")
+
+#: Answers of 3 to 9 edges with vertex ids on both sides of 10, a shared
+#: target, an in-batch duplicate, an engine error (``s == t``), an empty
+#: answer and a translation failure, as JSON lines (so each line is also
+#: a ``/query`` body).
+GOLDEN_QUERIES = [
+    (30, 38, 5),
+    (24, 27, 4),
+    (24, 38, 5),
+    (30, 25, 5),
+    (2.9, 9, 3),
+    (30, 38, 5),
+    (7, 7, 3),
+    (0, 1, 3),
+]
+
+
+def _golden_label(vertex) -> str:
+    """A label whose string order differs from its vertex's id order."""
+    return f"acct{vertex * 11 % 45}" if isinstance(vertex, int) else "nobody"
+
+
+def _workload_text(queries) -> str:
+    return "".join(
+        json.dumps({"source": s, "target": t, "k": k}) + "\n" for s, t, k in queries
+    )
+
+
+def _mask_latency(text: str) -> str:
+    return re.sub(r'"latency_ms": [-+.0-9e]+', '"latency_ms": 0', text)
+
+
+def golden_outputs(tmp_path) -> dict:
+    """Each surface's output for the golden workload, latency masked.
+
+    Once with dense ids (``--dataset``) and once with the labels of an
+    edge-list file holding the same graph, so ``relabel`` sorts the
+    edges by label.
+    """
+    from repro.datasets.registry import load_dataset
+
+    dataset, scale = GOLDEN_DATASET
+    dense = load_dataset(dataset, scale=float(scale))
+    edge_file = tmp_path / "golden.txt"
+    edge_file.write_text(
+        "".join(
+            f"{_golden_label(u)} {_golden_label(v)}\n"
+            for u in dense.vertices()
+            for v in dense.out_neighbors(u)
+        ),
+        encoding="utf-8",
+    )
+    labelled, builder = load_graph(str(edge_file))
+    workloads = {
+        "dense": _workload_text(GOLDEN_QUERIES),
+        "labels": _workload_text(
+            (_golden_label(s), _golden_label(t), k) for s, t, k in GOLDEN_QUERIES
+        ),
+    }
+    sources = {
+        "dense": (["--dataset", dataset, "--scale", scale], dense, None),
+        "labels": (["--edges", str(edge_file)], labelled, builder),
+    }
+    outputs = {}
+    for name, (args, graph, graph_builder) in sources.items():
+        workload = workloads[name]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.service", *args],
+            input=workload,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs[f"cli-{name}"] = _mask_latency(completed.stdout)
+
+        async def serve(path, bodies):
+            with SPGEngine(graph) as engine:
+                frontend = await _booted(engine, builder=graph_builder)
+                try:
+                    texts = []
+                    for body in bodies:
+                        response = await request(
+                            frontend.address, None, "POST", path, body=body.encode()
+                        )
+                        assert response.status == 200
+                        texts.append(response.text)
+                    return "".join(texts)
+                finally:
+                    assert await frontend.shutdown(5.0)
+
+        outputs[f"query-{name}"] = _mask_latency(
+            asyncio.run(serve("/query", workload.splitlines()))
+        )
+        outputs[f"batch-{name}"] = _mask_latency(asyncio.run(serve("/batch", [workload])))
+    return outputs
+
+
+class TestOutcomeGolden:
+    def test_surfaces_write_the_recorded_bytes(self, tmp_path):
+        expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert golden_outputs(tmp_path) == expected

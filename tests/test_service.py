@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -480,7 +481,7 @@ class TestCLI:
             capture_output=True,
             text=True,
             timeout=300,
-            env={"PYTHONPATH": str(SRC_DIR)},
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         )
         return completed
 
@@ -759,7 +760,7 @@ class TestCLIIngestion:
             capture_output=True,
             text=True,
             timeout=300,
-            env={"PYTHONPATH": str(SRC_DIR)},
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         )
 
     def test_non_integral_endpoints_error_per_query(self):

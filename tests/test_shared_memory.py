@@ -28,7 +28,12 @@ from array import array
 
 import pytest
 
-from test_executor_backends import canonical_report, make_engine, random_workload
+from test_executor_backends import (
+    canonical_report,
+    kernel_records,
+    make_engine,
+    random_workload,
+)
 
 from repro import DiGraph, SPGEngine, build_spg
 from repro.graph.generators import erdos_renyi, power_law_cluster
@@ -176,8 +181,10 @@ class TestSharedMemoryServing:
         graph, queries = random_workload(9)
         with make_engine(graph, "serial") as reference_engine:
             reference = canonical_report(reference_engine.run_batch(queries))
+            reference_records = kernel_records(reference_engine, queries)
         with SPGEngine(graph, executor_backend="process", max_workers=2) as engine:
             assert canonical_report(engine.run_batch(queries)) == reference
+            assert kernel_records(engine, queries) == reference_records
             assert engine._segment is None
             [probe] = engine._ensure_backend(graph).run([Call(_worker_graph_probe)])
             assert not probe["shared"]
@@ -201,12 +208,15 @@ class TestSharedMemoryServing:
     def test_shared_and_pickled_serving_identical(self):
         graph, queries = random_workload(9)
         reports = {}
+        records = {}
         for shared in (True, False):
             with SPGEngine(
                 graph, executor_backend="process", max_workers=2, shared_memory=shared
             ) as engine:
                 reports[shared] = canonical_report(engine.run_batch(queries))
+                records[shared] = kernel_records(engine, queries)
         assert reports[True] == reports[False]
+        assert records[True] == records[False]
 
     def test_graph_swap_releases_old_segment(self):
         first_graph = erdos_renyi(20, 2.0, seed=28)

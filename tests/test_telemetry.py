@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -795,7 +796,7 @@ class TestServiceCLITelemetry:
             capture_output=True,
             text=True,
             timeout=300,
-            env={"PYTHONPATH": str(SRC_DIR)},
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         )
 
     def test_metrics_and_trace_round_trip(self, tmp_path):
