@@ -1,18 +1,11 @@
-"""Open-loop HTTP load generator and run-table harness for the front end.
+"""CI smokes for the HTTP front end, driven by an open-loop load generator.
 
-``python benchmarks/loadgen.py run`` boots an in-process
-:class:`~repro.service.http.server.HTTPFrontend` (or targets an already
-running one with ``--host/--port``) and drives it **open-loop**: requests
-are fired on a fixed arrival schedule regardless of when earlier ones
-complete, so a saturated server shows up as climbing latency and shed
-rate instead of the generator politely slowing down with it (the
-closed-loop coordination-omission trap).
-
-The run table sweeps ``topology x scale x rate x repetitions`` with
-warm-up runs excluded from the record, and exports one row per run as CSV
-and/or JSON: offered vs achieved throughput, p50/p95/p99 latency, shed
-rate and error counts — the columns the ROADMAP's saturation question
-needs.
+:func:`run_open_loop` fires requests on a fixed arrival schedule
+regardless of when earlier ones complete, so a saturated server shows up
+as climbing latency and shed rate instead of the generator politely
+slowing down with it (the closed-loop coordination-omission trap).
+Throughput and latency measurement lives in perfbench's ``http-mixed``
+workload; this module only checks contracts.
 
 ``python benchmarks/loadgen.py smoke`` is the CI leg: an ephemeral-port
 server with a deliberately tiny admission bound, one overload burst, then
@@ -32,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import csv
 import json
 import os
 import random
@@ -40,22 +32,20 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.datasets.registry import dataset_names, load_dataset  # noqa: E402
+from repro.datasets.registry import load_dataset  # noqa: E402
 from repro.service.engine import EngineConfig, SPGEngine  # noqa: E402
 from repro.service.http import HTTPConfig, HTTPFrontend  # noqa: E402
 from repro.service.http.client import request  # noqa: E402
 from repro.telemetry.prometheus import parse_exposition  # noqa: E402
 
 __all__ = [
-    "RunResult",
     "run_open_loop",
-    "run_table",
     "smoke",
     "mutation_smoke",
     "main",
@@ -63,42 +53,9 @@ __all__ = [
 
 
 @dataclass
-class RunResult:
-    """One row of the run table: one (topology, scale, rate, rep) run."""
-
-    topology: str
-    scale: float
-    offered_qps: float
-    rep: int
-    duration_seconds: float
-    sent: int
-    completed: int
-    ok: int
-    shed: int  # 429 responses (queue bound or tenant quota)
-    errors_4xx: int  # non-429 client errors
-    errors_5xx: int
-    transport_errors: int
-    achieved_qps: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    max_ms: float
-    shed_rate: float
-    saturated: bool  # achieved < 90% of offered, or any shedding
-    warmup: bool = False
-
-
-@dataclass
 class _Sample:
     status: int  # 0 for transport failure
     latency_ms: float
-
-
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
 
 
 def _make_queries(
@@ -119,7 +76,6 @@ async def run_open_loop(
     *,
     rate: float,
     duration: float,
-    tenant: Optional[str] = None,
 ) -> List[_Sample]:
     """Fire ``POST /query`` requests at ``rate``/s for ``duration`` seconds.
 
@@ -131,7 +87,6 @@ async def run_open_loop(
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     total = max(1, int(rate * duration))
-    headers = {"X-Tenant": tenant} if tenant is not None else None
     samples: List[_Sample] = []
 
     async def one(arrival: float, query: Tuple[int, int, int]) -> None:
@@ -143,9 +98,7 @@ async def run_open_loop(
         ).encode("utf-8")
         fired = time.perf_counter()
         try:
-            response = await request(
-                address, None, "POST", "/query", body=body, headers=headers
-            )
+            response = await request(address, None, "POST", "/query", body=body)
             status = response.status
         except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
             status = 0
@@ -160,51 +113,9 @@ async def run_open_loop(
     return samples
 
 
-def _summarise(
-    samples: Sequence[_Sample],
-    *,
-    topology: str,
-    scale: float,
-    rate: float,
-    rep: int,
-    duration: float,
-    warmup: bool,
-) -> RunResult:
-    ok = [s for s in samples if 200 <= s.status < 300]
-    shed = sum(1 for s in samples if s.status == 429)
-    errors_4xx = sum(1 for s in samples if 400 <= s.status < 500 and s.status != 429)
-    errors_5xx = sum(1 for s in samples if s.status >= 500)
-    transport = sum(1 for s in samples if s.status == 0)
-    latencies = sorted(s.latency_ms for s in ok)
-    achieved = len(ok) / duration if duration > 0 else 0.0
-    shed_rate = shed / len(samples) if samples else 0.0
-    return RunResult(
-        topology=topology,
-        scale=scale,
-        offered_qps=rate,
-        rep=rep,
-        duration_seconds=duration,
-        sent=len(samples),
-        completed=len(samples) - transport,
-        ok=len(ok),
-        shed=shed,
-        errors_4xx=errors_4xx,
-        errors_5xx=errors_5xx,
-        transport_errors=transport,
-        achieved_qps=achieved,
-        p50_ms=_percentile(latencies, 0.50),
-        p95_ms=_percentile(latencies, 0.95),
-        p99_ms=_percentile(latencies, 0.99),
-        max_ms=latencies[-1] if latencies else 0.0,
-        shed_rate=shed_rate,
-        saturated=bool(shed) or achieved < 0.9 * rate,
-        warmup=warmup,
-    )
-
-
 @dataclass
 class _Target:
-    """One server under test: in-process (owned) or external (addressed)."""
+    """One in-process server under test, owned by the smoke that booted it."""
 
     address: Tuple[str, int]
     frontend: Optional[HTTPFrontend] = None
@@ -225,7 +136,6 @@ async def _boot(
     seed: int,
     backend: Optional[str],
     max_queue_depth: int,
-    tenant_rate: Optional[float],
 ) -> _Target:
     graph = load_dataset(topology, scale=scale, seed=seed)
     engine = SPGEngine.from_config(
@@ -233,9 +143,7 @@ async def _boot(
     )
     frontend = HTTPFrontend(
         engine,
-        config=HTTPConfig(
-            port=0, max_queue_depth=max_queue_depth, tenant_rate=tenant_rate
-        ),
+        config=HTTPConfig(port=0, max_queue_depth=max_queue_depth),
     )
     address = await frontend.start()
     return _Target(
@@ -244,121 +152,6 @@ async def _boot(
         engine=engine,
         num_vertices=graph.num_vertices,
     )
-
-
-async def run_table(
-    *,
-    topologies: Sequence[str],
-    scales: Sequence[float],
-    rates: Sequence[float],
-    repetitions: int,
-    duration: float,
-    warmup_runs: int = 1,
-    seed: int = 20230901,
-    backend: Optional[str] = None,
-    max_queue_depth: int = 256,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    external_vertices: int = 0,
-    progress: bool = True,
-) -> List[RunResult]:
-    """Sweep the full run table; returns recorded (non-warm-up) rows.
-
-    With ``host``/``port`` the sweep targets an external server and the
-    topology axis collapses to one ``external`` pseudo-topology
-    (``external_vertices`` bounds the random query endpoints).
-    """
-    results: List[RunResult] = []
-    combos: List[Tuple[str, float]] = (
-        [("external", 1.0)]
-        if host is not None
-        else [(topology, scale) for topology in topologies for scale in scales]
-    )
-    for topology, scale in combos:
-        if host is not None:
-            target = _Target(address=(host, port or 8080), num_vertices=external_vertices)
-        else:
-            target = await _boot(
-                topology,
-                scale,
-                seed=seed,
-                backend=backend,
-                max_queue_depth=max_queue_depth,
-                tenant_rate=None,
-            )
-        queries = _make_queries(max(2, target.num_vertices), 512, seed)
-        try:
-            for rate in rates:
-                for rep in range(-warmup_runs, repetitions):
-                    warmup = rep < 0
-                    samples = await run_open_loop(
-                        target.address, queries, rate=rate, duration=duration
-                    )
-                    row = _summarise(
-                        samples,
-                        topology=topology,
-                        scale=scale,
-                        rate=rate,
-                        rep=max(rep, 0),
-                        duration=duration,
-                        warmup=warmup,
-                    )
-                    if progress:
-                        tag = "warmup" if warmup else f"rep {rep}"
-                        print(
-                            f"[{topology} x{scale} @ {rate:g} qps {tag}] "
-                            f"achieved {row.achieved_qps:.1f} qps, "
-                            f"p99 {row.p99_ms:.2f} ms, shed {row.shed_rate:.1%}",
-                            file=sys.stderr,
-                        )
-                    if not warmup:
-                        results.append(row)
-        finally:
-            await target.aclose()
-    return results
-
-
-_CSV_COLUMNS = [
-    "topology",
-    "scale",
-    "offered_qps",
-    "rep",
-    "duration_seconds",
-    "sent",
-    "completed",
-    "ok",
-    "shed",
-    "errors_4xx",
-    "errors_5xx",
-    "transport_errors",
-    "achieved_qps",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "max_ms",
-    "shed_rate",
-    "saturated",
-]
-
-
-def export_results(
-    results: Sequence[RunResult],
-    *,
-    csv_path: Optional[str] = None,
-    json_path: Optional[str] = None,
-) -> None:
-    """Write the run table as CSV and/or JSON (one row per run)."""
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_CSV_COLUMNS)
-            for row in results:
-                record = asdict(row)
-                writer.writerow([record[column] for column in _CSV_COLUMNS])
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump([asdict(row) for row in results], handle, indent=2)
-            handle.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +174,6 @@ async def smoke(
         seed=seed,
         backend="serial",
         max_queue_depth=max_queue_depth,
-        tenant_rate=None,
     )
     try:
         queries = _make_queries(target.num_vertices, 64, seed)
@@ -558,7 +350,6 @@ async def mutation_smoke(
                 seed=seed,
                 backend=None,
                 max_queue_depth=256,
-                tenant_rate=None,
             )
             address = target.address
         else:
@@ -642,54 +433,12 @@ async def mutation_smoke(
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def _parse_floats(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/loadgen.py",
-        description="Open-loop load generator for the SPG HTTP front end.",
+        description="CI smokes for the SPG HTTP front end.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="sweep the run table and export results")
-    run.add_argument(
-        "--topologies",
-        default="tw",
-        help="comma-separated dataset names (default: tw); "
-        f"known: {', '.join(dataset_names())}",
-    )
-    run.add_argument(
-        "--scales", default="0.05", help="comma-separated proxy scale factors"
-    )
-    run.add_argument(
-        "--rates",
-        default="50,200",
-        help="comma-separated offered rates in queries/second",
-    )
-    run.add_argument("--repetitions", type=int, default=2)
-    run.add_argument("--duration", type=float, default=2.0, help="seconds per run")
-    run.add_argument("--warmup-runs", type=int, default=1)
-    run.add_argument("--seed", type=int, default=20230901)
-    run.add_argument(
-        "--backend",
-        default=None,
-        help="engine executor backend (in-process mode; default: the engine's)",
-    )
-    run.add_argument("--max-queue-depth", type=int, default=256)
-    run.add_argument(
-        "--host", default=None, help="target an external server instead of booting one"
-    )
-    run.add_argument("--port", type=int, default=None)
-    run.add_argument(
-        "--external-vertices",
-        type=int,
-        default=1024,
-        help="random query endpoint bound when targeting an external server",
-    )
-    run.add_argument("--csv", default=None, metavar="PATH")
-    run.add_argument("--json", default=None, metavar="PATH")
 
     smoke_parser = sub.add_parser("smoke", help="CI overload smoke (exit 1 on violation)")
     smoke_parser.add_argument("--topology", default="tw")
@@ -733,43 +482,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in violations:
             print(f"MUTATE-SMOKE VIOLATION: {violation}", file=sys.stderr)
         return 1 if violations else 0
-    if args.command == "smoke":
-        violations = asyncio.run(
-            smoke(
-                topology=args.topology,
-                scale=args.scale,
-                burst=args.burst,
-                max_queue_depth=args.max_queue_depth,
-                seed=args.seed,
-            )
-        )
-        for violation in violations:
-            print(f"SMOKE VIOLATION: {violation}", file=sys.stderr)
-        return 1 if violations else 0
-
-    results = asyncio.run(
-        run_table(
-            topologies=[name for name in args.topologies.split(",") if name],
-            scales=_parse_floats(args.scales),
-            rates=_parse_floats(args.rates),
-            repetitions=args.repetitions,
-            duration=args.duration,
-            warmup_runs=args.warmup_runs,
-            seed=args.seed,
-            backend=args.backend,
+    violations = asyncio.run(
+        smoke(
+            topology=args.topology,
+            scale=args.scale,
+            burst=args.burst,
             max_queue_depth=args.max_queue_depth,
-            host=args.host,
-            port=args.port,
-            external_vertices=args.external_vertices,
+            seed=args.seed,
         )
     )
-    export_results(results, csv_path=args.csv, json_path=args.json)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(_CSV_COLUMNS)
-    for row in results:
-        record = asdict(row)
-        writer.writerow([record[column] for column in _CSV_COLUMNS])
-    return 0
+    for violation in violations:
+        print(f"SMOKE VIOLATION: {violation}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

@@ -212,9 +212,13 @@ class DistanceIndex:
     strategy:
         Which strategy produced the index.
 
-    Both distance maps satisfy the ``Mapping`` protocol; they are plain
-    dicts when built by :mod:`repro.core.distances_reference` and
-    :class:`ArrayDistanceMap` views when built by the CSR kernel.
+    Both distance maps satisfy the ``Mapping`` protocol.  The CSR kernels
+    of this module build :class:`ArrayDistanceMap` views, and those are the
+    only maps the flat kernels (:mod:`repro.core.essential`,
+    :mod:`repro.core.labeling`) read: they test distances on the raw
+    ``mark``/``base`` buffers.  The plain dicts that
+    :mod:`repro.core.distances_reference` builds go to the reference
+    kernels only.
     """
 
     source: Vertex
@@ -272,84 +276,6 @@ class DistanceIndex:
 # ----------------------------------------------------------------------
 # CSR kernels
 # ----------------------------------------------------------------------
-def _csr_bfs(
-    offsets,
-    targets,
-    source: Vertex,
-    max_depth: int,
-    mark: List[int],
-    base: int,
-) -> List[Vertex]:
-    """Level BFS on a CSR view; returns the touched vertices in level order."""
-    mark[source] = base
-    touched = [source]
-    frontier = [source]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        level = base + depth
-        next_frontier: List[Vertex] = []
-        push = next_frontier.append
-        for vertex in frontier:
-            for neighbor in targets[offsets[vertex]:offsets[vertex + 1]]:
-                if mark[neighbor] < base:
-                    mark[neighbor] = level
-                    push(neighbor)
-        touched.extend(next_frontier)
-        frontier = next_frontier
-    return touched
-
-
-def _csr_bfs_allowed(
-    offsets,
-    targets,
-    source: Vertex,
-    max_depth: int,
-    mark: List[int],
-    base: int,
-    allowed: Mapping[Vertex, int],
-    budget: int,
-) -> List[Vertex]:
-    """Restricted level BFS: admit ``w`` at depth ``d`` only when the other
-    side knows it and ``d + allowed[w] <= budget`` (the source is always
-    seeded).  Array-backed ``allowed`` maps are read through their raw
-    buffer; any other mapping falls back to ``.get``.
-    """
-    array_allowed = isinstance(allowed, ArrayDistanceMap)
-    if array_allowed:
-        amark = allowed.mark
-        abase = allowed.base
-    else:
-        aget = allowed.get
-    mark[source] = base
-    touched = [source]
-    frontier = [source]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        level = base + depth
-        # Array case: ``allowed[w] <= budget - depth`` as one mark range.
-        alimit = abase + budget - depth if array_allowed else 0
-        next_frontier: List[Vertex] = []
-        push = next_frontier.append
-        for vertex in frontier:
-            for neighbor in targets[offsets[vertex]:offsets[vertex + 1]]:
-                if mark[neighbor] >= base:
-                    continue
-                if array_allowed:
-                    if not abase <= amark[neighbor] <= alimit:
-                        continue
-                else:
-                    other = aget(neighbor)
-                    if other is None or depth + other > budget:
-                        continue
-                mark[neighbor] = level
-                push(neighbor)
-        touched.extend(next_frontier)
-        frontier = next_frontier
-    return touched
-
-
 def _expand_level(
     offsets,
     targets,
@@ -423,39 +349,27 @@ def bounded_bfs(
     source: Vertex,
     max_depth: int,
     reverse: bool = False,
-    allowed: Optional[Mapping[Vertex, int]] = None,
-    allowed_budget: Optional[int] = None,
     scratch_side: Optional[_ScratchSide] = None,
 ) -> ArrayDistanceMap:
     """Breadth-first search from ``source`` bounded by ``max_depth`` hops.
 
-    Parameters
-    ----------
-    reverse:
-        When true, traverse in-edges instead of out-edges (used for the
-        backward search from ``t``).
-    allowed / allowed_budget:
-        When provided, a vertex ``v`` at depth ``d`` is only expanded/kept if
-        ``allowed`` knows it and ``d + allowed[v] <= allowed_budget``.  This
-        implements the restricted extension phase of (adaptive)
-        bi-directional search.
-    scratch_side:
-        Optional reusable buffers; a private pair is allocated when omitted.
+    ``reverse`` traverses in-edges instead of out-edges (the backward
+    search from ``t``).  ``scratch_side`` optionally supplies reusable
+    buffers; a private one is allocated when omitted.
 
-    Returns a read-only :class:`ArrayDistanceMap` that behaves like the
-    ``{vertex: depth}`` dict previously returned (including ``==`` against
-    plain dicts).
+    Returns a read-only :class:`ArrayDistanceMap` that behaves like a
+    ``{vertex: depth}`` dict (including ``==`` against plain dicts).
     """
     offsets, targets = graph.csr_reverse() if reverse else graph.csr()
     side = scratch_side if scratch_side is not None else _ScratchSide()
     mark, base = side.begin(graph.num_vertices, max_depth)
-    if allowed is not None:
-        touched = _csr_bfs_allowed(
-            offsets, targets, source, max_depth, mark, base,
-            allowed, allowed_budget or 0,
-        )
-    else:
-        touched = _csr_bfs(offsets, targets, source, max_depth, mark, base)
+    mark[source] = base
+    touched = [source]
+    frontier = [source]
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
+        frontier = _expand_level(offsets, targets, frontier, depth, mark, base, touched)
     return ArrayDistanceMap(mark, base, touched)
 
 
@@ -577,7 +491,9 @@ class BackwardDistanceMap:
     ``k`` hops of ``t`` (a full reverse BFS), independent of any source.
     A batch of queries sharing ``(t, k)`` therefore computes it once and
     hands it to :func:`compute_distance_index` for each member, replacing
-    the per-query backward search entirely.  Treat ``distances`` as
+    the per-query backward search entirely.  ``distances`` is the
+    :class:`ArrayDistanceMap` of :func:`backward_distance_map`, whose
+    buffers the restricted forward search reads directly.  Treat it as
     read-only — it is shared across queries and threads.  The map always
     owns its buffers (it is never built on pooled scratch), so retaining it
     across queries is safe.
@@ -613,26 +529,30 @@ def _from_shared_backward(
 ) -> DistanceIndex:
     """Build a :class:`DistanceIndex` from a precomputed backward pass.
 
-    The forward search is restricted to the candidate space: a neighbour at
-    depth ``d`` is kept only when ``d + dist(v, t) <= k``.  Every vertex
+    The forward search is :func:`_restricted_extension` seeded at ``s``
+    with depth 0, reading the shared map's buffers: a neighbour at depth
+    ``d`` is kept only when ``d + dist(v, t) <= k``.  Every vertex
     admitted this way is a true candidate, and its restricted distance is
     exact because all vertices on a shortest ``s``-``v`` path of a candidate
     ``v`` are themselves candidates (the same argument as the restricted
     extension of bi-directional search), so the index satisfies the usual
     contract: exact distances on the whole candidate space.
     """
-    forward = bounded_bfs(
-        graph, s, k, reverse=False,
-        allowed=shared.distances, allowed_budget=k,
-        scratch_side=scratch.forward,
+    offsets, targets = graph.csr()
+    mark, base = scratch.forward.begin(graph.num_vertices, k)
+    mark[s] = base
+    touched = [s]
+    backward = shared.distances
+    _restricted_extension(
+        offsets, targets, [s], 0, k, mark, base, backward.mark, backward.base, touched,
     )
     return DistanceIndex(
         source=s,
         target=t,
         k=k,
-        from_source=forward,
-        to_target=shared.distances,
-        explored_vertices=len(forward),
+        from_source=ArrayDistanceMap(mark, base, touched),
+        to_target=backward,
+        explored_vertices=len(touched),
         strategy="shared-backward",
     )
 

@@ -81,7 +81,7 @@ Algorithmic notes (shared with the reference implementation)
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro._types import Vertex
 from repro.core.distances import ArrayDistanceMap, DistanceIndex
@@ -283,7 +283,7 @@ def _propagate(
     k: int,
     reverse: bool,
     direction: str,
-    distance_to_other: Optional[Mapping[Vertex, int]],
+    distance_to_other: Optional[ArrayDistanceMap],
     prune: bool,
     space: Optional[SpaceMeter],
     side: Optional[_EssentialSide],
@@ -293,8 +293,9 @@ def _propagate(
     ``reverse=False`` walks the forward CSR (propagation from ``s``);
     ``reverse=True`` walks the reverse CSR (propagation from ``t``).
     ``distance_to_other`` holds the pruning distances: ``dist(y, t)`` for the
-    forward pass and ``dist(s, y)`` for the backward pass.  ``side``
-    supplies reusable buffers; a private one is created when omitted.
+    forward pass and ``dist(s, y)`` for the backward pass, read through its
+    ``mark``/``base`` buffers.  ``side`` supplies reusable buffers; a
+    private one is created when omitted.
     """
     offsets, targets = graph.csr_reverse() if reverse else graph.csr()
     num_vertices = graph.num_vertices
@@ -310,17 +311,10 @@ def _propagate(
     sets[anchor] = ((anchor,),)
     index = EssentialVertexIndex(anchor, excluded, k, direction, side, num_vertices)
 
-    # Pruning access: raw buffer reads for array-backed maps, ``.get`` for
-    # anything else (e.g. the reference implementation's plain dicts).
-    array_pruning = False
-    distance_get = None
-    if prune and distance_to_other is not None:
-        if isinstance(distance_to_other, ArrayDistanceMap):
-            array_pruning = True
-            other_mark = distance_to_other.mark
-            other_base = distance_to_other.base
-        else:
-            distance_get = distance_to_other.get
+    pruning = prune and distance_to_other is not None
+    if pruning:
+        other_mark = distance_to_other.mark
+        other_base = distance_to_other.base
 
     work = side.work
     work_stamp = side.work_stamp
@@ -331,22 +325,17 @@ def _propagate(
     for level in range(1, k):
         side.work_epoch += 1
         epoch = side.work_epoch
-        # Array pruning keeps ``y`` when the other side reached it within
+        # Pruning keeps ``y`` when the other side reached it within
         # ``k - level`` hops: one mark range.
-        other_limit = other_base + k - level if array_pruning else 0
+        other_limit = other_base + k - level if pruning else 0
         updated: List[Vertex] = []
         for x in frontier:
             base = sets[x][-1]
             for y in targets[offsets[x]:offsets[x + 1]]:
                 if y == anchor or y == excluded:
                     continue
-                if array_pruning:
-                    if not other_base <= other_mark[y] <= other_limit:
-                        continue
-                elif distance_get is not None:
-                    other = distance_get(y)
-                    if other is None or level + other > k:
-                        continue
+                if pruning and not other_base <= other_mark[y] <= other_limit:
+                    continue
                 if work_stamp[y] != epoch:
                     work_stamp[y] = epoch
                     merged = spare.pop() if spare else set()

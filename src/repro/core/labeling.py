@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro._types import Edge, Vertex
-from repro.core.distances import ArrayDistanceMap, DistanceIndex
+from repro.core.distances import DistanceIndex
 from repro.core.essential import EssentialVertexIndex
 from repro.core.result import EdgeLabel
 from repro.core.space import SpaceMeter
@@ -164,21 +164,10 @@ def _label_edges_flat(
     flevels, fsets = forward._levels, forward._sets
     blevels, bsets = backward._levels, backward._sets
 
-    # ``dist(s, u) = smark[u] - sbase`` for both kinds of map.
-    from_source = distances.from_source
-    if isinstance(from_source, ArrayDistanceMap):
-        source_order = from_source.touched
-        smark, sbase = from_source.mark, from_source.base
-    else:
-        source_order = list(from_source)
-        smark, sbase = from_source, 0
-
-    to_target = distances.to_target
-    if isinstance(to_target, ArrayDistanceMap):
-        tmark, tbase = to_target.mark, to_target.base
-        to_target_get = None
-    else:
-        to_target_get = to_target.get
+    # ``dist(s, u) = smark[u] - sbase`` and ``dist(v, t) = tmark[v] - tbase``.
+    from_source, to_target = distances.from_source, distances.to_target
+    smark, sbase = from_source.mark, from_source.base
+    tmark, tbase = to_target.mark, to_target.base
 
     #: per-target memo: (exists(v, k-1), EV_1(v,t), EV_{k-2}(v,t), the
     #: largest k_f whose EV_{k-1-k_f}(v, t) exists, levels, sets)
@@ -195,7 +184,7 @@ def _label_edges_flat(
         EdgeLabel.FAILING,
     )
 
-    for u in source_order:
+    for u in from_source.touched:
         # An out-edge (u, v) is a candidate when ``dist(v, t) <= budget``.
         # Then u is a candidate vertex as well, whose exact ``dist(u, t)``
         # is at most ``budget + 1``; any other u has no candidate out-edge,
@@ -203,27 +192,17 @@ def _label_edges_flat(
         budget = k - 1 - (smark[u] - sbase)
         if budget < 0:
             continue
-        if to_target_get is None:
-            tlimit = tbase + budget
-            if not tbase <= tmark[u] <= tlimit + 1:
-                continue
-        else:
-            dist_ut = to_target_get(u)
-            if dist_ut is None or dist_ut > budget + 1:
-                continue
+        tlimit = tbase + budget
+        if not tbase <= tmark[u] <= tlimit + 1:
+            continue
         start, end = offsets[u], offsets[u + 1]
         if start == end:
             continue
 
         u_ready = False
         for v in targets[start:end]:
-            if to_target_get is None:
-                if not tbase <= tmark[v] <= tlimit:
-                    continue
-            else:
-                dist_vt = to_target_get(v)
-                if dist_vt is None or dist_vt > budget:
-                    continue
+            if not tbase <= tmark[v] <= tlimit:
+                continue
 
             if not u_ready:
                 # Deferred per-source prelude: many candidate-ball vertices
@@ -331,10 +310,12 @@ def compute_upper_bound(
 
     Only edges whose endpoints satisfy ``dist(s, u) + 1 + dist(v, t) <= k``
     are examined; edges outside that space cannot lie on any k-hop s-t path
-    (Section 4.1) and are implicitly failing.  ``forward`` and ``backward``
-    are the flat-buffer indexes of :mod:`repro.core.essential`; the
-    reference indexes of :mod:`repro.core.essential_reference` go to
-    :func:`repro.core.labeling_reference.compute_upper_bound`.
+    (Section 4.1) and are implicitly failing.  ``distances`` holds the
+    :class:`~repro.core.distances.ArrayDistanceMap` maps of
+    :func:`repro.core.distances.compute_distance_index`, and ``forward`` and
+    ``backward`` are the flat-buffer indexes of :mod:`repro.core.essential`;
+    the reference indexes and dict distances of the ``*_reference`` modules
+    go to :func:`repro.core.labeling_reference.compute_upper_bound`.
     """
     upper = UpperBoundGraph(source=source, target=target, k=k)
     _label_edges_flat(graph, upper, distances, forward, backward)

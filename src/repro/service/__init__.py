@@ -36,9 +36,9 @@ queries served, scratch reuse), exposable as Prometheus text-format
 exposition via :meth:`EngineStats.to_prometheus` (the CLI's
 ``--metrics-out``) and as phase-level trace spans via an attached
 :class:`repro.telemetry.Tracer` (``--trace-out``); batches run
-synchronously (:meth:`SPGEngine.run_batch` / :meth:`SPGEngine.run_stream`)
-or from an event loop (:meth:`SPGEngine.run_batch_async` /
-:meth:`SPGEngine.astream`, which run the same batch path on a helper
+synchronously (:meth:`SPGEngine.run_batch`) or from an event loop
+(:meth:`SPGEngine.run_batch_async`, and :meth:`SPGEngine.astream` for a
+sync or async query stream, which run the same batch path on a helper
 thread).  The subsystem also ships a command line
 (``python -m repro.service``) that loads a dataset, reads JSON-lines
 queries from a file or stdin, and emits JSON results; ``--strategy``

@@ -3,11 +3,11 @@
 :class:`SPGEngine` owns one :class:`~repro.graph.digraph.DiGraph` and one
 :class:`~repro.core.eve.EVEConfig` and answers single queries
 (:meth:`SPGEngine.query`), batches (:meth:`SPGEngine.run_batch` /
-:meth:`SPGEngine.run_batch_async`) and streamed workloads
-(:meth:`SPGEngine.run_stream` / :meth:`SPGEngine.astream`).  Batches execute
-on a pluggable :class:`~repro.service.executor.ExecutorBackend` (``serial``
-or ``process``); four guarantees hold regardless of
-cache state, planning, backend or parallelism:
+:meth:`SPGEngine.run_batch_async`) and streamed workloads, sync or async
+(:meth:`SPGEngine.astream`).  Batches execute on a pluggable
+:class:`~repro.service.executor.ExecutorBackend` (``serial`` or
+``process``); four guarantees hold regardless of cache state, planning,
+backend or parallelism:
 
 * **identical answers** — every :class:`SPGAnswer` carries the edges and
   ``exact`` flag a cold per-query :func:`repro.core.eve.build_spg` on the
@@ -113,6 +113,9 @@ GroupResult = List[
 #: lineage fingerprint, so caches and warm pools survive it; the threshold
 #: only bounds overlay bookkeeping and per-delta fingerprint hashing.
 COMPACT_THRESHOLD = 4096
+
+#: Queries :meth:`SPGEngine.astream` collects into one :meth:`run_batch`.
+STREAM_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -377,19 +380,6 @@ class GroupExecution:
     entries: GroupResult
     counters: Dict[str, int] = field(default_factory=dict)
     events: List[TraceEvent] = field(default_factory=list)
-
-
-def _active_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Normalise a disabled tracer (e.g. ``NOOP_TRACER``) to ``None``.
-
-    The engine and the EVE driver gate every telemetry site on a single
-    ``tracer is not None`` check, so folding disabled tracers into ``None``
-    here keeps the disabled hot path to exactly one branch per site — no
-    attribute dicts are built and no no-op methods are called.
-    """
-    if tracer is None or not getattr(tracer, "enabled", True):
-        return None
-    return tracer
 
 
 # ----------------------------------------------------------------------
@@ -710,6 +700,26 @@ class _PreparedBatch:
     use_cache: bool
 
 
+def coerce_query_field(value: object, field: str) -> int:
+    """Return one query field (an endpoint or ``k``) as an ``int``.
+
+    Accepts integers, integral floats (JSON encoders routinely emit ``5.0``
+    for 5) and integer strings.  Booleans and non-integral values raise
+    :class:`QueryError`: ``int(2.9)`` would silently answer for vertex 2
+    and ``int(True)`` for vertex 1 — a different query than the caller
+    wrote.  ``field`` names the value in the error message.
+    """
+    if isinstance(value, bool):
+        raise QueryError(f"{field} must be an integer, got boolean {value!r}")
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise QueryError(f"{field} must be an integer, got {value!r}") from exc
+    if number != value and not isinstance(value, str):
+        raise QueryError(f"{field} must be integral, got {value!r}")
+    return number
+
+
 class SPGEngine:
     """A serving engine for SPG queries over one (mostly static) graph.
 
@@ -776,9 +786,8 @@ class SPGEngine:
         self._cache = ResultCache(cache_size) if cache_size > 0 else None
         self._stats = EngineStats()
         self._scratch = ScratchPool(self._stats)
-        self._tracer = _active_tracer(tracer)
+        self._tracer = tracer
         self._max_workers = max_workers
-        self._swap_lock = Lock()
         # Serializes apply_delta callers (mutations are read-modify-write
         # on the served graph); queries never take it.
         self._delta_lock = Lock()
@@ -844,7 +853,7 @@ class SPGEngine:
 
     @tracer.setter
     def tracer(self, tracer: Optional[Tracer]) -> None:
-        self._tracer = _active_tracer(tracer)
+        self._tracer = tracer
 
     @property
     def executor_backend(self) -> str:
@@ -974,22 +983,18 @@ class SPGEngine:
     # ------------------------------------------------------------------
     # Graph lifecycle
     # ------------------------------------------------------------------
-    def set_graph(self, graph: DiGraph, *, clear_cache: bool = False) -> None:
+    def set_graph(self, graph: DiGraph) -> None:
         """Swap the served graph.
 
         Cache entries are keyed on the graph fingerprint, so entries of the
         old graph can never answer queries against the new one — they age
-        out of the LRU naturally.  Pass ``clear_cache=True`` to drop them
-        immediately instead (frees memory; swapping *back* to an equal
-        graph then starts cold).  A process backend initialised for a
-        different graph is rebuilt lazily on the next batch (swapping to an
-        *equal* graph keeps its warm workers).
+        out of the LRU naturally, or :meth:`clear_cache` drops them at
+        once.  A process backend initialised for a different graph is
+        rebuilt lazily on the next batch (swapping to an *equal* graph
+        keeps its warm workers).
         """
         self._warm_graph(graph)
-        with self._swap_lock:
-            self._graph = graph
-            if clear_cache and self._cache is not None:
-                self._cache.clear()
+        self._graph = graph
 
     def clear_cache(self) -> None:
         """Drop every cached result."""
@@ -1198,10 +1203,10 @@ class SPGEngine:
         be normalised — are isolated into errored outcomes.  Execution runs
         on the engine's backend; the report is identical for every backend.
 
-        This is the one batch path: :meth:`run_batch_async`,
-        :meth:`run_stream` and :meth:`astream` all call it.  The served
-        graph is read once, so the whole batch answers on one epoch even
-        when a swap lands while ``queries`` is being consumed.
+        This is the one batch path: :meth:`run_batch_async` and
+        :meth:`astream` call it.  The served graph is read once, so the
+        whole batch answers on one epoch even when a swap lands while
+        ``queries`` is being consumed.
         """
         graph = self._graph
         backend = self._ensure_backend(graph)
@@ -1228,47 +1233,19 @@ class SPGEngine:
         """
         return await asyncio.to_thread(self.run_batch, queries, use_cache=use_cache)
 
-    def run_stream(
-        self,
-        queries: Iterable[QueryLike],
-        *,
-        batch_size: int = 64,
-        use_cache: bool = True,
-    ) -> Iterator[QueryOutcome]:
-        """Serve an unbounded query stream in bounded-memory chunks.
-
-        Outcomes are yielded in input order; each chunk of ``batch_size``
-        queries goes through :meth:`run_batch` (cache, planner, executor),
-        so a stream with repeated or target-grouped queries gets the same
-        wins as an explicit batch, and a graph swap mid-stream takes effect
-        from the next chunk.
-        """
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be >= 1, got {batch_size}")
-        chunk: List[QueryLike] = []
-        for query in queries:
-            chunk.append(query)
-            if len(chunk) >= batch_size:
-                yield from self.run_batch(chunk, use_cache=use_cache)
-                chunk = []
-        if chunk:
-            yield from self.run_batch(chunk, use_cache=use_cache)
-
     async def astream(
-        self,
-        queries,
-        *,
-        batch_size: int = 64,
-        use_cache: bool = True,
+        self, queries, *, use_cache: bool = True
     ) -> AsyncIterator[QueryOutcome]:
-        """Async :meth:`run_stream`: accepts sync *or* async query iterables.
+        """Serve a sync *or* async query iterable in bounded-memory chunks.
 
-        Chunks go through :meth:`run_batch_async`, so consuming the stream
-        from an event loop never blocks it on EVE computation; outcomes are
-        yielded in input order with the usual per-query error isolation.
+        Outcomes are yielded in input order with the usual per-query error
+        isolation.  Each chunk of :data:`STREAM_BATCH_SIZE` queries goes
+        through :meth:`run_batch_async` (cache, planner, executor), so a
+        stream with repeated or target-grouped queries gets the same wins
+        as an explicit batch, consuming the stream from an event loop never
+        blocks it on EVE computation, and a graph swap mid-stream takes
+        effect from the next chunk.
         """
-        if batch_size < 1:
-            raise QueryError(f"batch_size must be >= 1, got {batch_size}")
         if not hasattr(queries, "__aiter__"):
             sync_queries = queries
 
@@ -1281,7 +1258,7 @@ class SPGEngine:
         chunk: List[QueryLike] = []
         async for query in queries:
             chunk.append(query)
-            if len(chunk) >= batch_size:
+            if len(chunk) >= STREAM_BATCH_SIZE:
                 for outcome in await self.run_batch_async(chunk, use_cache=use_cache):
                     yield outcome
                 chunk = []
@@ -1487,32 +1464,36 @@ class SPGEngine:
     def _normalize(query: QueryLike) -> Tuple[Vertex, Vertex, int]:
         """Coerce one query-like object to an ``(s, t, k)`` integer tuple.
 
+        Every field goes through :func:`coerce_query_field`, so a boolean or
+        a non-integral float fails the query instead of naming another one.
         Raises :class:`QueryError` (never a bare ``ValueError``) so
         ``run_batch`` can isolate malformed queries per entry.
         """
+        if isinstance(query, Query):
+            fields = (query.source, query.target, query.k)
+        elif isinstance(query, dict):
+            try:
+                fields = (query["source"], query["target"], query["k"])
+            except KeyError as exc:
+                raise QueryError(
+                    f"query mapping needs source/target/k keys, got {sorted(query, key=str)}"
+                ) from exc
+        elif isinstance(query, (tuple, list)) and len(query) == 3:
+            fields = query
+        else:
+            raise QueryError(
+                "queries must be (source, target, k) triples, Query objects, or "
+                f"mappings with source/target/k keys; got {query!r}"
+            )
+        source, target, k = fields
         try:
-            if isinstance(query, Query):
-                return (int(query.source), int(query.target), int(query.k))
-            if isinstance(query, dict):
-                try:
-                    return (
-                        int(query["source"]),
-                        int(query["target"]),
-                        int(query["k"]),
-                    )
-                except KeyError as exc:
-                    raise QueryError(
-                        f"query mapping needs source/target/k keys, got {sorted(query)}"
-                    ) from exc
-            if isinstance(query, (tuple, list)) and len(query) == 3:
-                source, target, k = query
-                return (int(source), int(target), int(k))
-        except (TypeError, ValueError) as exc:
+            return (
+                coerce_query_field(source, "vertex id"),
+                coerce_query_field(target, "vertex id"),
+                coerce_query_field(k, "hop constraint k"),
+            )
+        except QueryError as exc:
             raise QueryError(f"non-integer query fields in {query!r}: {exc}") from exc
-        raise QueryError(
-            "queries must be (source, target, k) triples, Query objects, or "
-            f"mappings with source/target/k keys; got {query!r}"
-        )
 
     @staticmethod
     def _raw_fields(query: QueryLike) -> Tuple[object, object, object]:

@@ -49,13 +49,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.exceptions import EdgeError, GraphError, QueryError
+from repro.exceptions import EdgeError, GraphError, QueryError, ReproError
 from repro.graph.delta import GraphDelta
 from repro.service.engine import QueryOutcome, SPGEngine
 from repro.service.http.admission import ADMITTED, DRAINING, QUOTA, SHED, AdmissionController
 from repro.service.http.coalescer import QueryCoalescer
 from repro.service.http.config import HTTPConfig
 from repro.service.workload_io import (
+    coerce_vertex_id,
     outcome_record,
     parse_query_line,
     read_queries,
@@ -561,21 +562,19 @@ class HTTPFrontend:
         return 200
 
     def _translate_edges(self, entries: object, key: str) -> list:
-        """Validate one ``insert``/``delete`` list, relabelling if needed."""
+        """Validate one ``insert``/``delete`` list; endpoints translate as in ``/query``."""
         if not isinstance(entries, list):
             raise HTTPError(400, f"{key!r} must be a JSON array of [u, v] pairs")
         edges = []
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise HTTPError(400, f"{key} entry {entry!r} is not a [u, v] pair")
-            u, v = entry
-            if self._builder is not None:
-                try:
-                    u = self._builder.vertex_id(u)
-                    v = self._builder.vertex_id(v)
-                except GraphError as exc:
-                    raise HTTPError(400, str(exc)) from exc
-            edges.append((u, v))
+            try:
+                edges.append(
+                    (coerce_vertex_id(entry[0], self._builder), coerce_vertex_id(entry[1], self._builder))
+                )
+            except ReproError as exc:
+                raise HTTPError(400, str(exc)) from exc
         return edges
 
     async def _handle_mutate(

@@ -2,11 +2,12 @@
 
 :class:`EngineStats` is the per-engine metrics object surfaced by
 :meth:`repro.service.SPGEngine.stats`.  Latencies are kept in a bounded
-ring buffer (:class:`LatencyWindow`) so a long-lived engine reports
-quantiles over *recent* traffic with O(1) memory; alongside the ring each
-window maintains cumulative histogram buckets (Prometheus semantics: the
+ring buffer (:class:`LatencyWindow`, the last :data:`WINDOW_CAPACITY`
+samples) so a long-lived engine reports quantiles over *recent* traffic
+with O(1) memory; alongside the ring each window maintains cumulative
+histogram buckets over :data:`LATENCY_BUCKETS` (Prometheus semantics: the
 bucket counters and the sum are monotonic over the window's lifetime, they
-do *not* forget overwritten samples).
+do *not* forget overwritten samples).  Both sizes are module constants.
 
 Beyond the overall query-latency window, :class:`EngineStats` keeps one
 window per EVE phase (:data:`repro.core.result.PHASE_NAMES`) fed from the
@@ -29,17 +30,20 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.result import PHASE_NAMES
 from repro.telemetry import render_counter, render_gauge, render_histogram
 
-__all__ = ["DEFAULT_LATENCY_BUCKETS", "METRICS", "LatencyWindow", "EngineStats"]
+__all__ = ["LATENCY_BUCKETS", "WINDOW_CAPACITY", "METRICS", "LatencyWindow", "EngineStats"]
 
-#: Default histogram bucket upper bounds, in seconds.  Sub-millisecond
+#: Samples a :class:`LatencyWindow` retains for its quantiles.
+WINDOW_CAPACITY = 4096
+
+#: Histogram bucket upper bounds, in seconds, ascending.  Sub-millisecond
 #: resolution at the low end (cache hits, tiny queries) through tens of
 #: seconds (large-k verification) — 14 buckets, log-ish spacing.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
+LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.00025,
     0.0005,
@@ -60,58 +64,37 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 class LatencyWindow:
     """Bounded reservoir of recent latency samples plus cumulative buckets.
 
-    Once ``capacity`` samples have been recorded, the oldest sample is
-    overwritten (ring buffer), so quantiles always describe the last
-    ``capacity`` observations.  The histogram side is *cumulative*: bucket
-    counts and the running sum cover every sample ever recorded (they are
-    Prometheus counters and never decrease), so they survive ring
-    overwrites and :attr:`recorded` equals the ``+Inf`` bucket.
+    Once :data:`WINDOW_CAPACITY` samples have been recorded, the oldest
+    sample is overwritten (ring buffer), so quantiles always describe the
+    last ``WINDOW_CAPACITY`` observations.  The histogram side, over
+    :data:`LATENCY_BUCKETS`, is *cumulative*: bucket counts and the running
+    sum cover every sample ever recorded (they are Prometheus counters and
+    never decrease), so they survive ring overwrites and :attr:`recorded`
+    equals the ``+Inf`` bucket.
     """
 
-    __slots__ = (
-        "_capacity",
-        "_samples",
-        "_position",
-        "_recorded",
-        "_bounds",
-        "_bucket_counts",
-        "_sum",
-        "_sorted",
-    )
+    __slots__ = ("_samples", "_position", "_recorded", "_bucket_counts", "_sum", "_sorted")
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("at least one histogram bucket bound is required")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"bucket bounds must be strictly ascending: {bounds}")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._samples: List[float] = []
         self._position = 0
         self._recorded = 0
-        self._bounds = bounds
-        self._bucket_counts = [0] * len(bounds)
+        self._bucket_counts = [0] * len(LATENCY_BUCKETS)
         self._sum = 0.0
         #: Cached sorted view of ``_samples``; ``None`` marks it stale.
         self._sorted: Optional[List[float]] = None
 
     def record(self, seconds: float) -> None:
         """Add one latency sample."""
-        if len(self._samples) < self._capacity:
+        if len(self._samples) < WINDOW_CAPACITY:
             self._samples.append(seconds)
         else:
             self._samples[self._position] = seconds
-            self._position = (self._position + 1) % self._capacity
+            self._position = (self._position + 1) % WINDOW_CAPACITY
         self._recorded += 1
         self._sorted = None
         self._sum += seconds
-        for index, bound in enumerate(self._bounds):
+        for index, bound in enumerate(LATENCY_BUCKETS):
             if seconds <= bound:
                 self._bucket_counts[index] += 1
                 break
@@ -146,26 +129,16 @@ class LatencyWindow:
         for count in self._bucket_counts:
             running += count
             cumulative.append(running)
-        return self._bounds, cumulative, self._sum, self._recorded
+        return LATENCY_BUCKETS, cumulative, self._sum, self._recorded
 
     def reset(self) -> None:
         """Drop every sample, bucket count and the running sum."""
         self._samples = []
         self._position = 0
         self._recorded = 0
-        self._bucket_counts = [0] * len(self._bounds)
+        self._bucket_counts = [0] * len(LATENCY_BUCKETS)
         self._sum = 0.0
         self._sorted = None
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained samples (the ring size)."""
-        return self._capacity
-
-    @property
-    def bucket_bounds(self) -> Tuple[float, ...]:
-        """The explicit histogram bucket upper bounds, ascending."""
-        return self._bounds
 
     @property
     def sum_seconds(self) -> float:

@@ -27,7 +27,7 @@ from repro.exceptions import QueryError, ReproError
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 from repro.graph.io import load_graph
-from repro.service.engine import EngineConfig
+from repro.service.engine import EngineConfig, coerce_query_field
 from repro.service.executor import EXECUTOR_BACKENDS
 
 __all__ = [
@@ -124,7 +124,9 @@ def parse_query_line(line: str) -> RawQuery:
 
     Source and target are returned unconverted (the CLI may still need to
     map labels through a :class:`~repro.graph.builder.GraphBuilder`); ``k``
-    is coerced to ``int`` here because it is never a label.
+    is coerced to ``int`` here because it is never a label, by the strict
+    rule of :func:`~repro.service.engine.coerce_query_field`: a line whose
+    ``k`` is a boolean or a non-integral number is rejected, not rounded.
     """
     text = line.strip()
     if text.startswith("{"):
@@ -133,20 +135,22 @@ def parse_query_line(line: str) -> RawQuery:
         except json.JSONDecodeError as exc:
             raise QueryError(f"malformed JSON query line: {text!r}") from exc
         try:
-            return (record["source"], record["target"], int(record["k"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            source, target, k = record["source"], record["target"], record["k"]
+        except KeyError as exc:
             raise QueryError(
                 f"JSON query needs source/target/k fields: {text!r}"
             ) from exc
-    fields = text.split()
-    if len(fields) != 3:
-        raise QueryError(
-            f"query line needs 3 whitespace-separated fields or a JSON object: {text!r}"
-        )
+    else:
+        fields = text.split()
+        if len(fields) != 3:
+            raise QueryError(
+                f"query line needs 3 whitespace-separated fields or a JSON object: {text!r}"
+            )
+        source, target, k = fields
     try:
-        return (fields[0], fields[1], int(fields[2]))
-    except ValueError as exc:
-        raise QueryError(f"hop constraint must be an integer: {text!r}") from exc
+        return (source, target, coerce_query_field(k, "hop constraint k"))
+    except QueryError as exc:
+        raise QueryError(f"{exc}: {text!r}") from exc
 
 
 def iter_query_lines(lines: Iterable[str]) -> Iterator[RawQuery]:
@@ -163,24 +167,19 @@ def read_queries(handle: TextIO) -> List[RawQuery]:
     return list(iter_query_lines(handle))
 
 
-def coerce_vertex_id(value: object) -> int:
-    """Coerce a raw query endpoint to a dense integer vertex id.
+def coerce_vertex_id(value: object, builder: Optional[GraphBuilder] = None) -> int:
+    """Map one raw endpoint, of a query or of a ``/mutate`` edge, to a vertex id.
 
-    Accepts integers, integral floats (JSON encoders routinely emit ``5.0``
-    for 5) and integer strings.  Booleans and non-integral floats are
-    rejected: ``int(2.9)`` would silently answer for vertex 2 and
-    ``int(True)`` for vertex 1 — a different query than the caller wrote.
+    With a :class:`~repro.graph.builder.GraphBuilder` (an edge-list graph)
+    the endpoint is one of the file's own labels, looked up as text, so
+    ``0`` and ``"0"`` name the same vertex.  Without one it must be a dense
+    id under :func:`~repro.service.engine.coerce_query_field`'s strict rule:
+    ``5``, ``5.0`` and ``"5"`` are vertex 5, while ``True`` and ``2.9`` are
+    rejected.  Raises a :class:`~repro.exceptions.ReproError`.
     """
-    if isinstance(value, bool):
-        raise QueryError(f"vertex id must be an integer, got boolean {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise QueryError(f"vertex id must be integral, got {value!r}")
-        return int(value)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise QueryError(f"vertex id must be an integer, got {value!r}") from exc
+    if builder is not None:
+        return builder.vertex_id(str(value))
+    return coerce_query_field(value, "vertex id")
 
 
 def translate_queries(
@@ -188,21 +187,17 @@ def translate_queries(
 ) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, str]]]:
     """Map raw query endpoints to dense vertex ids.
 
-    With a :class:`~repro.graph.builder.GraphBuilder` (an edge-list graph),
-    endpoints are the file's own labels; without one they must be integral
-    dense ids (see :func:`coerce_vertex_id`).  Returns ``(good queries,
-    per-index translation errors)`` so a query with an unknown label or a
-    non-integral endpoint fails alone, like any other bad query.
+    Each endpoint goes through :func:`coerce_vertex_id` with ``builder``.
+    Returns ``(good queries, per-index translation errors)`` so a query
+    with an unknown label or a non-integral endpoint fails alone, like any
+    other bad query.
     """
     good: List[Tuple[int, int, int]] = []
     failed: List[Tuple[int, str]] = []
     for index, (source, target, k) in enumerate(raw_queries):
         try:
-            if builder is not None:
-                mapped = (builder.vertex_id(str(source)), builder.vertex_id(str(target)), k)
-            else:
-                mapped = (coerce_vertex_id(source), coerce_vertex_id(target), k)
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
+            mapped = (coerce_vertex_id(source, builder), coerce_vertex_id(target, builder), k)
+        except ReproError as exc:
             failed.append((index, f"{type(exc).__name__}: {exc}"))
             continue
         good.append(mapped)

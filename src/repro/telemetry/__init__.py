@@ -5,9 +5,10 @@ Two small, dependency-free layers:
 * **tracing** (:mod:`repro.telemetry.tracer`) — a :class:`Tracer` records
   monotonic-clock spans (one event per EVE phase per cache miss, plus a
   summary event per query) into a bounded buffer and exports them as JSONL
-  for offline analysis.  The hot path pays exactly one ``is None`` check
-  per phase when tracing is disabled — :meth:`repro.core.eve.EVE.query`
-  takes ``tracer=None`` and skips every telemetry call.
+  for offline analysis.  Tracing off is ``None``: the hot path pays
+  exactly one ``is None`` check per phase —
+  :meth:`repro.core.eve.EVE.query` takes ``tracer=None`` and skips every
+  telemetry call.
 * **Prometheus exposition** (:mod:`repro.telemetry.prometheus`) —
   text-format rendering helpers (counters, gauges, histograms with
   explicit buckets) used by
@@ -26,17 +27,10 @@ from repro.telemetry.prometheus import (
     render_gauge,
     render_histogram,
 )
-from repro.telemetry.tracer import (
-    NOOP_TRACER,
-    NoopTracer,
-    TraceEvent,
-    Tracer,
-)
+from repro.telemetry.tracer import TraceEvent, Tracer
 
 __all__ = [
     "Tracer",
-    "NoopTracer",
-    "NOOP_TRACER",
     "TraceEvent",
     "MetricSample",
     "parse_exposition",

@@ -2,14 +2,12 @@
 
 A :class:`Tracer` collects :class:`TraceEvent` records — named spans with a
 monotonic start offset, a duration, a wall-clock completion time and a flat
-attribute mapping — into a bounded thread-safe buffer.  Producers either
-
-* time a block themselves and call :meth:`Tracer.record` with the measured
-  ``started``/``duration`` (the EVE query driver does this: its phases are
-  already timed for :class:`repro.core.result.PhaseStats`, so tracing adds
-  no extra clock reads), or
-* wrap a block in the :meth:`Tracer.span` context manager and let the span
-  measure itself.
+attribute mapping — into a bounded thread-safe buffer.  Every producer
+times its block itself and calls :meth:`Tracer.record` with the measured
+``started``/``duration``.  The EVE query driver passes the phase times it
+already takes for :class:`repro.core.result.PhaseStats`, so tracing adds
+no clock reads there; the HTTP front end's ``http.request`` and
+``http.batch`` spans time their own blocks.
 
 Events are plain picklable objects on purpose: process-pool workers build a
 local tracer per task and ship the drained events back to the parent engine
@@ -17,10 +15,8 @@ inside the task result (see :class:`repro.service.engine.GroupExecution`),
 so traces from worker-side execution land in the same buffer as in-process
 spans.
 
-When tracing is off the driver holds ``None`` (or :data:`NOOP_TRACER`) and
-every telemetry site reduces to one attribute/None check — the disabled
-hot path stays within noise of the untraced engine, which the throughput
-benchmark asserts.
+Tracing off is ``None``: the EVE driver and the engine hold no tracer, and
+every telemetry site reduces to one ``is not None`` check.
 """
 
 from __future__ import annotations
@@ -32,15 +28,14 @@ import tempfile
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Union
 
-__all__ = ["TraceEvent", "Tracer", "NoopTracer", "NOOP_TRACER"]
+__all__ = ["TraceEvent", "Tracer"]
 
-#: Default bound on retained events: one batch of a few thousand misses
-#: traces completely, while a long-lived engine cannot grow without bound.
-DEFAULT_CAPACITY = 65_536
+#: Bound on retained events: one batch of a few thousand misses traces
+#: completely, while a long-lived engine cannot grow without bound.
+CAPACITY = 65_536
 
 
 @dataclass
@@ -81,52 +76,21 @@ class TraceEvent:
         }
 
 
-class _Span:
-    """A live span handed out by :meth:`Tracer.span`.
-
-    Attributes may be attached mid-flight with :meth:`set`; the span records
-    itself into its tracer when the context manager exits.
-    """
-
-    __slots__ = ("name", "attributes", "started")
-
-    def __init__(self, name: str, attributes: Dict[str, object]) -> None:
-        self.name = name
-        self.attributes = attributes
-        self.started = time.perf_counter()
-
-    def set(self, **attributes: object) -> None:
-        """Attach (or overwrite) span attributes."""
-        self.attributes.update(attributes)
-
-
 class Tracer:
     """A bounded, thread-safe buffer of trace events.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum retained events; recording beyond it drops the *oldest*
-        events (the buffer is a ring) and counts them in :attr:`dropped`,
-        so a forgotten long-running trace degrades instead of exhausting
-        memory.
+    It retains at most :data:`CAPACITY` events; recording beyond that drops
+    the *oldest* events (the buffer is a ring) and counts them in
+    :attr:`dropped`, so a forgotten long-running trace degrades instead of
+    exhausting memory.
     """
 
-    enabled = True
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._events: Deque[TraceEvent] = deque()
         self._lock = threading.Lock()
         self._dropped = 0
 
     # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     @property
     def dropped(self) -> int:
         """Events discarded because the buffer was full."""
@@ -159,7 +123,7 @@ class Tracer:
     def append(self, event: TraceEvent) -> None:
         """Add one pre-built event (used when merging worker-side events)."""
         with self._lock:
-            if len(self._events) >= self._capacity:
+            if len(self._events) >= CAPACITY:
                 self._events.popleft()
                 self._dropped += 1
             self._events.append(event)
@@ -168,24 +132,6 @@ class Tracer:
         """Merge a sequence of pre-built events (e.g. from a pool worker)."""
         for event in events:
             self.append(event)
-
-    @contextmanager
-    def span(self, name: str, **attributes: object) -> Iterator[_Span]:
-        """Measure a block as one span; always records, even on exceptions.
-
-        The span records even when the block raises so a trace never shows
-        a phase silently vanishing; the exception propagates unchanged.
-        """
-        live = _Span(name, dict(attributes))
-        try:
-            yield live
-        finally:
-            self.record(
-                live.name,
-                live.started,
-                time.perf_counter() - live.started,
-                **live.attributes,
-            )
 
     # ------------------------------------------------------------------
     def events(self) -> List[TraceEvent]:
@@ -250,66 +196,7 @@ class Tracer:
 
     def __repr__(self) -> str:
         return (
-            f"Tracer(events={len(self)}, capacity={self._capacity}, "
+            f"Tracer(events={len(self)}, capacity={CAPACITY}, "
             f"dropped={self.dropped})"
         )
 
-
-class _NoopSpan:
-    """The span handed out by :class:`NoopTracer` — attribute sink only."""
-
-    __slots__ = ()
-
-    def set(self, **attributes: object) -> None:
-        pass
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
-class NoopTracer:
-    """A tracer that records nothing.
-
-    Drop-in for :class:`Tracer` anywhere a tracer is *required*; code that
-    takes ``tracer=None`` (the EVE driver, the engine) should prefer the
-    ``None`` check — it is one comparison instead of a method call.
-    """
-
-    enabled = False
-    capacity = 0
-    dropped = 0
-
-    def record(self, name, started, duration, **attributes) -> Optional[TraceEvent]:
-        return None
-
-    def append(self, event: TraceEvent) -> None:
-        pass
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        pass
-
-    @contextmanager
-    def span(self, name: str, **attributes: object) -> Iterator[_NoopSpan]:
-        yield _NOOP_SPAN
-
-    def events(self) -> List[TraceEvent]:
-        return []
-
-    def drain(self) -> List[TraceEvent]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def export_jsonl(self, sink) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "NoopTracer()"
-
-
-#: Shared no-op instance for callers that need *a* tracer object.
-NOOP_TRACER = NoopTracer()

@@ -35,12 +35,6 @@ class TestBoundedBFS:
         distances = bounded_bfs(graph, 3, 10, reverse=True)
         assert distances == {3: 0, 2: 1, 1: 2, 0: 3}
 
-    def test_allowed_restriction(self):
-        graph = path_graph(5)
-        allowed = {1: 0, 2: 0}  # only vertices 1 and 2 may be entered
-        distances = bounded_bfs(graph, 0, 10, allowed=allowed, allowed_budget=10)
-        assert set(distances) == {0, 1, 2}
-
 
 class TestStrategiesAgree:
     @pytest.mark.parametrize("seed", range(10))

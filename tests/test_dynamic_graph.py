@@ -39,6 +39,7 @@ from repro.graph import DeltaOverlayView, DiGraph, GraphDelta, apply_delta
 from repro.graph.delta import _splice_csr
 from repro.graph.generators import erdos_renyi, power_law_cluster
 from repro.service import ResultCache, SPGEngine, make_cache_key
+from repro.service import engine as engine_module
 from repro.service.engine import _scoped_keep_predicate
 
 
@@ -877,7 +878,8 @@ class TestConcurrentMutation:
             else:
                 assert outcome.edges == last
 
-    def test_astream_interleaved_with_apply_delta(self):
+    def test_astream_interleaved_with_apply_delta(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 2)
         rng = random.Random(7)
         base = erdos_renyi(36, 2.5, seed=7)
         delta = random_delta(base, rng, 3, 2)
@@ -888,7 +890,7 @@ class TestConcurrentMutation:
         async def drive():
             with SPGEngine(base, max_workers=2) as engine:
                 outcomes = []
-                stream = engine.astream(queries, batch_size=2)
+                stream = engine.astream(queries)
                 loop = asyncio.get_running_loop()
                 applied = False
                 async for outcome in stream:

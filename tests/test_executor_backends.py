@@ -51,6 +51,7 @@ from repro.service import (
     default_worker_count,
     resolve_backend_name,
 )
+from repro.service import engine as engine_module
 from repro.service.engine import _process_run_group
 from repro.service.planner import plan_batch
 
@@ -95,6 +96,15 @@ def max_overlap(spans) -> int:
         running += step
         peak = max(peak, running)
     return peak
+
+
+def stream_outcomes(engine: SPGEngine, queries) -> list:
+    """Every outcome of ``engine.astream(queries)``, read on a fresh event loop."""
+
+    async def collect():
+        return [outcome async for outcome in engine.astream(queries)]
+
+    return asyncio.run(collect())
 
 
 def canonical_outcome(outcome) -> tuple:
@@ -434,18 +444,19 @@ class TestDifferentialBatches:
                 assert outcome.ok, outcome.error
                 assert outcome.edges == build_spg(graph, *queries[index]).edges
 
-    def test_streams_identical_across_backends(self, backend):
+    def test_streams_identical_across_backends(self, backend, monkeypatch):
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 5)
         graph, queries = random_workload(5)
         with make_engine(graph, "serial") as reference_engine:
             reference = [
                 canonical_outcome(outcome)
-                for outcome in reference_engine.run_stream(iter(queries), batch_size=5)
+                for outcome in stream_outcomes(reference_engine, iter(queries))
             ]
             reference_records = kernel_records(reference_engine, queries)
         with make_engine(graph, backend) as engine:
             outcomes = [
                 canonical_outcome(outcome)
-                for outcome in engine.run_stream(iter(queries), batch_size=5)
+                for outcome in stream_outcomes(engine, iter(queries))
             ]
             assert kernel_records(engine, queries) == reference_records
         assert outcomes == reference
@@ -624,10 +635,12 @@ class TestBackendLifecycle:
             assert canonical_report(engine.run_batch(queries)) == first
             assert kernel_records(engine, queries) == first_records
 
-    def test_stream_chunks_share_one_backend(self, backend):
-        # Every chunk of a stream must run on the engine's one backend, not
-        # rebuild a pool per chunk (for the process backend that would
-        # respawn workers and re-ship the graph every batch_size queries).
+    def test_stream_chunks_share_one_backend(self, backend, monkeypatch):
+        # Every chunk of every stream must run on the engine's one backend,
+        # not rebuild a pool per chunk (for the process backend that would
+        # respawn workers and re-ship the graph every STREAM_BATCH_SIZE
+        # queries).
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 4)
         graph, queries = random_workload(10)
         engine = make_engine(graph, backend, cache_size=0)
         builds = []
@@ -639,28 +652,24 @@ class TestBackendLifecycle:
 
         engine._build_persistent_backend = counting_build
 
-        async def consume_async():
-            return [
-                outcome async for outcome in engine.astream(iter(queries), batch_size=4)
-            ]
-
         try:
-            synced = list(engine.run_stream(iter(queries), batch_size=4))
-            awaited = asyncio.run(consume_async())
+            streams = [stream_outcomes(engine, iter(queries)) for _ in range(2)]
         finally:
             engine.close()
         assert builds == [graph.fingerprint()], builds
-        for outcomes in (synced, awaited):
+        for outcomes in streams:
             assert len(outcomes) == len(queries)
             for outcome, query in zip(outcomes, queries):
                 assert outcome.ok, outcome.error
                 assert outcome.edges == build_spg(graph, *query).edges
 
-    @pytest.mark.parametrize("consume", ["run_stream", "astream"])
-    def test_stream_survives_graph_swap(self, consume):
+    @pytest.mark.parametrize("feed_kind", ["sync", "async"])
+    def test_stream_survives_graph_swap(self, feed_kind, monkeypatch):
         # A mid-stream graph swap must rebuild the process pool for the
         # next chunk (workers pinned to the old graph would otherwise fail
-        # the fingerprint check for the rest of the stream).
+        # the fingerprint check for the rest of the stream), whether
+        # astream reads a sync or an async iterable.
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 3)
         first_graph = erdos_renyi(24, 2.5, seed=30)
         second_graph = erdos_renyi(24, 2.5, seed=31)
         queries = random_reachable_queries(first_graph, 3, 6, seed=30).as_batch()
@@ -673,14 +682,13 @@ class TestBackendLifecycle:
             for query in queries[3:]:
                 yield query
 
-        async def consume_async():
-            return [outcome async for outcome in engine.astream(feed(), batch_size=3)]
+        async def afeed():
+            for query in feed():
+                await asyncio.sleep(0)
+                yield query
 
         try:
-            if consume == "run_stream":
-                outcomes = list(engine.run_stream(feed(), batch_size=3))
-            else:
-                outcomes = asyncio.run(consume_async())
+            outcomes = stream_outcomes(engine, feed() if feed_kind == "sync" else afeed())
         finally:
             engine.close()
         assert len(outcomes) == len(queries)
@@ -890,7 +898,8 @@ class TestConcurrencyStress:
         assert elapsed >= 0.2, elapsed
         assert max(gaps) < 0.05, max(gaps)
 
-    def test_astream_accepts_async_iterables(self):
+    def test_astream_accepts_async_iterables(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 4)
         graph = erdos_renyi(25, 2.5, seed=16)
         queries = random_reachable_queries(graph, 4, 9, seed=16).as_batch()
 
@@ -901,7 +910,7 @@ class TestConcurrencyStress:
 
         async def consume():
             with make_engine(graph, "serial") as engine:
-                return [outcome async for outcome in engine.astream(feed(), batch_size=4)]
+                return [outcome async for outcome in engine.astream(feed())]
 
         outcomes = asyncio.run(consume())
         assert [(o.source, o.target) for o in outcomes] == [

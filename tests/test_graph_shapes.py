@@ -45,7 +45,12 @@ from collections import Counter, deque
 
 import pytest
 
-from test_executor_backends import canonical_outcome, canonical_report, kernel_records
+from test_executor_backends import (
+    canonical_outcome,
+    canonical_report,
+    kernel_records,
+    stream_outcomes,
+)
 from test_shared_memory import buffer_types
 
 from repro import DiGraph, SPGEngine, build_spg
@@ -60,6 +65,7 @@ from repro.graph.shm import (
     shared_memory_available,
 )
 from repro.service import EXECUTOR_BACKENDS
+from repro.service import engine as engine_module
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -578,16 +584,17 @@ class TestEngineAcrossShapes:
         for outcome in second:
             assert outcome.cached == outcome.ok
 
-    def test_stream_identical_to_serial_stream(self, graph, backend):
+    def test_stream_identical_to_serial_stream(self, graph, backend, monkeypatch):
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 4)
         queries = shape_queries(graph, seed=2)
         with make_engine(graph, "serial") as reference_engine:
             reference = [
                 canonical_outcome(outcome)
-                for outcome in reference_engine.run_stream(iter(queries), batch_size=4)
+                for outcome in stream_outcomes(reference_engine, iter(queries))
             ]
             reference_records = kernel_records(reference_engine, queries)
         with make_engine(graph, backend) as engine:
-            outcomes = list(engine.run_stream(iter(queries), batch_size=4))
+            outcomes = stream_outcomes(engine, iter(queries))
             assert kernel_records(engine, queries) == reference_records
         assert [canonical_outcome(outcome) for outcome in outcomes] == reference
         assert_matches_cold_queries(graph, queries, outcomes)
@@ -744,12 +751,13 @@ class TestOverlappingCallersAcrossShapes:
         assert_matches_cold_queries(graph, queries, again)
         assert again.cache_hits == again.num_ok
 
-    def test_overlapping_streams_match_cold_build_spg(self, graph):
+    def test_overlapping_streams_match_cold_build_spg(self, graph, monkeypatch):
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 4)
         workloads = [shape_queries(graph, seed=20 + index) for index in range(CALLERS)]
         with make_engine(graph, "serial") as engine:
             streams = run_callers(
                 CALLERS,
-                lambda index: list(engine.run_stream(iter(workloads[index]), batch_size=4)),
+                lambda index: stream_outcomes(engine, iter(workloads[index])),
             )
         for queries, outcomes in zip(workloads, streams):
             assert_matches_cold_queries(graph, queries, outcomes)

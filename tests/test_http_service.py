@@ -715,6 +715,30 @@ class TestHTTPFrontend:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("k", ["3.7", "true"])
+    def test_non_integer_k_answers_400(self, small_dense_graph, k):
+        """Regression: ``"k": 3.7`` was answered 200 for k=3, on both paths."""
+        line = '{"source": 0, "target": 7, "k": %s}' % k
+
+        async def scenario():
+            with _engine(small_dense_graph) as engine:
+                frontend = await _booted(engine)
+                try:
+                    address = frontend.address
+                    query = await request(address, None, "POST", "/query", body=line.encode())
+                    batch = await request(
+                        address, None, "POST", "/batch", body=f"0 7 4\n{line}\n".encode()
+                    )
+                    return query, batch, engine.stats.queries_served
+                finally:
+                    assert await frontend.shutdown(5.0)
+
+        query, batch, served = asyncio.run(scenario())
+        assert query.status == batch.status == 400
+        assert "hop constraint k" in query.json()["error"]
+        assert "hop constraint k" in batch.json()["error"]
+        assert served == 0
+
     def test_oversized_request_heads_answer_431(self, small_dense_graph):
         request_line = b"POST /query HTTP/1.1\r\n"
         # One header line past the 64 KiB stream limit, cut off at its
@@ -1129,6 +1153,49 @@ class TestMutateEndpoint:
                     assert await frontend.shutdown(5.0)
 
         assert asyncio.run(scenario())
+
+    @pytest.mark.parametrize("graph_source", ["edges", "dataset"])
+    def test_mutate_reads_endpoints_as_query_does(self, tmp_path, small_dense_graph, graph_source):
+        """Regression: ``/query`` and ``/mutate`` read one endpoint value as
+        two different things.  With an edge file, ``/query`` looked ``10``
+        up as the label ``"10"`` while ``/mutate`` answered 400 for it;
+        without one, ``/query`` read ``"0"`` as vertex 0 while ``/mutate``
+        answered 400."""
+        if graph_source == "edges":
+            edge_file = tmp_path / "graph.txt"
+            edge_file.write_text("10 11\n11 12\n12 13\n", encoding="utf-8")
+            graph, builder = load_graph(str(edge_file))
+            source, target, inserted = 10, 13, (10, 12)
+            ids = builder.vertex_id("10"), builder.vertex_id("12")
+        else:
+            graph, builder = small_dense_graph, None
+            source, target, inserted = "0", "7", ("0", "7")
+            ids = (0, 7)
+
+        async def scenario():
+            with _engine(graph) as engine:
+                frontend = await _booted(engine, builder=builder)
+                try:
+                    query = json.dumps({"source": source, "target": target, "k": 3})
+                    before = await request(
+                        frontend.address, None, "POST", "/query", body=query.encode()
+                    )
+                    mutate = await request(
+                        frontend.address,
+                        None,
+                        "POST",
+                        "/mutate",
+                        body=json.dumps({"insert": [list(inserted)]}).encode(),
+                    )
+                    return before, mutate, ids in engine.graph.edge_set()
+                finally:
+                    assert await frontend.shutdown(5.0)
+
+        before, mutate, present = asyncio.run(scenario())
+        assert before.status == 200 and before.json()["ok"]
+        assert mutate.status == 200, mutate.json()
+        assert mutate.json()["inserted"] == 1
+        assert present
 
     def test_noop_and_idempotent_replay(self, small_dense_graph):
         async def scenario():

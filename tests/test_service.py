@@ -9,6 +9,7 @@ streaming), the workload adapters, and a CLI round trip.
 
 from __future__ import annotations
 
+import asyncio
 import importlib
 import json
 import os
@@ -43,6 +44,8 @@ from repro.service import (
     make_cache_key,
     plan_batch,
 )
+from repro.service import engine as engine_module
+from repro.service import stats as stats_module
 from repro.service.workload_io import iter_query_lines, outcome_record, parse_query_line
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -335,11 +338,16 @@ class TestSPGEngine:
             report = engine.run_batch(workload.as_batch())
             assert report.cache_hits == 0
 
-    def test_run_stream_orders_and_chunks(self):
+    def test_astream_orders_and_chunks(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "STREAM_BATCH_SIZE", 3)
         graph = erdos_renyi(25, 2.5, seed=13)
         workload = random_reachable_queries(graph, 4, 10, seed=13)
         engine = SPGEngine(graph, max_workers=2)
-        outcomes = list(engine.run_stream(iter(workload.as_batch()), batch_size=3))
+
+        async def collect():
+            return [outcome async for outcome in engine.astream(iter(workload.as_batch()))]
+
+        outcomes = asyncio.run(collect())
         assert [(o.source, o.target) for o in outcomes] == [
             (q.source, q.target) for q in workload
         ]
@@ -393,8 +401,9 @@ class TestSPGEngine:
 # Stats
 # ----------------------------------------------------------------------
 class TestStats:
-    def test_latency_window_quantiles(self):
-        window = LatencyWindow(capacity=100)
+    def test_latency_window_quantiles(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "WINDOW_CAPACITY", 100)
+        window = LatencyWindow()
         for value in range(1, 101):
             window.record(value / 1000.0)
         assert window.quantile(0.5) == pytest.approx(0.050)
@@ -402,8 +411,9 @@ class TestStats:
         assert window.quantile(1.0) == pytest.approx(0.100)
         assert window.quantile(0.0) == pytest.approx(0.001)
 
-    def test_latency_window_wraps(self):
-        window = LatencyWindow(capacity=4)
+    def test_latency_window_wraps(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "WINDOW_CAPACITY", 4)
+        window = LatencyWindow()
         for value in (1.0, 2.0, 3.0, 4.0, 10.0, 20.0):
             window.record(value)
         assert window.recorded == 6
@@ -460,6 +470,12 @@ class TestWorkloadIO:
             parse_query_line("1 2")
         with pytest.raises(QueryError):
             parse_query_line('{"source": 1}')
+
+    @pytest.mark.parametrize("k", ["4.7", "true"])
+    def test_json_k_must_be_an_integer(self, k):
+        # Regression: int() read 4.7 as 4 and true as 1.
+        with pytest.raises(QueryError, match="hop constraint k"):
+            parse_query_line('{"source": 0, "target": 3, "k": %s}' % k)
 
     def test_iter_skips_blanks_and_comments(self):
         lines = ["# header", "", "0 1 3", "  ", "{\"source\": 2, \"target\": 0, \"k\": 2}"]
@@ -704,6 +720,41 @@ class TestConfigurationSurface:
         ]
         assert flags == self.SHARED_FLAGS + self.OWN_FLAGS[module]
 
+    def test_sizes_are_module_constants(self):
+        import inspect
+
+        from repro.telemetry import Tracer
+        from repro.telemetry import tracer as tracer_module
+
+        assert list(inspect.signature(LatencyWindow).parameters) == []
+        assert list(inspect.signature(Tracer).parameters) == []
+        assert stats_module.WINDOW_CAPACITY == 4096
+        assert len(stats_module.LATENCY_BUCKETS) == 14
+        assert tracer_module.CAPACITY == 65_536
+        assert engine_module.STREAM_BATCH_SIZE == 64
+
+    def test_stream_and_search_signatures(self):
+        import inspect
+
+        from repro.core.distances import bounded_bfs
+
+        assert not hasattr(SPGEngine, "run_stream")
+        astream = inspect.signature(SPGEngine.astream).parameters
+        assert list(astream) == ["self", "queries", "use_cache"]
+        assert astream["use_cache"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert list(inspect.signature(SPGEngine.set_graph).parameters) == ["self", "graph"]
+        assert list(inspect.signature(bounded_bfs).parameters) == [
+            "graph", "source", "max_depth", "reverse", "scratch_side",
+        ]
+
+    def test_telemetry_exports(self):
+        import repro.telemetry
+
+        assert repro.telemetry.__all__ == [
+            "Tracer", "TraceEvent", "MetricSample", "parse_exposition",
+            "render_counter", "render_gauge", "render_histogram",
+        ]
+
 
 # ----------------------------------------------------------------------
 # CLI ingestion: endpoint coercion, translation failures, telemetry loss
@@ -752,6 +803,57 @@ class TestVertexIdCoercion:
         assert "boolean" in failed[1][1]
 
 
+class TestStrictQueryFields:
+    """A boolean or a non-integral number fails its query instead of naming another one."""
+
+    #: A bad query, and the query ``int()`` would round it to.
+    BAD = {
+        "source-bool": ((True, 3, 4), (1, 3, 4)),
+        "source-float": ((0.5, 3, 4), (0, 3, 4)),
+        "target-bool": ((0, True, 4), (0, 1, 4)),
+        "target-float": ((0, 3.9, 4), (0, 3, 4)),
+        "k-bool": ((0, 3, True), (0, 3, 1)),
+        "k-float": ((0, 3, 4.7), (0, 3, 4)),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return erdos_renyi(200, 4.0, seed=1)
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_run_batch_errors_only_the_bad_query(self, graph, case):
+        bad, _ = self.BAD[case]
+        with SPGEngine(graph, max_workers=1) as engine:
+            report = engine.run_batch([(5, 3, 4), bad, (0, 3, 4)])
+        outcomes = report.outcomes
+        assert not outcomes[1].ok
+        assert "boolean" in outcomes[1].error or "integral" in outcomes[1].error
+        for outcome, query in ((outcomes[0], (5, 3, 4)), (outcomes[2], (0, 3, 4))):
+            assert outcome.ok, outcome.error
+            assert outcome.edges == build_spg(graph, *query).edges
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_cached_outcome_misses(self, graph, case):
+        bad, rounded = self.BAD[case]
+        with SPGEngine(graph, max_workers=1) as engine:
+            assert engine.run_batch([rounded]).num_ok == 1
+            assert engine.cached_outcome(rounded) is not None
+            assert engine.cached_outcome(bad) is None
+
+    @pytest.mark.parametrize("form", ["tuple", "mapping", "query"])
+    def test_every_query_form_is_strict(self, graph, form):
+        make = {
+            "tuple": lambda s, t, k: (s, t, k),
+            "mapping": lambda s, t, k: {"source": s, "target": t, "k": k},
+            "query": Query,
+        }[form]
+        with SPGEngine(graph, max_workers=1) as engine:
+            report = engine.run_batch([make(0, 3, 4.7), make(0, 3, 4.0)])
+        assert not report.outcomes[0].ok
+        assert "integral" in report.outcomes[0].error
+        assert report.outcomes[1].ok and report.outcomes[1].k == 4
+
+
 class TestCLIIngestion:
     def _run(self, args, stdin_text):
         return subprocess.run(
@@ -778,6 +880,21 @@ class TestCLIIngestion:
         assert records[0]["source"] == 2.9  # echoed back, not truncated
         assert not records[1]["ok"] and "boolean" in records[1]["error"]
         assert records[2]["ok"] and records[2]["source"] == 3
+
+    @pytest.mark.parametrize("k", ["4.7", "true"])
+    def test_non_integer_k_exits_2_like_a_plain_line(self, tmp_path, capsys, k):
+        """Regression: a JSON ``k`` of 4.7 was answered as k=4, while the
+        plain line ``0 3 4.7`` exited 2."""
+        from repro.service.__main__ import main as service_main
+
+        queries = tmp_path / "queries.jsonl"
+        for line in ('{"source": 0, "target": 3, "k": %s}' % k, "0 3 4.7"):
+            queries.write_text(line + "\n", encoding="utf-8")
+            args = ["--dataset", "ps", "--scale", "0.08", "--queries", str(queries)]
+            assert service_main(args) == 2, line
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "hop constraint k" in captured.err
 
     def test_bad_queries_path_exits_2(self):
         completed = self._run(

@@ -29,10 +29,9 @@ from repro.core.result import PHASE_NAMES
 from repro.graph.generators import erdos_renyi
 from repro.service import EngineStats, LatencyWindow, SPGEngine
 from repro.service.executor import EXECUTOR_BACKENDS
-from repro.service.stats import DEFAULT_LATENCY_BUCKETS, METRICS
+from repro.service import stats as stats_module
+from repro.service.stats import METRICS
 from repro.telemetry import (
-    NOOP_TRACER,
-    NoopTracer,
     TraceEvent,
     Tracer,
     parse_exposition,
@@ -40,6 +39,7 @@ from repro.telemetry import (
     render_gauge,
     render_histogram,
 )
+from repro.telemetry import tracer as tracer_module
 from repro.telemetry.prometheus import samples_by_name
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -56,10 +56,6 @@ def _event(name: str = "x", duration: float = 0.001, **attributes) -> TraceEvent
 # Tracer
 # ======================================================================
 class TestTracer:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
     def test_record_returns_and_retains_event(self):
         tracer = Tracer()
         event = tracer.record("phase.distance", 10.0, 0.25, strategy="adaptive")
@@ -69,8 +65,9 @@ class TestTracer:
         assert tracer.events() == [event]
         assert len(tracer) == 1
 
-    def test_ring_drops_oldest_and_counts_dropped(self):
-        tracer = Tracer(capacity=3)
+    def test_ring_drops_oldest_and_counts_dropped(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "CAPACITY", 3)
+        tracer = Tracer()
         for index in range(5):
             tracer.record(f"e{index}", 0.0, 0.0)
         assert len(tracer) == 3
@@ -82,22 +79,6 @@ class TestTracer:
         tracer.extend([_event("a"), _event("b")])
         assert [event.name for event in tracer.events()] == ["a", "b"]
 
-    def test_span_measures_and_records_attributes(self):
-        tracer = Tracer()
-        with tracer.span("work", fixed=1) as span:
-            span.set(late=2)
-        (event,) = tracer.events()
-        assert event.name == "work"
-        assert event.duration >= 0.0
-        assert event.attributes == {"fixed": 1, "late": 2}
-
-    def test_span_records_on_exception_and_reraises(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError, match="boom"):
-            with tracer.span("failing"):
-                raise RuntimeError("boom")
-        assert [event.name for event in tracer.events()] == ["failing"]
-
     def test_drain_empties_buffer(self):
         tracer = Tracer()
         tracer.record("a", 0.0, 0.0)
@@ -106,8 +87,9 @@ class TestTracer:
         assert len(tracer) == 0
         assert tracer.drain() == []
 
-    def test_clear_resets_dropped(self):
-        tracer = Tracer(capacity=1)
+    def test_clear_resets_dropped(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "CAPACITY", 1)
+        tracer = Tracer()
         tracer.record("a", 0.0, 0.0)
         tracer.record("b", 0.0, 0.0)
         assert tracer.dropped == 1
@@ -137,19 +119,6 @@ class TestTracer:
         event = _event("phase.distance", strategy="adaptive", index_size=7)
         clone = pickle.loads(pickle.dumps(event))
         assert clone == event
-
-    def test_noop_tracer_records_nothing(self, tmp_path):
-        noop = NoopTracer()
-        assert noop.record("a", 0.0, 0.0) is None
-        noop.append(_event())
-        noop.extend([_event()])
-        with noop.span("s") as span:
-            span.set(ignored=True)
-        assert noop.events() == [] and noop.drain() == []
-        assert len(noop) == 0
-        assert noop.export_jsonl(str(tmp_path / "never.jsonl")) == 0
-        assert not (tmp_path / "never.jsonl").exists()
-        assert NOOP_TRACER.enabled is False and Tracer().enabled is True
 
 
 # ======================================================================
@@ -264,17 +233,9 @@ class TestPrometheusParser:
 class TestLatencyWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatencyWindow(capacity=0)
-        with pytest.raises(ValueError):
-            LatencyWindow(buckets=())
-        with pytest.raises(ValueError):
-            LatencyWindow(buckets=(0.1, 0.1))
-        with pytest.raises(ValueError):
             LatencyWindow().quantile(1.5)
-
-    def test_capacity_is_public(self):
-        assert LatencyWindow(capacity=16).capacity == 16
-        assert LatencyWindow().bucket_bounds == DEFAULT_LATENCY_BUCKETS
+        with pytest.raises(ValueError):
+            LatencyWindow().quantile(-0.1)
 
     def test_quantiles_nearest_rank(self):
         window = LatencyWindow()
@@ -291,8 +252,10 @@ class TestLatencyWindow:
         window.record(0.9)
         assert window.quantile(1.0) == 0.9  # cache was invalidated
 
-    def test_histogram_is_cumulative_and_survives_ring_overwrite(self):
-        window = LatencyWindow(capacity=2, buckets=(0.1, 1.0))
+    def test_histogram_is_cumulative_and_survives_ring_overwrite(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "WINDOW_CAPACITY", 2)
+        monkeypatch.setattr(stats_module, "LATENCY_BUCKETS", (0.1, 1.0))
+        window = LatencyWindow()
         for value in (0.05, 0.05, 0.5, 0.5, 0.5):
             window.record(value)
         bounds, cumulative, total, count = window.histogram()
@@ -314,14 +277,16 @@ class TestLatencyWindow:
         assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
         assert cumulative[-1] <= count == 500
 
-    def test_sample_above_every_bound_lands_only_in_inf(self):
-        window = LatencyWindow(buckets=(0.1,))
+    def test_sample_above_every_bound_lands_only_in_inf(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "LATENCY_BUCKETS", (0.1,))
+        window = LatencyWindow()
         window.record(5.0)
         _, cumulative, _, count = window.histogram()
         assert cumulative == [0] and count == 1
 
-    def test_reset(self):
-        window = LatencyWindow(capacity=4)
+    def test_reset(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "WINDOW_CAPACITY", 4)
+        window = LatencyWindow()
         for value in (0.1, 0.2):
             window.record(value)
         window.reset()
@@ -770,19 +735,6 @@ class TestBackendTelemetryConsistency:
         reference = backend_telemetry["serial"]["answers"]
         for backend, data in backend_telemetry.items():
             assert data["answers"] == reference, backend
-
-
-class TestEngineTracerAttachment:
-    def test_disabled_tracer_normalises_to_none(self, telemetry_graph):
-        with SPGEngine(telemetry_graph, tracer=NOOP_TRACER) as engine:
-            # A disabled tracer must leave the hot path on the one-branch
-            # ``tracer is None`` fast path, so the engine folds it to None.
-            assert engine.tracer is None
-            live = Tracer()
-            engine.tracer = live
-            assert engine.tracer is live
-            engine.tracer = NoopTracer()
-            assert engine.tracer is None
 
 
 # ======================================================================
